@@ -95,5 +95,5 @@ def test_knn_prediction_throughput(benchmark, classifier):
     """Vectorized 3-NN classifies thousands of snapshots per millisecond."""
     rng = np.random.default_rng(0)
     probes = rng.normal(0, 2, size=(5000, 2))
-    preds = benchmark(classifier.knn.predict, probes)
+    preds = benchmark(classifier.knn.predict_rows, probes)
     assert preds.shape == (5000,)

@@ -30,23 +30,23 @@ def test_fig2_preprocess_stage(benchmark, classifier, seis_run):
 def test_fig2_pca_stage(benchmark, classifier, seis_run):
     """A'(8×m) → B(2×m): PCA projection."""
     features = classifier.preprocessor.transform_series(seis_run.series)
-    scores = benchmark(classifier.pca.transform, features)
+    scores = benchmark(classifier.project_rows, features)
     assert scores.shape == (len(seis_run.series), 2)
 
 
 def test_fig2_classify_stage(benchmark, classifier, seis_run):
     """B(2×m) → C(1×m): 3-NN snapshot classification."""
     features = classifier.preprocessor.transform_series(seis_run.series)
-    scores = classifier.pca.transform(features)
-    class_vector = benchmark(classifier.knn.predict, scores)
+    scores = classifier.project_rows(features)
+    class_vector = benchmark(classifier.knn.predict_rows, scores)
     assert class_vector.shape == (len(seis_run.series),)
 
 
 def test_fig2_vote_stage(benchmark, classifier, seis_run):
     """C(1×m) → Class: majority vote."""
     features = classifier.preprocessor.transform_series(seis_run.series)
-    scores = classifier.pca.transform(features)
-    class_vector = classifier.knn.predict(scores)
+    scores = classifier.project_rows(features)
+    class_vector = classifier.knn.predict_rows(scores)
     app_class = benchmark(majority_vote, class_vector)
     assert app_class is SnapshotClass.CPU
 

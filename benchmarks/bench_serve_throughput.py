@@ -17,10 +17,10 @@ A second bench times the float32 tolerance mode against the float64
 *batched* path and writes ``BENCH_serve_f32.json``.  It uses a
 long-window fleet (10–30 min monitoring windows, thousands of stacked
 snapshots) rather than the short-window fleet above: the dtype changes
-per-snapshot kernel cost — GEMMs, distance assembly, top-k — so the
+per-snapshot kernel cost — projection, distance assembly, top-k — so the
 comparison runs in the regime where that cost dominates, not the
 per-run dispatch overhead both dtypes share.  Its floor (1.2× in both
-modes) fails if the fused single-GEMM float32 kernels stop out-running
+modes) fails if the fused float32 kernel stops out-running
 the float64 reference, and the run aborts if float32 label agreement
 drops below the documented 99% guarantee.
 """

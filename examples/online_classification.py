@@ -56,7 +56,7 @@ def online_demo(outcome) -> None:
                 ]
             )
             knn.fit(inc.transform(train_features), train_labels)
-            preds = knn.predict(inc.transform(batch))
+            preds = knn.predict_rows(inc.transform(batch))
             dominant = SnapshotClass(int(np.bincount(preds, minlength=5).argmax()))
             print(
                 f"  after {inc.count_:4d} snapshots: batch classified as "

@@ -17,7 +17,7 @@ from .feature_selection import (
     select_features,
 )
 from .incremental import IncrementalPCA
-from .knn import DEFAULT_CHUNK_SIZE, KNeighborsClassifier, pairwise_sq_distances
+from .knn import DEFAULT_CHUNK_SIZE, KNeighborsClassifier, rowwise_sq_distances
 from .labels import (
     ALL_CLASSES,
     TABLE3_ORDER,
@@ -53,7 +53,7 @@ __all__ = [
     "IncrementalPCA",
     "DEFAULT_CHUNK_SIZE",
     "KNeighborsClassifier",
-    "pairwise_sq_distances",
+    "rowwise_sq_distances",
     "ALL_CLASSES",
     "TABLE3_ORDER",
     "ClassComposition",

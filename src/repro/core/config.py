@@ -48,7 +48,7 @@ class ClassifierConfig:
     compute_dtype:
         Dtype of the numeric pipeline, ``"float64"`` (default) or
         ``"float32"``.  Float64 is the bit-identical reference mode;
-        float32 is the documented tolerance mode (fused single-GEMM
+        float32 is the documented tolerance mode (fused one-pass
         projection, all-float32 buffers, ≥99% label agreement on the
         Table-2 corpus — see ``docs/API.md`` § Numeric modes).  Also
         the declared policy the ``repro-qa numerics`` analysis holds

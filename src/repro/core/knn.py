@@ -6,15 +6,23 @@ and requires *k* odd).  Distances are Euclidean in the (PCA-reduced)
 feature space.
 
 Implementation follows the HPC guides: the distance matrix is computed
-with the vectorized ``‖a−b‖² = ‖a‖² − 2a·b + ‖b‖²`` expansion (one GEMM
-instead of Python loops) with the pool-side ``‖b‖²`` term cached once at
-fit time, and test sets are processed in chunks to bound peak memory at
-a few megabytes regardless of pool size.  The classifier is
-dtype-preserving: the pool is stored at the training scores' float dtype
-(float64 reference mode or float32 tolerance mode) and queries, distance
-buffers, and vote accumulators all follow it.  Tie-breaking is
-deterministic: among tied vote counts, the class with the smaller summed
-neighbor distance wins, then the smaller class code.
+with the vectorized ``‖a−b‖² = ‖a‖² − 2a·b + ‖b‖²`` expansion, with the
+pool-side ``‖b‖²`` term cached once at fit time, and test sets are
+processed in chunks to bound peak memory at a few megabytes regardless
+of pool size.  The ``a·bᵀ`` term is accumulated feature column by
+feature column from outer products rather than by a GEMM: BLAS picks
+its kernel (and so its summation order) by operand shape, while the
+column accumulation has one fixed order, so a row's distances — and
+its neighbors and vote — are bit-identical whatever batch it arrives in.
+With ``q = 2`` PCA components that is two fused passes, not a scalar
+loop.  This is the only neighbor search in the package; the sequential,
+batched and streaming classify paths all run it.
+
+The classifier is dtype-preserving: the pool is stored at the training
+scores' float dtype (float64 reference mode or float32 tolerance mode)
+and queries, distance buffers, and vote accumulators all follow it.
+Tie-breaking is deterministic: among tied vote counts, the class with
+the smaller summed neighbor distance wins, then the smaller class code.
 """
 
 from __future__ import annotations
@@ -23,11 +31,11 @@ import numpy as np
 
 from .preprocessing import _check_matrix
 
-#: Rows of the test chunk processed per GEMM (bounds the distance buffer).
+#: Rows of the test chunk processed per distance block (bounds the buffer).
 DEFAULT_CHUNK_SIZE: int = 2048
 
 
-def pairwise_sq_distances(
+def rowwise_sq_distances(
     a: np.ndarray, b: np.ndarray, b_sq_norms: np.ndarray | None = None
 ) -> np.ndarray:
     """Squared Euclidean distances between rows of *a* and rows of *b*.
@@ -36,90 +44,55 @@ def pairwise_sq_distances(
 
     Both inputs are row-per-sample (the transpose of the paper's ``q×m``
     column convention); returns a matrix of shape ``(len(a), len(b))``
-    in the inputs' (promoted) float dtype.  The in-place
-    ``(−2ab) + aa + bb`` assembly cancels catastrophically when a query
-    coincides with a pool point — the result can come out as a tiny
-    *negative* squared distance (≈ −ε·‖x‖², far worse in float32),
-    which would poison ``1/d`` weighted votes and tie ordering — so the
-    matrix is clamped at 0.0 in place before returning.
+    in the inputs' (promoted) float dtype.  Row *i*'s distances are
+    bit-identical for **any** batch size: the ``a·bᵀ`` term is
+    accumulated feature column by feature column from outer products in
+    a fixed order (see the module docstring), and the rest
+    of the ``(−2ab) + aa + bb`` assembly is elementwise and in place.
+    The assembly cancels catastrophically when a query coincides with a
+    pool point — the result can come out as a tiny *negative* squared
+    distance (≈ −ε·‖x‖², far worse in float32), which would poison
+    ``1/d`` weighted votes and tie ordering — so the matrix is clamped
+    at 0.0 in place before returning.
 
     *b_sq_norms* optionally supplies precomputed per-row squared norms
-    of *b* (``np.einsum("ij,ij->i", b, b)``): the k-NN hot path hands in
-    the norms cached at fit time so repeated query batches stop
-    recomputing ``‖b‖²`` over the whole training pool.  The cached
-    values are exactly the ones this function would compute, so the
-    output is bit-identical either way.
+    of *b* (``np.einsum("ij,ij->i", b, b)``), the values this function
+    would compute itself, so the output is bit-identical either way.
     """
     a = _check_matrix(a, dtype=None)
     b = _check_matrix(b, dtype=None)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    aa = np.einsum("ij,ij->i", a, a)[:, None]
     if b_sq_norms is None:
-        bb = np.einsum("ij,ij->i", b, b)[None, :]
+        bb = np.einsum("ij,ij->i", b, b)
     else:
         bb = np.asarray(b_sq_norms)
         if bb.shape != (b.shape[0],):
             raise ValueError(
                 f"b_sq_norms shape {bb.shape} does not match {b.shape[0]} pool rows"
             )
-        bb = bb[None, :]
-    # Assemble in place on the GEMM output — no full-size temporaries.
-    # Bit-identical to ``aa - 2.0 * ab + bb``: negation is exact, so
-    # ``ab *= -2.0`` equals ``-(2.0 * ab)``, and IEEE addition commutes.
-    d2 = a @ b.T
-    d2 *= -2.0
-    d2 += aa
-    d2 += bb
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    return _sq_distances(a, np.ascontiguousarray(b.T), bb)
 
 
-def rowwise_sq_distances(
-    a: np.ndarray, b: np.ndarray, b_sq_norms: np.ndarray | None = None
-) -> np.ndarray:
-    """Batch-size-invariant variant of :func:`pairwise_sq_distances`.
+def _sq_distances(a: np.ndarray, b_cols: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    """The distance kernel behind :func:`rowwise_sq_distances`, unchecked.
 
     dtype: preserve
 
-    Same ``(len(a), len(b))`` squared-distance matrix and the same
-    in-place ``(−2ab) + aa + bb`` assembly and zero clamp, but the
-    ``a·bᵀ`` term is accumulated feature column by feature column with
-    broadcast multiplies instead of one GEMM.  BLAS selects different
-    GEMM kernels by operand shape, so ``pairwise_sq_distances`` on a
-    ``(1, q)`` query and on row *i* of an ``(m, q)`` stack may differ in
-    the last bits; here every operation is elementwise with a fixed
-    accumulation order over the ``q`` feature columns, so row *i*'s
-    distances are bit-identical for **any** batch size.  This is the
-    streaming-ingest distance kernel: the per-announcement path and the
-    drained-batch path both run it, which is what makes their results
-    bit-identical by construction.  ``q`` is the PCA dimension (2 for
-    the paper's configuration), so the column loop is two fused passes,
-    not a scalar loop.
+    *a* is ``(m, q)``, *b_cols* the pool's ``(q, n)`` feature columns
+    (each a contiguous row), *bb* the pool's ``(n,)`` squared norms;
+    returns the clamped ``(m, n)`` squared distances.
     """
-    a = _check_matrix(a, dtype=None)
-    b = _check_matrix(b, dtype=None)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     aa = np.einsum("ij,ij->i", a, a)[:, None]
-    if b_sq_norms is None:
-        bb = np.einsum("ij,ij->i", b, b)[None, :]
-    else:
-        bb = np.asarray(b_sq_norms)
-        if bb.shape != (b.shape[0],):
-            raise ValueError(
-                f"b_sq_norms shape {bb.shape} does not match {b.shape[0]} pool rows"
-            )
-        bb = bb[None, :]
-    q = a.shape[1]
-    # ab[i, t] = Σ_j a[i, j]·b[t, j], accumulated j = 0, 1, … with one
-    # preallocated scratch — fixed order, no GEMM, no per-column buffer.
-    d2 = np.multiply(a[:, 0][:, None], b[:, 0][None, :])
-    scratch = np.empty_like(d2)
-    for j in range(1, q):
-        np.multiply(a[:, j][:, None], b[:, j][None, :], out=scratch)
-        d2 += scratch
-    d2 *= -2.0
+    # −2·ab[i, t] = Σ_j (−2a[i, j])·b[t, j], summed j = 0, 1, … in a fixed
+    # order.  Scaling by −2 is exact in the normal range, so pre-scaling
+    # the queries equals scaling the sum.  Each einsum is an outer
+    # product — one rounded multiply per entry, no summation, no BLAS —
+    # and runs faster than the equivalent broadcast multiply.
+    scaled = a * -2.0
+    d2 = np.einsum("i,j->ij", scaled[:, 0], b_cols[0])
+    for j in range(1, a.shape[1]):
+        d2 += np.einsum("i,j->ij", scaled[:, j], b_cols[j])
     d2 += aa
     d2 += bb
     np.maximum(d2, 0.0, out=d2)
@@ -158,6 +131,7 @@ class KNeighborsClassifier:
         self._y: np.ndarray | None = None
         self._classes: np.ndarray | None = None
         self._sq_norms: np.ndarray | None = None
+        self._cols: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # training
@@ -171,8 +145,9 @@ class KNeighborsClassifier:
         (float64 reference mode or float32 tolerance mode), and every
         inference buffer follows the fitted dtype from then on.  The
         per-row squared norms ``‖b‖²`` of the pool — the constant term
-        of the distance expansion — are computed once here, so
-        :meth:`kneighbors` stops recomputing them per query batch.
+        of the distance expansion — and its contiguous ``(q, n)``
+        feature columns are computed once here, so
+        :meth:`kneighbors_rows` stops recomputing them per query batch.
 
         Raises
         ------
@@ -190,6 +165,7 @@ class KNeighborsClassifier:
         self._y = y.copy()
         self._classes = np.unique(y)
         self._sq_norms = np.einsum("ij,ij->i", self._x, self._x)
+        self._cols = np.ascontiguousarray(self._x.T)
         return self
 
     @property
@@ -212,7 +188,7 @@ class KNeighborsClassifier:
 
     @property
     def training_points(self) -> np.ndarray:
-        """The fitted ``(n, q)`` training pool (the serving kernel's read view).
+        """The fitted ``(n, q)`` training pool.
 
         Raises
         ------
@@ -241,8 +217,8 @@ class KNeighborsClassifier:
         """Per-fit cached ``‖b‖²`` of the training pool, shape ``(n,)``.
 
         The constant term of the ``‖a‖² + ‖b‖² − 2a·bᵀ`` distance
-        expansion, computed once in :meth:`fit`; the batched serving
-        kernel reads it here instead of re-reducing the pool per call.
+        expansion, computed once in :meth:`fit` and read by every
+        :meth:`kneighbors_rows` call instead of re-reducing the pool.
 
         Raises
         ------
@@ -269,28 +245,6 @@ class KNeighborsClassifier:
     # ------------------------------------------------------------------
     # inference
     # ------------------------------------------------------------------
-    def kneighbors(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and distances of the k nearest training points.
-
-        *x* is row-per-sample, shape ``(m, q)``.  Returns
-        ``(indices, distances)``, both of shape ``(m, k)``, neighbors
-        sorted by increasing distance.  Queries are routed through the
-        fitted pool's dtype (a float32 model computes float32 distances
-        instead of silently upcasting), and the ``‖b‖²`` term comes
-        from the per-fit cache rather than a per-batch reduction.
-        """
-        if self._x is None:
-            raise RuntimeError("classifier not fitted")
-        x = _check_matrix(x, dtype=self._x.dtype)
-        m = x.shape[0]
-        indices = np.empty((m, self.k), dtype=np.int64)
-        distances = np.empty((m, self.k), dtype=self._x.dtype)
-        for start in range(0, m, self.chunk_size):
-            stop = min(start + self.chunk_size, m)
-            d2 = pairwise_sq_distances(x[start:stop], self._x, b_sq_norms=self._sq_norms)
-            self._topk_into(d2, indices[start:stop], distances[start:stop])
-        return indices, distances
-
     def _topk_into(self, d2: np.ndarray, idx_out: np.ndarray, dist_out: np.ndarray) -> None:
         """Select the k nearest per row of a squared-distance chunk.
 
@@ -306,44 +260,40 @@ class KNeighborsClassifier:
         dist_out[:] = np.sqrt(np.take_along_axis(part_d, order, axis=1))
 
     def kneighbors_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batch-size-invariant neighbor search (streaming-ingest kernel).
+        """Indices and distances of the k nearest training points.
 
-        Same contract as :meth:`kneighbors` — ``(m, q)`` queries in,
-        sorted ``(m, k)`` ``(indices, distances)`` out — but distances
-        come from :func:`rowwise_sq_distances`, whose bits for row *i*
-        do not depend on how many rows share the batch.  The top-k
-        selection and the vote are row-wise already, so a drained batch
-        of announcements classifies bit-identically to the same
-        announcements one at a time.
+        *x* is row-per-sample, shape ``(m, q)``.  Returns
+        ``(indices, distances)``, both of shape ``(m, k)``, neighbors
+        sorted by increasing distance.  Queries are routed through the
+        fitted pool's dtype (a float32 model computes float32 distances
+        instead of silently upcasting), and the pool's columns and
+        ``‖b‖²`` term come from the per-fit cache.  Distances are the
+        :func:`rowwise_sq_distances` formula and top-k selection is
+        row-wise, so row *i*'s neighbors are bit-identical whether it
+        arrives alone, inside a drained batch, or in a stacked fleet —
+        and whatever *chunk_size* splits the queries.
         """
         if self._x is None:
             raise RuntimeError("classifier not fitted")
         x = _check_matrix(x, dtype=self._x.dtype)
+        if x.shape[1] != self._x.shape[1]:
+            raise ValueError(f"dimension mismatch: {x.shape[1]} vs {self._x.shape[1]}")
         m = x.shape[0]
         indices = np.empty((m, self.k), dtype=np.int64)
         distances = np.empty((m, self.k), dtype=self._x.dtype)
         for start in range(0, m, self.chunk_size):
             stop = min(start + self.chunk_size, m)
-            d2 = rowwise_sq_distances(x[start:stop], self._x, b_sq_norms=self._sq_norms)
+            d2 = _sq_distances(x[start:stop], self._cols, self._sq_norms)
             self._topk_into(d2, indices[start:stop], distances[start:stop])
         return indices, distances
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
+    def predict_rows(self, x: np.ndarray) -> np.ndarray:
         """Class codes for each test row (majority vote, deterministic ties).
 
         *x* is row-per-sample, shape ``(m, q)``; returns the length-``m``
-        class vector ``C`` (the paper's ``C(1×m)`` stage output).
-        """
-        indices, distances = self.kneighbors(x)
-        return self.vote(indices, distances)
-
-    def predict_rows(self, x: np.ndarray) -> np.ndarray:
-        """Batch-size-invariant :meth:`predict` (streaming-ingest kernel).
-
-        *x* is row-per-sample, shape ``(m, q)``; returns the length-``m``
-        class vector.  Routes through :meth:`kneighbors_rows` and the
-        shared :meth:`vote`, so row *i*'s class is bit-identical whether
-        it arrives alone or inside a drained batch of any size.
+        class vector ``C`` (the paper's ``C(1×m)`` stage output) via
+        :meth:`kneighbors_rows` and :meth:`vote`, so row *i*'s class is
+        bit-identical for any batch size.
         """
         indices, distances = self.kneighbors_rows(x)
         return self.vote(indices, distances)
@@ -351,13 +301,12 @@ class KNeighborsClassifier:
     def vote(self, indices: np.ndarray, distances: np.ndarray) -> np.ndarray:
         """Class codes from precomputed ``(m, k)`` neighbor indices/distances.
 
-        This is the voting half of :meth:`predict`, split out so callers
-        that compute neighbors differently (notably the batched serving
-        kernel, which stacks many runs into one neighbor search) vote
-        through exactly the same code path.  Every voting rule —
-        unweighted majority, the weighted ablation, and the
-        deterministic tie-breaks — operates row-independently, so
-        voting on stacked rows is bit-identical to voting per run.
+        This is the voting half of :meth:`predict_rows`, public so that
+        tracing and cost accounting can time it apart from the neighbor
+        search.  Every voting rule — unweighted majority, the weighted
+        ablation, and the deterministic tie-breaks — operates
+        row-independently, so voting on stacked rows is bit-identical
+        to voting per run.
         """
         if self._y is None:
             raise RuntimeError("classifier not fitted")
@@ -408,7 +357,7 @@ class KNeighborsClassifier:
         m = neighbor_labels.shape[0]
         dtype = distances.dtype
         rows = np.repeat(np.arange(m), self.k)
-        # Distances come out of kneighbors clipped at zero, so <= 0 is
+        # Distances come out of kneighbors_rows clipped at zero, so <= 0 is
         # the exact-match condition.
         exact = distances <= 0.0
         has_exact = exact.any(axis=1)
@@ -441,7 +390,7 @@ class KNeighborsClassifier:
         point = np.asarray(point, dtype=dtype)
         if point.ndim != 1:
             raise ValueError("predict_one expects a 1-D feature vector")
-        return int(self.predict(point[None, :])[0])
+        return int(self.predict_rows(point[None, :])[0])
 
     def score(self, x: np.ndarray, y: np.ndarray) -> float:
         """Classification accuracy on labelled data.
@@ -453,7 +402,7 @@ class KNeighborsClassifier:
         always accumulated at float64 regardless of the model dtype.
         """
         y = np.asarray(y, dtype=np.int64)
-        pred = self.predict(x)
+        pred = self.predict_rows(x)
         if pred.shape != y.shape:
             raise ValueError("label shape mismatch")
         return float(np.mean(pred == y))

@@ -24,15 +24,12 @@ dtype) to classifying each announcement alone, and the fan-back
 arithmetic reproduces the sequential :meth:`NodeClassificationState.record`
 fold exactly.
 
-The 1.2.0 unified entry points are the ``Classifier`` protocol methods
-``classify`` / ``classify_batch`` / ``classify_stream`` (see
-``repro.serve.protocol``); ``classify_announcement`` remains as a
-one-release deprecated shim.
+The entry points are the ``Classifier`` protocol methods ``classify`` /
+``classify_batch`` / ``classify_stream`` (see ``repro.serve.protocol``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -397,23 +394,6 @@ class OnlineClassifier:
             )
         batch = self.channel.drain(max_rows, flush=flush)
         return self._classify_drain(batch)
-
-    def classify_announcement(self, announcement: MetricAnnouncement) -> SnapshotClass:
-        """Deprecated alias of :meth:`classify` (gone in the release after 1.2).
-
-        Raises
-        ------
-        RuntimeError
-            If called while detached.
-        """
-        warnings.warn(
-            "OnlineClassifier.classify_announcement(...) is deprecated and will "
-            "be removed in the next release; use the Classifier protocol method "
-            "classify(...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.classify(announcement)
 
     # ------------------------------------------------------------------
     # drained-batch fan-back

@@ -16,7 +16,6 @@ End-to-end dimension reduction and classification::
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -107,27 +106,22 @@ class ApplicationClassifier:
     k:
         Neighbors in the vote (default 3, odd required).
     compute_dtype:
-        ``"float64"`` (default) — the bit-identical reference mode,
-        byte-for-byte reproducible against the pre-tolerance-mode
-        pipeline — or ``"float32"`` — the documented tolerance mode:
-        every fitted parameter, intermediate buffer, and GEMM on the
-        classification path runs at float32, and the per-snapshot
-        normalize→center→project stages collapse into one fused GEMM
-        (+bias) against the folded projection built at train time.
+        ``"float64"`` (default) — the reference mode: the staged
+        normalize → center → project pipeline at float64 — or
+        ``"float32"`` — the documented tolerance mode: every fitted
+        parameter, intermediate buffer, and distance runs at float32,
+        and the per-snapshot normalize→center→project stages collapse
+        into one affine projection (+bias) folded at train time.
     clock:
         Injected clock for the §5.3 stage-timing accounting (defaults to
         :data:`DEFAULT_CLOCK`); pass a fake for deterministic timings.
 
-    All tuning parameters are keyword-only; passing them positionally is
-    deprecated (one-release shim, see ``docs/API.md``).
+    All tuning parameters are keyword-only.
     """
-
-    #: Positional-shim order of the pre-1.1 signature.
-    _TUNING_PARAMS = ("selector", "n_components", "min_variance_fraction", "k", "clock")
 
     def __init__(
         self,
-        *args: object,
+        *,
         selector: MetricSelector | None = None,
         n_components: int | None = 2,
         min_variance_fraction: float | None = None,
@@ -135,25 +129,6 @@ class ApplicationClassifier:
         compute_dtype: str = "float64",
         clock: Clock | None = None,
     ) -> None:
-        if args:
-            warnings.warn(
-                "passing ApplicationClassifier tuning parameters positionally "
-                "is deprecated and will be removed in the next release; use "
-                "keyword arguments (selector=..., n_components=..., ...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > len(self._TUNING_PARAMS):
-                raise TypeError(
-                    f"ApplicationClassifier takes at most "
-                    f"{len(self._TUNING_PARAMS)} tuning arguments, got {len(args)}"
-                )
-            shim = dict(zip(self._TUNING_PARAMS, args))
-            selector = shim.get("selector", selector)
-            n_components = shim.get("n_components", n_components)
-            min_variance_fraction = shim.get("min_variance_fraction", min_variance_fraction)
-            k = shim.get("k", k)
-            clock = shim.get("clock", clock)
         if compute_dtype not in ("float64", "float32"):
             raise ValueError(
                 f"compute_dtype must be 'float64' or 'float32', got {compute_dtype!r}"
@@ -173,7 +148,7 @@ class ApplicationClassifier:
         self.training_labels_: np.ndarray | None = None
         # Folded normalize→center→project operands, built at train time:
         # scores == raw_selected @ fused_weights_ + fused_bias_ (the
-        # tolerance mode's single-GEMM classification kernel).
+        # tolerance mode's one-pass projection).
         self.fused_weights_: np.ndarray | None = None
         self.fused_bias_: np.ndarray | None = None
         # Cached observability instrument handles, keyed by
@@ -262,12 +237,12 @@ class ApplicationClassifier:
         and ``W`` the ``(q, p)`` component matrix, the staged pipeline
         computes ``((x − μn)/σn − μp) @ Wᵀ``.  Distributing gives the
         affine form ``x @ (Wᵀ/σn) + c`` with
-        ``c = −(μn/σn + μp) @ Wᵀ`` — one GEMM plus a bias broadcast per
-        classification instead of three elementwise passes and a GEMM.
-        Built in both modes (the operands carry the compute dtype); the
-        classification paths use it in the float32 tolerance mode, while
-        the float64 reference mode keeps the staged kernels so its
-        outputs stay bit-identical to the pre-fusion pipeline.
+        ``c = −(μn/σn + μp) @ Wᵀ`` — one projection pass plus a bias
+        instead of three elementwise passes and a projection.  Built in
+        both modes (the operands carry the compute dtype); the float32
+        tolerance mode classifies through it, while the float64
+        reference mode keeps the staged normalize → center → project
+        structure.
         """
         normalizer = self.preprocessor.normalizer
         components_t = self.pca.components_.T
@@ -316,6 +291,11 @@ class ApplicationClassifier:
     def classify_series(self, series: SnapshotSeries) -> ClassificationResult:
         """Classify every snapshot of *series* and aggregate.
 
+        Runs the :meth:`classify_rows` steps over the series' gathered
+        rows, with the §5.3 stage clock reads between them, so each
+        snapshot's score and class are bit-identical to the batched and
+        streaming paths.
+
         Raises
         ------
         NotTrainedError
@@ -339,35 +319,21 @@ class ApplicationClassifier:
         # obs is disabled (the default) the span is a shared no-op and
         # ``timed`` is False, so the clock-call sequence is exactly the
         # classic four stage pairs.
-        # The float32 tolerance mode swaps the staged normalize→center→
-        # project stages for the fused single-GEMM projection built at
-        # train time: the "normalize" slot becomes the one float32
-        # downcast and the "pca" slot the fused GEMM (+bias).  The
-        # float64 reference mode keeps the staged kernels bit-identical
-        # to the pre-fusion pipeline.
-        tolerance = self.compute_dtype != "float64"
         timed = obs_enabled()
         with obs_span("pipeline.classify", clock=clock):
             t0 = t = clock()
             selected = self.preprocessor.selector.transform_series(series)
             t_filter = clock() if timed else 0.0
-            if tolerance:
-                features = selected.astype(self._dtype)
-            else:
-                features = self.preprocessor.normalizer.transform(selected)
+            features = self.normalize_rows(selected)
             t1 = clock()
             timings.preprocess_s = t1 - t
 
             t_pca = clock()
-            if tolerance:
-                scores = features @ self.fused_weights_
-                scores += self.fused_bias_
-            else:
-                scores = self.pca.transform(features)
+            scores = self.project_rows(features)
             timings.pca_s = clock() - t_pca
 
             t_knn = clock()
-            class_vector = self.knn.predict(scores)
+            class_vector = self.knn.predict_rows(scores)
             timings.classify_s = clock() - t_knn
 
             t_vote = clock()
@@ -416,62 +382,66 @@ class ApplicationClassifier:
             timings=timings,
         )
 
-    def classify_snapshot_features(self, features: np.ndarray) -> np.ndarray:
-        """Classify pre-selected raw feature rows (utility for streaming).
+    def classify_rows(self, features: np.ndarray) -> np.ndarray:
+        """Classify pre-selected raw feature rows: the one classify kernel.
 
         *features* is oriented samples×metrics — shape ``(k, p)`` for
         ``k`` snapshots of the ``p`` selected metrics (the transpose of
         the paper's ``p×m`` convention, one row per snapshot); returns
-        the length-``k`` class vector.  In the float32 tolerance mode
-        the rows go through the fused projection (one GEMM + bias); the
-        float64 reference mode keeps the staged path bit-identical.
-        """
-        if self.compute_dtype != "float64":
-            x = np.asarray(features, dtype=self._dtype)
-            scores = x @ self.fused_weights_
-            scores += self.fused_bias_
-            return self.knn.predict(scores)
-        normalized = self.preprocessor.transform_features(features)
-        return self.knn.predict(self.pca.transform(normalized))
-
-    def classify_rows(self, features: np.ndarray) -> np.ndarray:
-        """Batch-size-invariant classification of raw feature rows.
-
-        Same contract as :meth:`classify_snapshot_features` — ``(k, p)``
-        pre-selected raw feature rows in, length-``k`` class vector out —
-        but with a guarantee the GEMM-based paths cannot make: **row
-        *i*'s class is bit-identical for any batch size**, because every
-        projection is accumulated feature column by feature column with
-        elementwise broadcasts (fixed order, no shape-dependent BLAS
-        kernel selection) and the neighbor search runs
+        the length-``k`` class vector.  Three steps: :meth:`normalize_rows`,
+        :meth:`project_rows`, and
         :meth:`~repro.core.knn.KNeighborsClassifier.predict_rows`.
+        :meth:`classify_series`, the batched serving kernel, and the
+        streaming ingest path run exactly these steps (the first two
+        with stage clock reads in between), so every path computes the
+        same bits for a row.
 
-        This is the streaming-ingest kernel: the unified ``classify``
-        protocol method and the drained-batch ``pump`` both run it,
-        which makes "drain a window, classify a batch" bit-identical
-        (per compute dtype) to classifying each announcement alone.
-        The float64 mode keeps the staged normalize→center→project
-        structure of the reference pipeline; the float32 tolerance mode
-        accumulates the fused affine projection.
+        **Row *i*'s class is bit-identical for any batch size**: every
+        step is row-independent, the projection is accumulated feature
+        column by feature column with elementwise broadcasts (fixed
+        order, no shape-dependent BLAS kernel selection), and the
+        neighbor search uses the same column-accumulated distances.
+        That makes "drain a window, classify a batch" bit-identical (per
+        compute dtype) to classifying each announcement alone.
         """
-        x = np.asarray(features, dtype=self._dtype)
+        x = np.asarray(features)
         if x.ndim != 2:
             raise ValueError(f"expected (k, p) feature rows, got shape {x.shape}")
+        return self.knn.predict_rows(self.project_rows(self.normalize_rows(x)))
+
+    def normalize_rows(self, x: np.ndarray) -> np.ndarray:
+        """The kernel's normalize step on ``(m, p)`` raw rows.
+
+        The float64 reference mode applies the fitted normalizer
+        (:meth:`~repro.core.preprocessing.Preprocessor.transform_features`);
+        the float32 tolerance mode only casts to float32 (a no-op on
+        float32 rows), since its normalizer affine is folded into the
+        projection.
+        """
+        if self.compute_dtype != "float64":
+            return x.astype(self._dtype, copy=False)
+        return self.preprocessor.transform_features(x)
+
+    def project_rows(self, features: np.ndarray) -> np.ndarray:
+        """The kernel's projection step: ``(m, p)`` features → ``(m, q)`` scores.
+
+        The float64 mode centers the normalized features and projects
+        them onto the PCA components; the float32 mode starts from the
+        folded bias and projects the raw rows through the folded
+        weights.  Either way the ``p`` per-feature terms of each score
+        are laid out as a ``(terms, q, m)`` stack — one broadcast
+        multiply — and summed by ``np.add.accumulate``, which adds them
+        strictly in order (term 0, then 1, …), so row *i*'s scores do
+        not depend on *m*.  *features* is not modified.
+        """
+        m = features.shape[0]
         if self.compute_dtype != "float64":
             weights = self.fused_weights_  # (p, q)
-            scores = np.empty((x.shape[0], weights.shape[1]), dtype=self._dtype)
-            scores[:] = self.fused_bias_
-            scratch = np.empty_like(scores)
-            for j in range(weights.shape[0]):
-                np.multiply(x[:, j][:, None], weights[j][None, :], out=scratch)
-                scores += scratch
-            return self.knn.predict_rows(scores)
-        centered = self.preprocessor.transform_features(x)
-        centered -= self.pca.mean_
-        components = self.pca.components_  # (q, p)
-        scores = np.multiply(centered[:, 0][:, None], components[:, 0][None, :])
-        scratch = np.empty_like(scores)
-        for j in range(1, centered.shape[1]):
-            np.multiply(centered[:, j][:, None], components[:, j][None, :], out=scratch)
-            scores += scratch
-        return self.knn.predict_rows(scores)
+            terms = np.empty((weights.shape[0] + 1, weights.shape[1], m), dtype=self._dtype)
+            terms[0] = self.fused_bias_[:, None]
+            np.multiply(weights[:, :, None], features.T[:, None, :], out=terms[1:])
+        else:
+            centered = np.subtract(features.T, self.pca.mean_[:, None], order="C")  # (p, m)
+            terms = self.pca.components_.T[:, :, None] * centered[:, None, :]  # (p, q, m)
+        np.add.accumulate(terms, axis=0, out=terms)
+        return terms[-1].T.copy()

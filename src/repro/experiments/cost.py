@@ -84,11 +84,11 @@ def measure_cost(
 
     t = time.perf_counter()
     features = classifier.preprocessor.transform_series(series)
-    scores = classifier.pca.transform(features)
+    scores = classifier.project_rows(features)
     train_s = time.perf_counter() - t
 
     t = time.perf_counter()
-    classifier.knn.predict(scores)
+    classifier.knn.predict_rows(scores)
     classify_s = time.perf_counter() - t
 
     return CostBreakdown(

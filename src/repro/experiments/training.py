@@ -8,7 +8,6 @@ data (paper §4.2.3).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from ..core.config import ClassifierConfig
@@ -36,13 +35,9 @@ def profile_training_entry(entry: CatalogEntry, seed: int = 0) -> RunResult:
     return profiled_run(entry.build(), vm_mem_mb=entry.vm_mem_mb, seed=seed)
 
 
-#: Positional-shim order of the pre-1.1 signature (after ``seed``).
-_TUNING_PARAMS = ("n_components", "min_variance_fraction", "k", "selector")
-
-
 def build_trained_classifier(
     seed: int = 0,
-    *args: object,
+    *,
     n_components: int | None = 2,
     min_variance_fraction: float | None = None,
     k: int = 3,
@@ -57,24 +52,6 @@ def build_trained_classifier(
     components, 3-NN).  A *config* supersedes the scattered kwargs — it
     is the one-object form the serving layer caches on.
     """
-    if args:
-        warnings.warn(
-            "passing build_trained_classifier tuning parameters positionally "
-            "is deprecated and will be removed in the next release; use "
-            "keyword arguments (or a ClassifierConfig)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if len(args) > len(_TUNING_PARAMS):
-            raise TypeError(
-                f"build_trained_classifier takes at most "
-                f"{len(_TUNING_PARAMS)} tuning arguments, got {len(args)}"
-            )
-        shim = dict(zip(_TUNING_PARAMS, args))
-        n_components = shim.get("n_components", n_components)
-        min_variance_fraction = shim.get("min_variance_fraction", min_variance_fraction)
-        k = shim.get("k", k)
-        selector = shim.get("selector", selector)
     if config is not None:
         classifier = ApplicationClassifier.from_config(config)
     else:

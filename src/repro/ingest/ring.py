@@ -194,8 +194,8 @@ class AnnouncementRing:
         """Move the oldest *n* entries into ``ts_out[:n]`` / ``val_out[:n]``.
 
         The gather is two contiguous block copies into the caller's
-        preallocated batch buffers (the ``pairwise_sq_distances``-style
-        single-buffer pattern); the entries are consumed from the ring.
+        preallocated batch buffers (one buffer per drain, no per-node
+        temporaries); the entries are consumed from the ring.
         *n* must not exceed ``len(self)`` and the ring must be ordered.
         Pass *trace_out*/*enq_out* to carry the trace columns along
         (consumed either way).

@@ -20,7 +20,6 @@ entry point a downstream adopter actually wants::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -167,18 +166,6 @@ class ResourceManager:
             )
             return classifier.classify_series(run.series)
 
-    def classify_only(
-        self, workload: Workload, vm_mem_mb: float = 256.0
-    ) -> ClassificationResult:
-        """Deprecated pre-1.1 name of :meth:`classify` (one-release shim)."""
-        warnings.warn(
-            "ResourceManager.classify_only is deprecated and will be removed "
-            "in the next release; use ResourceManager.classify",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.classify(workload, vm_mem_mb=vm_mem_mb)
-
     def classify_batch(
         self, workloads: Sequence[Workload], *, vm_mem_mb: float = 256.0
     ) -> list[ClassificationResult]:
@@ -203,19 +190,6 @@ class ResourceManager:
                     )
                 )
             return BatchClassifier(classifier).classify_batch([r.series for r in runs])
-
-    def classify_many(
-        self, workloads: Sequence[Workload], *, vm_mem_mb: float = 256.0
-    ) -> list[ClassificationResult]:
-        """Deprecated pre-1.2 name of :meth:`classify_batch` (one-release shim)."""
-        warnings.warn(
-            "ResourceManager.classify_many is deprecated and will be removed "
-            "in the next release; use the Classifier protocol method "
-            "ResourceManager.classify_batch",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.classify_batch(workloads, vm_mem_mb=vm_mem_mb)
 
     def classify_stream(self, drains):
         """Lazily classify a stream of ingest-plane drains.

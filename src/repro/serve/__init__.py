@@ -5,7 +5,7 @@ deployment watching a fleet classifies hundreds of short monitoring
 windows per scheduling round.  This package is the serving layer for
 that regime:
 
-- :class:`~repro.serve.protocol.Classifier` — the 1.2.0 unified
+- :class:`~repro.serve.protocol.Classifier` — the unified
   protocol (``classify`` / ``classify_batch`` / ``classify_stream``)
   every classification front end satisfies;
 - :class:`~repro.serve.batch.BatchClassifier` — vectorized

@@ -3,38 +3,27 @@
 The sequential path (:meth:`ApplicationClassifier.classify_series`)
 pays its Python and dispatch overhead once per run; a resource manager
 classifying a fleet of short monitoring windows pays it hundreds of
-times per scheduling round.  :class:`BatchClassifier` restructures the
-Figure-2 pipeline around one stacked pass:
+times per scheduling round.  :class:`BatchClassifier` gathers the
+selected metrics of every run into one stacked ``(rows, p)`` buffer and
+runs the classifier's one kernel
+(:meth:`~repro.core.pipeline.ApplicationClassifier.classify_rows`:
+normalize, project, neighbor search, vote) **once** over all of them,
+then splits compositions out with one stacked bincount.
 
-* normalization, squared-norm, distance assembly, top-k selection, and
-  voting run **once** over the vertically stacked snapshot rows of all
-  runs — each of these stages is row-independent, so stacking cannot
-  change any row's result;
-* the two GEMMs (PCA projection and the ``a·bᵀ`` term of the distance
-  expansion) keep their **per-run shapes**, writing into row slices of
-  preallocated batch buffers — BLAS kernel selection depends on the
-  operand shapes, so per-run shapes are what make the batch output
-  bit-identical to the sequential output.
-
-The result is a list of per-run :class:`ClassificationResult` objects
-whose class vectors, scores, compositions, application classes, and
+Every step of that kernel is row-independent — the projection and the
+distances are accumulated column by column in a fixed order rather than
+by shape-dependent GEMMs — so stacking cannot change any row's result:
+class vectors, scores, compositions, application classes, and
 categories are **bit-identical** to calling ``classify_series`` on each
-run separately (asserted by ``tests/test_serve_batch.py``), at a
-multiple of the sequential throughput
-(``benchmarks/bench_serve_throughput.py``).
-
-The kernel follows the classifier's ``compute_dtype``: the float64
-reference mode stages normalize→center→project exactly as before, while
-the float32 tolerance mode gathers straight into float32 and projects
-through the fused single-GEMM (+bias) built at train time — in both
-modes the batch stays bit-identical to the *same-dtype* sequential
-path (the tolerance guarantee lives between dtypes, not between batch
-and sequential).
+run separately (asserted by ``tests/test_serve_batch.py``), in either
+compute dtype, at a multiple of the sequential throughput
+(``benchmarks/bench_serve_throughput.py``).  The neighbor search chunks
+the stacked rows at the kNN model's ``chunk_size``, so a large fleet
+never allocates one ``rows × pool`` distance buffer.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -118,19 +107,6 @@ class BatchClassifier:
         for batch in drains:
             yield self.classify_batch(drain_to_series(batch))
 
-    def classify_many(
-        self, series_list: Sequence[SnapshotSeries]
-    ) -> list[ClassificationResult]:
-        """Deprecated alias of :meth:`classify_batch` (gone in the release after 1.2)."""
-        warnings.warn(
-            "BatchClassifier.classify_many(...) is deprecated and will be "
-            "removed in the next release; use the Classifier protocol method "
-            "classify_batch(...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.classify_batch(series_list)
-
     def classify_batch(
         self, series_list: Sequence[SnapshotSeries]
     ) -> list[ClassificationResult]:
@@ -153,22 +129,19 @@ class BatchClassifier:
             If any series is empty (the batch is rejected whole, before
             any work, so a bad request cannot half-classify a fleet).
         """
-        results, _stage_seconds = self._classify_validated(series_list)
-        return results
+        return self.classify_batch_traced(series_list)[0]
 
     def classify_batch_traced(
         self, series_list: Sequence[SnapshotSeries]
     ) -> tuple[list[ClassificationResult], tuple[float, float, float, float, float]]:
         """Classify plus the batch's five-stage wall-clock split.
 
-        Same kernel and validation as :meth:`classify_batch`, but also
-        returns ``(filter_s, normalize_s, pca_s, knn_s, vote_s)`` — the
-        batch's stage durations with the preprocess time split at the
-        gather/normalize boundary — so a request trace can synthesize
-        the five pipeline-stage spans under its compute span.  The extra
-        boundary costs one clock read per batch and only on this traced
-        entry point, keeping the untraced path's clock sequence (and the
-        fake-clock tests that pin it) unchanged.
+        Same results as :meth:`classify_batch` (which is this call
+        without the split), plus ``(filter_s, normalize_s, pca_s,
+        knn_s, vote_s)`` — the batch's stage durations, with the
+        preprocess time split at the gather/normalize boundary — so a
+        request trace can synthesize the five pipeline-stage spans under
+        its compute span.
 
         Raises
         ------
@@ -177,11 +150,6 @@ class BatchClassifier:
         EmptySeriesError
             If any series is empty.
         """
-        return self._classify_validated(series_list, split_preprocess=True)
-
-    def _classify_validated(
-        self, series_list: Sequence[SnapshotSeries], split_preprocess: bool = False
-    ) -> tuple[list[ClassificationResult], tuple[float, float, float, float, float]]:
         clf = self.classifier
         if not clf.trained:
             raise NotTrainedError("classifier not trained")
@@ -191,7 +159,7 @@ class BatchClassifier:
         if not series_list:
             return [], (0.0, 0.0, 0.0, 0.0, 0.0)
         with obs_span("serve.batch.classify", clock=clf.clock):
-            results, stage_seconds = self._run_stacked(series_list, split_preprocess)
+            results, stage_seconds = self._run_stacked(series_list)
         if obs_enabled():
             obs_counter("serve.batch.runs", help="Runs classified by classify_batch.").inc(
                 len(results)
@@ -205,121 +173,48 @@ class BatchClassifier:
     # the stacked kernel
     # ------------------------------------------------------------------
     def _run_stacked(
-        self, series_list: Sequence[SnapshotSeries], split_preprocess: bool = False
+        self, series_list: Sequence[SnapshotSeries]
     ) -> tuple[list[ClassificationResult], tuple[float, float, float, float, float]]:
         clf = self.classifier
-        preprocessor = clf.preprocessor
-        pca = clf.pca
-        knn = clf.knn
         clock = clf.clock
-        dtype = np.dtype(clf.compute_dtype)
-        # Same branch the sequential path takes: float32 runs the fused
-        # normalize→center→project GEMM, float64 keeps the staged
-        # kernels bit-identical to the pre-fusion pipeline.
-        tolerance = clf.compute_dtype != "float64"
 
-        # --- preprocess: gather selected metrics per run, normalize stacked.
-        # feature_matrix(names) is matrix[indices].copy().T; the direct
-        # gather below produces the same values without per-run catalog
-        # validation.  The gather buffer carries the compute dtype, so in
-        # tolerance mode the float32 downcast happens during the copy —
-        # the same rounding ``astype`` applies on the sequential path.
-        # Normalization is elementwise (row-independent), so one stacked
-        # transform matches the per-run transforms bit for bit.
+        # --- gather: each run's selected metric rows land in their slot
+        # of one preallocated stacked buffer at the compute dtype (the
+        # same values ``selector.transform_series`` yields per run, and
+        # in float32 the same rounding its cast applies).
         t = clock()
-        idx_cols = np.asarray(metric_indices(preprocessor.selector.names), dtype=np.intp)
+        idx_cols = np.asarray(metric_indices(clf.preprocessor.selector.names), dtype=np.intp)
         lengths = [s.matrix.shape[1] for s in series_list]
         offsets = [0]
         for m in lengths:
             offsets.append(offsets[-1] + m)
         total = offsets[-1]
-        # Gather straight into one preallocated buffer: each run's
-        # fancy-indexed rows land in their final stacked slot, skipping
-        # the per-run temporaries and the full-size vstack copy (pure
-        # copies, values unchanged).
-        raw = np.empty((total, idx_cols.shape[0]), dtype=dtype)
+        raw = np.empty((total, idx_cols.shape[0]), dtype=clf.compute_dtype)
         for i, s in enumerate(series_list):
             o = offsets[i]
             raw[o : o + lengths[i]] = s.matrix[idx_cols, :].T
-        # The traced path splits preprocess at the gather/normalize
-        # boundary with one extra clock read; the untraced path keeps
-        # its exact clock-call sequence (fake-clock tests pin it).
-        t_gather = clock() if split_preprocess else 0.0
-        features = raw if tolerance else preprocessor.normalizer.transform(raw)
-        t_done = clock()
-        preprocess_s = t_done - t
-        if split_preprocess:
-            filter_s = t_gather - t
-            normalize_s = t_done - t_gather
-        else:
-            filter_s = preprocess_s
-            normalize_s = 0.0
+        t_gather = clock()
 
-        # --- projection: the GEMM runs per run on the matching row
-        # slice, so its operand shapes — and therefore its BLAS kernel
-        # and accumulation order — are the ones the sequential path
-        # uses.  Tolerance mode projects the raw gather through the
-        # fused weights and adds the bias once over the stacked rows
-        # (elementwise, row-independent); the float64 mode centers
-        # stacked and projects per run exactly as before.
-        t = clock()
-        if tolerance:
-            operand = features
-            projection = clf.fused_weights_
-        else:
-            operand = features - pca.mean_
-            projection = pca.components_.T
-        scores_all = np.empty((total, projection.shape[1]), dtype=dtype)
-        for i, m in enumerate(lengths):
-            o = offsets[i]
-            np.matmul(operand[o : o + m], projection, out=scores_all[o : o + m])
-        if tolerance:
-            scores_all += clf.fused_bias_
-        pca_s = clock() - t
-
-        # --- k-NN: the a·bᵀ GEMM of the ‖a−b‖² expansion runs per run,
-        # chunked exactly like KNeighborsClassifier.kneighbors for runs
-        # longer than chunk_size; everything downstream — the in-place
-        # distance assembly ((−2ab + aa) + bb ≡ (aa − 2ab) + bb bitwise,
-        # because IEEE addition commutes and negation is exact), clip,
-        # top-k selection, sort, and the shared vote() — is
-        # row-independent and runs once on the stacked rows.  The pool
-        # norms ``‖b‖²`` come from the per-fit cache on the kNN model.
-        t = clock()
-        pool = knn.training_points
-        pool_t = pool.T
-        bb = knn.training_sq_norms[None, :]
-        ab = np.empty((total, pool_t.shape[1]), dtype=dtype)
-        chunk = knn.chunk_size
-        for i, m in enumerate(lengths):
-            o = offsets[i]
-            for start in range(o, o + m, chunk):
-                stop = min(start + chunk, o + m)
-                np.matmul(scores_all[start:stop], pool_t, out=ab[start:stop])
-        aa = np.einsum("ij,ij->i", scores_all, scores_all)[:, None]
-        d2 = ab
-        d2 *= -2.0
-        d2 += aa
-        d2 += bb
-        np.maximum(d2, 0.0, out=d2)
-        k = knn.k
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        part_d = np.take_along_axis(d2, part, axis=1)
-        order = np.argsort(part_d, axis=1, kind="stable")
-        indices = np.take_along_axis(part, order, axis=1)
-        distances = np.sqrt(np.take_along_axis(part_d, order, axis=1))
-        class_vector_all = knn.vote(indices, distances)
-        classify_s = clock() - t
-
-        t = clock()
+        # --- the classify_rows kernel, once over the stacked rows.
+        features = clf.normalize_rows(raw)
+        t_normalized = clock()
+        scores_all = clf.project_rows(features)
+        t_projected = clock()
+        class_vector_all = clf.knn.predict_rows(scores_all)
+        t_searched = clock()
         results = self._package_results(series_list, lengths, offsets, class_vector_all, scores_all)
-        vote_s = clock() - t
+        t_done = clock()
 
+        filter_s = t_gather - t
+        normalize_s = t_normalized - t_gather
+        pca_s = t_projected - t_normalized
+        classify_s = t_searched - t_projected
+        vote_s = t_done - t_searched
         # Apportion the batch's stage costs by snapshot share, so summed
         # per-run timings reproduce the batch totals (§5.3 accounting).
         for i, result in enumerate(results):
             share = lengths[i] / total
-            result.timings.preprocess_s = preprocess_s * share
+            result.timings.preprocess_s = (filter_s + normalize_s) * share
             result.timings.pca_s = pca_s * share
             result.timings.classify_s = classify_s * share
             result.timings.vote_s = vote_s * share

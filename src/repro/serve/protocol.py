@@ -1,10 +1,6 @@
-"""The unified ``Classifier`` protocol (public API 1.2.0).
+"""The unified ``Classifier`` protocol (public API 2.0.0).
 
-Before 1.2 the tree had three classification entry points with three
-spellings: ``OnlineClassifier.classify_announcement`` (one announcement
-at a time), ``BatchClassifier.classify_many`` (a fleet of series per
-call), and ``ResourceManager.classify`` (one profiled workload).  The
-:class:`Classifier` protocol unifies them behind one structural shape:
+Every classification front end speaks one structural shape:
 
 * ``classify(snapshot)`` — one unit of work (an announcement, a
   snapshot series, a workload), one result;
@@ -21,8 +17,9 @@ announcements in, ``SnapshotClass`` out for the online path; series in,
 implementation also carries a ``from_config`` factory that builds it
 from a :class:`~repro.core.config.ClassifierConfig` plus an injected
 model source.  The ingest plane's consumer path speaks *only* this
-protocol; the pre-1.2 spellings remain as one-release
-``DeprecationWarning`` shims (``docs/API.md`` § Deprecation policy).
+protocol.  The pre-1.2 spellings (``classify_announcement``,
+``classify_many``, ``classify_only``) were removed in 2.0.0
+(``docs/API.md`` § Removed in 2.0).
 """
 
 from __future__ import annotations

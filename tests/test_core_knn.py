@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.knn import KNeighborsClassifier, pairwise_sq_distances
+from repro.core.knn import KNeighborsClassifier, rowwise_sq_distances
 
 
 def three_clusters(per=30, seed=0):
@@ -18,18 +18,18 @@ class TestPairwiseDistances:
     def test_matches_naive(self):
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=(7, 3)), rng.normal(size=(5, 3))
-        d2 = pairwise_sq_distances(a, b)
+        d2 = rowwise_sq_distances(a, b)
         naive = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
         assert np.allclose(d2, naive, atol=1e-10)
 
     def test_non_negative(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(50, 4)) * 1e6  # large values stress the expansion
-        assert (pairwise_sq_distances(a, a) >= 0).all()
+        assert (rowwise_sq_distances(a, a) >= 0).all()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            pairwise_sq_distances(np.zeros((2, 3)), np.zeros((2, 4)))
+            rowwise_sq_distances(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 class TestConstruction:
@@ -82,13 +82,13 @@ class TestPredict:
     def test_kneighbors_sorted_by_distance(self):
         x, y = three_clusters()
         knn = KNeighborsClassifier(k=5).fit(x, y)
-        _idx, dist = knn.kneighbors(x[:10])
+        _idx, dist = knn.kneighbors_rows(x[:10])
         assert np.all(np.diff(dist, axis=1) >= -1e-12)
 
     def test_kneighbors_nearest_is_self_for_training_point(self):
         x, y = three_clusters()
         knn = KNeighborsClassifier(k=3).fit(x, y)
-        idx, dist = knn.kneighbors(x[:5])
+        idx, dist = knn.kneighbors_rows(x[:5])
         assert np.allclose(dist[:, 0], 0.0)
         assert (idx[:, 0] == np.arange(5)).all()
 
@@ -97,7 +97,7 @@ class TestPredict:
         big = KNeighborsClassifier(k=3, chunk_size=10_000).fit(x, y)
         small = KNeighborsClassifier(k=3, chunk_size=7).fit(x, y)
         probe = three_clusters(seed=5)[0]
-        assert np.array_equal(big.predict(probe), small.predict(probe))
+        assert np.array_equal(big.predict_rows(probe), small.predict_rows(probe))
 
     def test_majority_vote_k3(self):
         """Two near neighbors of class 1 outvote one nearer class-0 point."""
@@ -128,7 +128,7 @@ class TestPredict:
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
-            KNeighborsClassifier().predict(np.zeros((1, 2)))
+            KNeighborsClassifier().predict_rows(np.zeros((1, 2)))
 
     def test_score_shape_mismatch(self):
         x, y = three_clusters()
@@ -151,7 +151,7 @@ class TestPredict:
         probes, truth = three_clusters(seed=123)
         plain = KNeighborsClassifier(k=3).fit(x, y)
         weighted = KNeighborsClassifier(k=3, weighted=True).fit(x, y)
-        assert np.array_equal(plain.predict(probes), weighted.predict(probes))
+        assert np.array_equal(plain.predict_rows(probes), weighted.predict_rows(probes))
 
     def test_weighted_exact_match_dominates(self):
         x = np.array([[0.0], [0.0], [1.0]])
@@ -215,13 +215,13 @@ class TestWeightedDeterminism:
         rng = np.random.default_rng(7)
         x, y = three_clusters(per=10, seed=3)
         probes = rng.normal(scale=6.0, size=(40, 2))
-        base = KNeighborsClassifier(k=3, weighted=True).fit(x, y).predict(probes)
+        base = KNeighborsClassifier(k=3, weighted=True).fit(x, y).predict_rows(probes)
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(len(y))
             shuffled = (
                 KNeighborsClassifier(k=3, weighted=True)
                 .fit(x[perm], y[perm])
-                .predict(probes)
+                .predict_rows(probes)
             )
             assert np.array_equal(base, shuffled)
 
@@ -235,7 +235,7 @@ class TestCancellationClamp:
         # unclamped, goes slightly negative — poisoning sqrt with NaN.
         base = np.full((1, 4), 1e8)
         jitter = base * (1.0 + np.array([0.0, 2e-16, -2e-16, 4e-16]))[:, None]
-        d2 = pairwise_sq_distances(jitter, jitter)
+        d2 = rowwise_sq_distances(jitter, jitter)
         assert (d2 >= 0.0).all()
         assert not np.isnan(np.sqrt(d2)).any()
 
@@ -248,14 +248,14 @@ class TestCancellationClamp:
             (np.float32, 1e5, 1e-2),
         ):
             a = (np.full((8, 3), scale) + np.arange(8)[:, None] * jitter).astype(dtype)
-            d2 = pairwise_sq_distances(a, a)
+            d2 = rowwise_sq_distances(a, a)
             assert d2.dtype == np.dtype(dtype)
             assert (d2 >= 0.0).all()
             assert not np.isnan(np.sqrt(d2)).any()
 
     def test_exact_duplicate_rows_have_zero_distance(self):
         a = np.full((3, 2), 7e7)
-        d2 = pairwise_sq_distances(a, a)
+        d2 = rowwise_sq_distances(a, a)
         assert (d2 == 0.0).all()
 
 
@@ -285,20 +285,20 @@ class TestDtypeRouting:
         x, y = three_clusters()
         for dtype in (np.float32, np.float64):
             knn = KNeighborsClassifier(k=3).fit(x.astype(dtype), y)
-            _, distances = knn.kneighbors(x[:5])  # float64 queries downcast
+            _, distances = knn.kneighbors_rows(x[:5])  # float64 queries downcast
             assert distances.dtype == np.dtype(dtype)
 
     def test_float32_model_predicts_like_float64_on_separated_data(self):
         x, y = three_clusters()
         test_x, _ = three_clusters(seed=99)
-        f64 = KNeighborsClassifier(k=3).fit(x, y).predict(test_x)
-        f32 = KNeighborsClassifier(k=3).fit(x.astype(np.float32), y).predict(test_x)
+        f64 = KNeighborsClassifier(k=3).fit(x, y).predict_rows(test_x)
+        f32 = KNeighborsClassifier(k=3).fit(x.astype(np.float32), y).predict_rows(test_x)
         assert np.array_equal(f64, f32)
 
     def test_weighted_vote_buffers_follow_model_dtype(self):
         x, y = three_clusters()
         knn = KNeighborsClassifier(k=3, weighted=True).fit(x.astype(np.float32), y)
-        pred = knn.predict(x[:10])
+        pred = knn.predict_rows(x[:10])
         assert pred.dtype == np.dtype(np.int64)
         assert np.array_equal(pred, y[:10])
 
@@ -325,11 +325,11 @@ class TestPrecomputedNorms:
         a, b = rng.normal(size=(20, 5)), rng.normal(size=(30, 5))
         norms = np.einsum("ij,ij->i", b, b)
         assert np.array_equal(
-            pairwise_sq_distances(a, b),
-            pairwise_sq_distances(a, b, b_sq_norms=norms),
+            rowwise_sq_distances(a, b),
+            rowwise_sq_distances(a, b, b_sq_norms=norms),
         )
 
     def test_norm_shape_validated(self):
         a, b = np.zeros((2, 3)), np.zeros((4, 3))
         with pytest.raises(ValueError):
-            pairwise_sq_distances(a, b, b_sq_norms=np.zeros(3))
+            rowwise_sq_distances(a, b, b_sq_norms=np.zeros(3))

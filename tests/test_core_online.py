@@ -194,9 +194,9 @@ class TestAttachDetachLifecycle:
         ann = MetricAnnouncement(node="VM1", timestamp=0.0, values=series.matrix[:, 0])
         online.detach()
         with pytest.raises(RuntimeError, match="detached"):
-            online.classify_announcement(ann)
+            online.classify(ann)
         online.attach()
-        assert online.classify_announcement(ann) is SnapshotClass.CPU
+        assert online.classify(ann) is SnapshotClass.CPU
 
     def test_late_delivery_after_detach_is_dropped(self, trained):
         """Detaching from inside the same fan-out drops later deliveries.

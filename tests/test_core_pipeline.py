@@ -131,7 +131,7 @@ class TestClassification:
     def test_classify_snapshot_features(self, trained):
         series = synthetic_series("cpu", seed=13)
         raw = series.feature_matrix(trained.preprocessor.selector.names)
-        preds = trained.classify_snapshot_features(raw)
+        preds = trained.classify_rows(raw)
         assert (preds == int(SnapshotClass.CPU)).mean() > 0.9
 
     def test_custom_selector(self):

@@ -56,13 +56,6 @@ class TestLearning:
         assert result.application_class is SnapshotClass.CPU
         assert manager.db.total_runs() == before
 
-    def test_classify_only_is_deprecated_alias(self, manager):
-        before = manager.db.total_runs()
-        with pytest.warns(DeprecationWarning, match="classify_only is deprecated"):
-            result = manager.classify_only(cpu_job(30.0))
-        assert result.application_class is SnapshotClass.CPU
-        assert manager.db.total_runs() == before
-
     def test_environment_recorded(self, manager):
         assert manager.db.runs("cpu-app")[0].environment == {"vm_mem_mb": 256.0}
 

@@ -97,7 +97,7 @@ def test_live_gmond_xml_path(classifier):
     from repro.metrics.catalog import metric_indices
 
     names = classifier.preprocessor.selector.names
-    pred = classifier.classify_snapshot_features(
+    pred = classifier.classify_rows(
         vm1.values[metric_indices(names)][None, :]
     )[0]
     assert pred == int(SnapshotClass.IO)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.knn import pairwise_sq_distances
+from repro.core.knn import rowwise_sq_distances
 from repro.core.preprocessing import Normalizer
 from repro.core.pca import PCA
 from repro.core.stages import mode_filter
@@ -85,14 +85,15 @@ class TestPairwiseDistancesBitIdentity:
         b = rng(8).normal(size=(31, 2))
         aa = np.einsum("ij,ij->i", a, a)[:, None]
         bb = np.einsum("ij,ij->i", b, b)[None, :]
-        expected = np.maximum(aa - 2.0 * (a @ b.T) + bb, 0.0)
-        assert np.array_equal(pairwise_sq_distances(a, b), expected)
+        ab = a[:, 0][:, None] * b[:, 0][None, :] + a[:, 1][:, None] * b[:, 1][None, :]
+        expected = np.maximum(aa - 2.0 * ab + bb, 0.0)
+        assert np.array_equal(rowwise_sq_distances(a, b), expected)
 
     def test_self_distances_are_clipped_nonnegative(self):
         # The expansion trick leaves float residue on the diagonal
-        # (GEMM and einsum accumulate differently); the kernel clips it.
+        # (the a·bᵀ term and einsum round differently); the kernel clips it.
         a = rng(9).normal(size=(12, 3))
-        d2 = pairwise_sq_distances(a, a)
+        d2 = rowwise_sq_distances(a, a)
         assert np.all(d2 >= 0.0)
         assert np.all(np.diag(d2) < 1e-12)
 
@@ -100,7 +101,7 @@ class TestPairwiseDistancesBitIdentity:
         a = rng(10).normal(size=(6, 2))
         b = rng(11).normal(size=(9, 2))
         a0, b0 = a.copy(), b.copy()
-        pairwise_sq_distances(a, b)
+        rowwise_sq_distances(a, b)
         assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
     def test_precomputed_norms_bit_identical(self):
@@ -112,14 +113,14 @@ class TestPairwiseDistancesBitIdentity:
             b = rng(13).normal(size=(23, 4)).astype(dtype)
             norms = np.einsum("ij,ij->i", b, b)
             assert np.array_equal(
-                pairwise_sq_distances(a, b),
-                pairwise_sq_distances(a, b, b_sq_norms=norms),
+                rowwise_sq_distances(a, b),
+                rowwise_sq_distances(a, b, b_sq_norms=norms),
             )
 
     def test_preserves_float32(self):
         a = rng(14).normal(size=(5, 3)).astype(np.float32)
         b = rng(15).normal(size=(7, 3)).astype(np.float32)
-        assert pairwise_sq_distances(a, b).dtype == np.dtype(np.float32)
+        assert rowwise_sq_distances(a, b).dtype == np.dtype(np.float32)
 
 
 def mode_filter_reference(classes: np.ndarray, window: int) -> np.ndarray:

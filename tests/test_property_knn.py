@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.knn import KNeighborsClassifier, pairwise_sq_distances
+from repro.core.knn import KNeighborsClassifier, rowwise_sq_distances
 
 
 def pools(min_n=5, max_n=40, dims=2, n_classes=3):
@@ -38,7 +38,7 @@ def test_training_point_with_unique_position_self_classifies_k1(pool):
     if len(x) < 1:
         return
     knn = KNeighborsClassifier(k=1).fit(x, y)
-    assert (knn.predict(x) == y).all()
+    assert (knn.predict_rows(x) == y).all()
 
 
 @given(pool=pools())
@@ -49,8 +49,8 @@ def test_prediction_is_always_a_neighbor_label(pool):
         return
     knn = KNeighborsClassifier(k=3).fit(x, y)
     probe = x.mean(axis=0, keepdims=True)
-    idx, _ = knn.kneighbors(probe)
-    pred = knn.predict(probe)[0]
+    idx, _ = knn.kneighbors_rows(probe)
+    pred = knn.predict_rows(probe)[0]
     assert pred in set(y[idx[0]])
 
 
@@ -61,7 +61,7 @@ def test_neighbor_distances_sorted(pool):
     if len(x) < 3:
         return
     knn = KNeighborsClassifier(k=3).fit(x, y)
-    _, dist = knn.kneighbors(x)
+    _, dist = knn.kneighbors_rows(x)
     assert np.all(np.diff(dist, axis=1) >= -1e-9)
 
 
@@ -73,8 +73,8 @@ def test_translation_invariance(pool, shift):
     if len(x) < 3:
         return
     probe = np.array([[1.5, -2.5]])
-    a = KNeighborsClassifier(k=3).fit(x, y).predict(probe)
-    b = KNeighborsClassifier(k=3).fit(x + shift, y).predict(probe + shift)
+    a = KNeighborsClassifier(k=3).fit(x, y).predict_rows(probe)
+    b = KNeighborsClassifier(k=3).fit(x + shift, y).predict_rows(probe + shift)
     assert a[0] == b[0]
 
 
@@ -84,8 +84,8 @@ def test_translation_invariance(pool, shift):
 )
 @settings(max_examples=60, deadline=None)
 def test_pairwise_distances_symmetric_and_non_negative(a, b):
-    d_ab = pairwise_sq_distances(a, b)
-    d_ba = pairwise_sq_distances(b, a)
+    d_ab = rowwise_sq_distances(a, b)
+    d_ba = rowwise_sq_distances(b, a)
     assert np.all(d_ab >= 0)
     assert np.allclose(d_ab, d_ba.T, rtol=1e-7, atol=1e-4)
 
@@ -97,4 +97,4 @@ def test_chunked_prediction_equivalent(pool):
     knn_big = KNeighborsClassifier(k=3, chunk_size=1024).fit(x, y)
     knn_small = KNeighborsClassifier(k=3, chunk_size=2).fit(x, y)
     probes = x[::2]
-    assert np.array_equal(knn_big.predict(probes), knn_small.predict(probes))
+    assert np.array_equal(knn_big.predict_rows(probes), knn_small.predict_rows(probes))

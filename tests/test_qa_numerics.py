@@ -646,7 +646,7 @@ class TestNumericsReport:
         assert qa_main(["numerics", target, "--no-cache"]) == 0
         second = capsys.readouterr().out
         assert first == second
-        assert "repro.core.knn.pairwise_sq_distances" in first
+        assert "repro.core.knn.rowwise_sq_distances" in first
         assert first.endswith("\n")
 
     def test_json_report_covers_core_and_serve(self, capsys):
@@ -665,16 +665,16 @@ class TestNumericsReport:
         )
         payload = json.loads(capsys.readouterr().out)
         kernels = {k["module"] + "." + k["function"] for k in payload["kernels"]}
-        assert "repro.core.knn.pairwise_sq_distances" in kernels
+        assert "repro.core.knn.rowwise_sq_distances" in kernels
         assert "repro.serve.batch.BatchClassifier._run_stacked" in kernels
-        batch = next(
+        distances = next(
             k
             for k in payload["kernels"]
-            if k["function"] == "BatchClassifier._run_stacked"
+            if k["module"] == "repro.core.knn" and k["function"] == "_sq_distances"
         )
-        assert batch["declared"] == "preserve"
-        # The stacked kernel writes through preallocated buffers.
-        assert any(op["kind"] == "inplace" for op in batch["ops"])
+        assert distances["declared"] == "preserve"
+        # The distance kernel assembles ‖a−b‖² in place on one buffer.
+        assert any(op["kind"] == "inplace" for op in distances["ops"])
 
     def test_missing_path_is_usage_error(self, capsys):
         assert qa_main(["numerics", "no/such/path", "--no-cache"]) == 2

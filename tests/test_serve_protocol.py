@@ -1,18 +1,15 @@
-"""The 1.2.0 unified ``Classifier`` protocol and its deprecation shims."""
+"""The unified ``Classifier`` protocol."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from tests.conftest import short_cpu_workload
 from repro.core.config import ClassifierConfig
 from repro.core.online import OnlineClassifier
 from repro.ingest import IngestPlane, MulticastChannel, synthetic_fleet
 from repro.manager.service import ResourceManager
 from repro.serve.batch import BatchClassifier
 from repro.serve.protocol import Classifier
-from repro.sim.execution import profiled_run
 
 
 class FakeModelSource:
@@ -72,32 +69,6 @@ class TestFromConfigFactories:
         assert manager.classifier is None, "model fetched on first use, not at build"
         assert manager.ensure_trained() is classifier
         assert source.requests == [(ClassifierConfig(), 3)]
-
-
-class TestDeprecationShims:
-    def test_classify_announcement_warns_and_delegates(self, classifier):
-        channel = MulticastChannel()
-        online = OnlineClassifier(classifier, channel)
-        announcement = synthetic_fleet(1, 1, seed=0)[0]
-        with pytest.warns(DeprecationWarning, match="classify_announcement"):
-            legacy = online.classify_announcement(announcement)
-        assert legacy == online.classify(announcement)
-
-    def test_batch_classify_many_warns_and_delegates(self, classifier):
-        run = profiled_run(short_cpu_workload(), seed=13)
-        batch = BatchClassifier(classifier)
-        with pytest.warns(DeprecationWarning, match="classify_many"):
-            legacy = batch.classify_many([run.series])
-        current = batch.classify_batch([run.series])
-        assert legacy[0].application_class == current[0].application_class
-        assert np.array_equal(legacy[0].class_vector, current[0].class_vector)
-
-    def test_manager_classify_many_warns_and_delegates(self, classifier):
-        manager = ResourceManager(classifier=classifier, seed=21)
-        with pytest.warns(DeprecationWarning, match="classify_many"):
-            results = manager.classify_many([short_cpu_workload()])
-        assert len(results) == 1
-        assert results[0].application_class is not None
 
 
 class TestProtocolVerbs:

@@ -179,6 +179,7 @@ class TestFloat32Plumbing:
         # The online path feeds (1, p) raw feature rows through the
         # fused projection; the result must be float32 end to end.
         raw = np.zeros((1, len(classifier_f32.preprocessor.selector.names)))
-        codes = classifier_f32.classify_snapshot_features(raw)
+        assert classifier_f32.project_rows(classifier_f32.normalize_rows(raw)).dtype == np.float32
+        codes = classifier_f32.classify_rows(raw)
         assert codes.dtype == np.dtype(np.int64)
         assert codes.shape == (1,)
