@@ -18,6 +18,15 @@ With ``q = 2`` PCA components that is two fused passes, not a scalar
 loop.  This is the only neighbor search in the package; the sequential,
 batched and streaming classify paths all run it.
 
+Top-k selection is k passes of ``argmin`` over each distance row, each
+pass overwriting the entry it chose with ``+inf``.  ``argmin`` returns
+the first of equal minima, so neighbors are ordered by (squared
+distance, pool index): among points at the same distance — duplicated
+training snapshots are common in the fitted score space — the lower
+pool index always gets in first.  That is the package's one tie rule
+for neighbor selection; it does not depend on the batch, the chunk or
+any selection algorithm's internal order.
+
 The classifier is dtype-preserving: the pool is stored at the training
 scores' float dtype (float64 reference mode or float32 tolerance mode)
 and queries, distance buffers, and vote accumulators all follow it.
@@ -248,28 +257,46 @@ class KNeighborsClassifier:
     def _topk_into(self, d2: np.ndarray, idx_out: np.ndarray, dist_out: np.ndarray) -> None:
         """Select the k nearest per row of a squared-distance chunk.
 
-        *d2* has shape ``(c, n)``; writes the sorted neighbor indices
-        and (square-rooted) distances into the ``(c, k)`` output slices.
-        argpartition for the k smallest, then sort just those — every
-        step is row-wise, so selection is batch-size-invariant.
+        *d2* has shape ``(c, n)``; writes the neighbor indices and
+        (square-rooted) distances into the ``(c, k)`` output slices,
+        ordered by (squared distance, pool index).  Each of the k passes
+        takes the row-wise ``argmin`` — the first of equal minima, so
+        ties go to the lower pool index — records it, and overwrites the
+        chosen entry with ``+inf``: *d2* is the caller's private chunk
+        and is left modified.  Every step is row-wise, so selection is
+        batch-size-invariant.
+
+        A row whose distances overflowed to ``+inf`` cannot tell its
+        remaining entries from the masked ones; its unfilled slots take
+        the lowest pool indices not yet chosen, which is the order the
+        tie rule gives equal ``+inf`` distances.
         """
-        part = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
-        part_d = np.take_along_axis(d2, part, axis=1)
-        order = np.argsort(part_d, axis=1, kind="stable")
-        idx_out[:] = np.take_along_axis(part, order, axis=1)
-        dist_out[:] = np.sqrt(np.take_along_axis(part_d, order, axis=1))
+        rows = np.arange(d2.shape[0])
+        for j in range(self.k):
+            col = d2.argmin(axis=1)
+            idx_out[:, j] = col
+            dist_out[:, j] = d2[rows, col]
+            if j + 1 < self.k:
+                d2[rows, col] = np.inf
+        np.sqrt(dist_out, out=dist_out)
+        for r in np.flatnonzero(np.isposinf(dist_out[:, -1])):
+            reached = ~np.isposinf(dist_out[r])
+            free = np.ones(d2.shape[1], dtype=bool)
+            free[idx_out[r, reached]] = False
+            idx_out[r, ~reached] = np.flatnonzero(free)[: self.k - reached.sum()]
 
     def kneighbors_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Indices and distances of the k nearest training points.
 
         *x* is row-per-sample, shape ``(m, q)``.  Returns
         ``(indices, distances)``, both of shape ``(m, k)``, neighbors
-        sorted by increasing distance.  Queries are routed through the
-        fitted pool's dtype (a float32 model computes float32 distances
-        instead of silently upcasting), and the pool's columns and
-        ``‖b‖²`` term come from the per-fit cache.  Distances are the
-        :func:`rowwise_sq_distances` formula and top-k selection is
-        row-wise, so row *i*'s neighbors are bit-identical whether it
+        sorted by increasing distance, equal distances by increasing
+        pool index (the module's tie rule).  Queries are routed through
+        the fitted pool's dtype (a float32 model computes float32
+        distances instead of silently upcasting), and the pool's columns
+        and ``‖b‖²`` term come from the per-fit cache.  Distances are the
+        :func:`rowwise_sq_distances` formula and top-k selection (k
+        masked ``argmin`` passes) is row-wise, so row *i*'s neighbors are bit-identical whether it
         arrives alone, inside a drained batch, or in a stacked fleet —
         and whatever *chunk_size* splits the queries.
         """

@@ -226,6 +226,55 @@ class TestWeightedDeterminism:
             assert np.array_equal(base, shuffled)
 
 
+class TestTieRule:
+    """Neighbors are ordered by (squared distance, pool index)."""
+
+    # Query at the origin: pool indices 3 (class 0) and 4 (class 1) are
+    # the two nearest, at d = 2; indices 1 and 2 are exact duplicates at
+    # d = 3, the k-th boundary, with different labels.  Index 1 must take
+    # the third slot, so the class follows index 1's label.  (A partial
+    # sort by introselect keeps index 2 here.)
+    POOL = np.array([[4.0, 0.0], [3.0, 0.0], [3.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+
+    @staticmethod
+    def labels(first_tied):
+        return np.array([2, first_tied, 1 - first_tied, 0, 1])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("first_tied", [0, 1])
+    def test_lowest_pool_index_wins_the_kth_tie(self, dtype, first_tied):
+        knn = KNeighborsClassifier(k=3).fit(self.POOL.astype(dtype), self.labels(first_tied))
+        idx, dist = knn.kneighbors_rows(np.zeros((1, 2), dtype=dtype))
+        assert idx.tolist() == [[3, 4, 1]]
+        assert dist.tolist() == [[2.0, 2.0, 3.0]]
+        assert knn.predict_rows(np.zeros((1, 2), dtype=dtype)).tolist() == [first_tied]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_tie_rule_holds_for_any_chunk_and_batch_position(self, dtype):
+        pool = self.POOL.astype(dtype)
+        y = self.labels(1)
+        filler = np.random.default_rng(3).uniform(-4.0, 10.0, size=(9, 2)).astype(dtype)
+        alone = KNeighborsClassifier(k=3).fit(pool, y).kneighbors_rows(np.zeros((1, 2), dtype))
+        for chunk_size in (1, 2, 3, 4, 2048):
+            knn = KNeighborsClassifier(k=3, chunk_size=chunk_size).fit(pool, y)
+            for at in (0, 4, 9):
+                batch = np.insert(filler, at, 0.0, axis=0)
+                idx, dist = knn.kneighbors_rows(batch)
+                assert np.array_equal(idx[at], alone[0][0])
+                assert np.array_equal(dist[at], alone[1][0])
+                assert knn.predict_rows(batch)[at] == 1
+
+    def test_overflowed_distances_keep_distinct_lowest_indices(self):
+        # ‖b‖² overflows float32 for the far points, so their distances
+        # are +inf: after the one finite neighbor, the equal +inf
+        # distances go to the lowest unchosen pool indices.
+        pool = np.array([[5e19, 0.0], [0.0, 0.0], [6e19, 0.0], [7e19, 0.0]], dtype=np.float32)
+        knn = KNeighborsClassifier(k=3).fit(pool, np.array([0, 1, 1, 0]))
+        idx, dist = knn.kneighbors_rows(np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.float32))
+        assert idx.tolist() == [[1, 0, 2], [1, 0, 2]]
+        assert np.isposinf(dist[:, 1:]).all()
+
+
 class TestCancellationClamp:
     """Negative squared distances from catastrophic cancellation clamp to 0."""
 

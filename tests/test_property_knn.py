@@ -1,5 +1,7 @@
 """Property-based tests for the k-NN classifier (hypothesis)."""
 
+import pytest
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,3 +100,38 @@ def test_chunked_prediction_equivalent(pool):
     knn_small = KNeighborsClassifier(k=3, chunk_size=2).fit(x, y)
     probes = x[::2]
     assert np.array_equal(knn_big.predict_rows(probes), knn_small.predict_rows(probes))
+
+
+def lattice_pools(dtype):
+    """A pool and queries on a small lattice: duplicates and equal distances are common."""
+
+    def build(draw):
+        n = draw(st.integers(5, 40))
+        dims = draw(st.integers(1, 3))
+        step = draw(st.sampled_from([1.0, 0.5, 0.1, 3.7]))
+        cells = st.integers(-3, 3)
+        pool = draw(arrays(np.int64, (n, dims), elements=cells)) * step
+        queries = draw(arrays(np.int64, (draw(st.integers(1, 12)), dims), elements=cells)) * step
+        k = draw(st.sampled_from([1, 3, 5]))
+        return pool.astype(dtype), queries.astype(dtype), k
+
+    return st.composite(build)()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_kneighbors_equals_stable_argsort(dtype, data):
+    """Top-k is the stable argsort's first k: (squared distance, pool index) order."""
+    pool, queries, k = data.draw(lattice_pools(dtype))
+    knn = KNeighborsClassifier(k=k, chunk_size=5).fit(pool, np.zeros(len(pool), dtype=np.int64))
+    idx, dist = knn.kneighbors_rows(queries)
+    d2 = rowwise_sq_distances(queries, pool)
+    want = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(idx, want)
+    assert dist.dtype == np.dtype(dtype)
+    assert np.array_equal(dist, np.sqrt(np.take_along_axis(d2, want, axis=1)))
+    for i in range(len(queries)):
+        one_idx, one_dist = knn.kneighbors_rows(queries[i : i + 1])
+        assert np.array_equal(one_idx[0], idx[i])
+        assert np.array_equal(one_dist[0], dist[i])
