@@ -21,34 +21,21 @@ dtypes.  Each dtype's result is written to
 """
 
 import json
-import time
 
 import numpy as np
 import pytest
 
 from repro.core.knn import _sq_distances
 
-from conftest import emit
+from conftest import emit, knn_queries, per_call_seconds
 
-#: Query rows per call, and the share of them that are exact pool hits.
+#: Query rows per call.
 QUERY_ROWS = 256
-EXACT_SHARE = 0.25
-#: Jitter of the other rows, as a fraction of the pool's per-column spread.
-JITTER = 0.01
 #: Timed pairs, and calls per timing, in each mode.
 FULL_REPEATS, FULL_CALLS = 40, 40
 SMOKE_REPEATS, SMOKE_CALLS = 12, 20
 #: The gate, the same in both modes.
 MIN_SPEEDUP = 1.5
-
-
-def _queries(pool, seed=0):
-    rng = np.random.default_rng(seed)
-    rows = pool[rng.integers(0, len(pool), QUERY_ROWS)].copy()
-    jittered = slice(int(QUERY_ROWS * EXACT_SHARE), None)
-    noise = rng.normal(size=rows[jittered].shape) * (JITTER * pool.std(axis=0))
-    rows[jittered] += noise.astype(pool.dtype)
-    return rows
 
 
 def _partial_sort_kneighbors(x, cols, sq_norms, k):
@@ -60,20 +47,13 @@ def _partial_sort_kneighbors(x, cols, sq_norms, k):
     return np.take_along_axis(part, order, axis=1), np.sqrt(np.take_along_axis(part_d, order, axis=1))
 
 
-def _per_call(fn, calls):
-    start = time.perf_counter()
-    for _ in range(calls):
-        fn()
-    return (time.perf_counter() - start) / calls
-
-
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_knn_select_speedup(dtype, classifier, classifier_f32, out_dir, smoke):
     knn = (classifier if dtype == "float64" else classifier_f32).knn
     pool, k = knn.training_points, knn.k
     assert pool.dtype == np.dtype(dtype)
     cols = np.ascontiguousarray(pool.T)
-    x = _queries(pool)
+    x = knn_queries(pool, QUERY_ROWS)
 
     idx, dist = knn.kneighbors_rows(x)
     d2 = _sq_distances(x, cols, knn.training_sq_norms)
@@ -87,10 +67,10 @@ def test_knn_select_speedup(dtype, classifier, classifier_f32, out_dir, smoke):
     repeats, calls = (SMOKE_REPEATS, SMOKE_CALLS) if smoke else (FULL_REPEATS, FULL_CALLS)
     masked = reference = np.inf
     for _ in range(repeats):
-        masked = min(masked, _per_call(lambda: knn.kneighbors_rows(x), calls))
+        masked = min(masked, per_call_seconds(lambda: knn.kneighbors_rows(x), calls))
         reference = min(
             reference,
-            _per_call(lambda: _partial_sort_kneighbors(x, cols, knn.training_sq_norms, k), calls),
+            per_call_seconds(lambda: _partial_sort_kneighbors(x, cols, knn.training_sq_norms, k), calls),
         )
     speedup = reference / masked
 

@@ -8,8 +8,10 @@ prints it (visible with ``pytest -s``).
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.config import ClassifierConfig
@@ -79,3 +81,26 @@ def emit(out_dir: Path, name: str, text: str) -> None:
     """Print a regenerated artefact and persist it under benchmarks/out/."""
     print(f"\n{text}\n")
     (out_dir / name).write_text(text + "\n")
+
+
+def knn_queries(pool, rows: int, seed: int = 0):
+    """*rows* pool rows at seeded positions: a quarter exact hits, the rest jittered.
+
+    The jitter is 1% of the pool's per-column spread, so the queries
+    stay in distribution and the exact hits tie with duplicated
+    training snapshots.
+    """
+    rng = np.random.default_rng(seed)
+    queries = pool[rng.integers(0, len(pool), rows)].copy()
+    jittered = slice(rows // 4, None)
+    noise = rng.normal(size=queries[jittered].shape) * (0.01 * pool.std(axis=0))
+    queries[jittered] += noise.astype(pool.dtype)
+    return queries
+
+
+def per_call_seconds(fn, calls: int) -> float:
+    """Mean wall time of *calls* back-to-back calls of *fn*."""
+    start = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return (time.perf_counter() - start) / calls

@@ -7,10 +7,15 @@ feature space.
 
 Implementation follows the HPC guides: the distance matrix is computed
 with the vectorized ``‖a−b‖² = ‖a‖² − 2a·b + ‖b‖²`` expansion, with the
-pool-side ``‖b‖²`` term cached once at fit time, and test sets are
-processed in chunks to bound peak memory at a few megabytes regardless
-of pool size.  The ``a·bᵀ`` term is accumulated feature column by
-feature column from outer products rather than by a GEMM: BLAS picks
+pool-side ``‖b‖²`` term cached once at fit time.  Queries are searched
+in blocks sized from the fitted pool: a block holds as many query rows
+as fit :data:`BLOCK_BYTES` of distances (at most ``chunk_size``), so
+the block and its outer-product temporary stay in a per-core L2 cache.
+Every block is assembled into the same two buffers, a workspace each
+thread keeps on the classifier and reuses across calls, so a search
+allocates no distance buffer after a thread's first call.  The
+``a·bᵀ`` term is accumulated feature column by feature column from
+outer products rather than by a GEMM: BLAS picks
 its kernel (and so its summation order) by operand shape, while the
 column accumulation has one fixed order, so a row's distances — and
 its neighbors and vote — are bit-identical whatever batch it arrives in.
@@ -36,12 +41,20 @@ the smaller summed neighbor distance wins, then the smaller class code.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .preprocessing import _check_matrix
 
-#: Rows of the test chunk processed per distance block (bounds the buffer).
+#: Upper bound on query rows per distance block; the pool-sized bound
+#: of :data:`BLOCK_BYTES` is usually the smaller one.
 DEFAULT_CHUNK_SIZE: int = 2048
+
+#: Bytes of squared distances per block.  The block and its
+#: outer-product temporary (the two buffers of a thread's workspace)
+#: take twice this, 1.5 MiB, which stays in a 2 MiB or larger L2.
+BLOCK_BYTES: int = 768 * 1024
 
 
 def rowwise_sq_distances(
@@ -83,15 +96,30 @@ def rowwise_sq_distances(
     return _sq_distances(a, np.ascontiguousarray(b.T), bb)
 
 
-def _sq_distances(a: np.ndarray, b_cols: np.ndarray, bb: np.ndarray) -> np.ndarray:
+def _sq_distances(
+    a: np.ndarray,
+    b_cols: np.ndarray,
+    bb: np.ndarray,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
+) -> np.ndarray:
     """The distance kernel behind :func:`rowwise_sq_distances`, unchecked.
 
     dtype: preserve
 
     *a* is ``(m, q)``, *b_cols* the pool's ``(q, n)`` feature columns
     (each a contiguous row), *bb* the pool's ``(n,)`` squared norms;
-    returns the clamped ``(m, n)`` squared distances.
+    returns the clamped ``(m, n)`` squared distances.  Given *out* and
+    *tmp*, two C-contiguous ``(r, n)`` buffers with ``r >= m`` at the
+    result dtype, the distances are assembled in ``out[:m]`` (returned)
+    with ``tmp[:m]`` as the outer-product temporary; without them both
+    are allocated fresh.  The bits are the same either way.
     """
+    m = a.shape[0]
+    if out is None:
+        out = np.empty((m, b_cols.shape[1]), dtype=np.result_type(a, b_cols))
+        tmp = np.empty_like(out)
+    d2, term = out[:m], tmp[:m]
     aa = np.einsum("ij,ij->i", a, a)[:, None]
     # −2·ab[i, t] = Σ_j (−2a[i, j])·b[t, j], summed j = 0, 1, … in a fixed
     # order.  Scaling by −2 is exact in the normal range, so pre-scaling
@@ -99,9 +127,9 @@ def _sq_distances(a: np.ndarray, b_cols: np.ndarray, bb: np.ndarray) -> np.ndarr
     # product — one rounded multiply per entry, no summation, no BLAS —
     # and runs faster than the equivalent broadcast multiply.
     scaled = a * -2.0
-    d2 = np.einsum("i,j->ij", scaled[:, 0], b_cols[0])
+    np.einsum("i,j->ij", scaled[:, 0], b_cols[0], out=d2)
     for j in range(1, a.shape[1]):
-        d2 += np.einsum("i,j->ij", scaled[:, j], b_cols[j])
+        d2 += np.einsum("i,j->ij", scaled[:, j], b_cols[j], out=term)
     d2 += aa
     d2 += bb
     np.maximum(d2, 0.0, out=d2)
@@ -117,7 +145,9 @@ class KNeighborsClassifier:
         Number of neighbors; must be a positive odd number (paper §3:
         "the votes of k (an odd number) nearest neighbors").
     chunk_size:
-        Test rows per distance-matrix block.
+        Upper bound on test rows per distance block; the pool-sized
+        bound of :data:`BLOCK_BYTES` usually gives fewer
+        (:attr:`block_rows`).
     weighted:
         With ``True``, votes are weighted by inverse distance (closer
         neighbors count more) instead of the paper's plain majority —
@@ -141,6 +171,19 @@ class KNeighborsClassifier:
         self._classes: np.ndarray | None = None
         self._sq_norms: np.ndarray | None = None
         self._cols: np.ndarray | None = None
+        # Per-thread distance workspace (see _workspace).
+        self._local = threading.local()
+
+    def __getstate__(self) -> dict:
+        """Pickle the fitted model without the per-thread workspace."""
+        state = self.__dict__.copy()
+        del state["_local"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled model with an empty workspace."""
+        self.__dict__.update(state)
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # training
@@ -251,9 +294,42 @@ class KNeighborsClassifier:
             raise RuntimeError("classifier not fitted")
         return self._x.dtype
 
+    @property
+    def block_rows(self) -> int:
+        """Query rows per distance block of :meth:`kneighbors_rows`.
+
+        As many rows as fit :data:`BLOCK_BYTES` of distances against the
+        fitted pool (at least one, at most ``chunk_size``): 300 float64
+        or 601 float32 rows for a 327-point pool.
+
+        Raises
+        ------
+        RuntimeError
+            Before fitting.
+        """
+        if self._x is None:
+            raise RuntimeError("classifier not fitted")
+        row_bytes = self._x.shape[0] * self._x.dtype.itemsize
+        return min(self.chunk_size, max(1, BLOCK_BYTES // row_bytes))
+
     # ------------------------------------------------------------------
     # inference
     # ------------------------------------------------------------------
+    def _workspace(self, rows: int) -> np.ndarray:
+        """This thread's ``(2, r, n)`` distance workspace, ``r >= rows``.
+
+        Its two halves are a block's distance buffer and outer-product
+        temporary.  Kept per thread, so concurrent searches on one
+        classifier never share it, and reused across calls: it is
+        allocated only when the thread has none yet, its rows are too
+        few, or the pool's width or dtype changed since (a refit).
+        """
+        work = getattr(self._local, "work", None)
+        n, dtype = self._x.shape[0], self._x.dtype
+        if work is None or work.shape[1] < rows or work.shape[2] != n or work.dtype != dtype:
+            work = self._local.work = np.empty((2, rows, n), dtype=dtype)
+        return work
+
     def _topk_into(self, d2: np.ndarray, idx_out: np.ndarray, dist_out: np.ndarray) -> None:
         """Select the k nearest per row of a squared-distance chunk.
 
@@ -294,11 +370,18 @@ class KNeighborsClassifier:
         pool index (the module's tie rule).  Queries are routed through
         the fitted pool's dtype (a float32 model computes float32
         distances instead of silently upcasting), and the pool's columns
-        and ``‖b‖²`` term come from the per-fit cache.  Distances are the
-        :func:`rowwise_sq_distances` formula and top-k selection (k
-        masked ``argmin`` passes) is row-wise, so row *i*'s neighbors are bit-identical whether it
-        arrives alone, inside a drained batch, or in a stacked fleet —
-        and whatever *chunk_size* splits the queries.
+        and ``‖b‖²`` term come from the per-fit cache.
+
+        The queries are searched in blocks of :attr:`block_rows` rows,
+        each assembled in the calling thread's reused workspace (two
+        ``(block_rows, n)`` buffers, at most 2 × :data:`BLOCK_BYTES`
+        unless one pool row alone is larger), so concurrent calls from
+        different threads are safe.  Distances are the
+        :func:`rowwise_sq_distances` formula, bit for bit, and top-k
+        selection (k masked ``argmin`` passes) is row-wise, so row *i*'s
+        neighbors are bit-identical whether it arrives alone, inside a
+        drained batch, or in a stacked fleet — and wherever a block
+        boundary or *chunk_size* splits the queries.
         """
         if self._x is None:
             raise RuntimeError("classifier not fitted")
@@ -308,9 +391,11 @@ class KNeighborsClassifier:
         m = x.shape[0]
         indices = np.empty((m, self.k), dtype=np.int64)
         distances = np.empty((m, self.k), dtype=self._x.dtype)
-        for start in range(0, m, self.chunk_size):
-            stop = min(start + self.chunk_size, m)
-            d2 = _sq_distances(x[start:stop], self._cols, self._sq_norms)
+        rows = self.block_rows
+        out, tmp = self._workspace(min(rows, m))
+        for start in range(0, m, rows):
+            stop = min(start + rows, m)
+            d2 = _sq_distances(x[start:stop], self._cols, self._sq_norms, out, tmp)
             self._topk_into(d2, indices[start:stop], distances[start:stop])
         return indices, distances
 

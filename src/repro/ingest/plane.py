@@ -33,6 +33,7 @@ dtype: float64
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterable
@@ -105,6 +106,7 @@ class IngestStats:
 
     received: int
     filtered: int
+    invalid: int
     late_accepted: int
     late_dropped: int
     duplicates: int
@@ -169,6 +171,7 @@ class IngestPlane:
         # Lifetime accounting (plain ints: always on, obs or not).
         self._received = 0
         self._filtered = 0
+        self._invalid = 0
         self._late_accepted = 0
         self._late_dropped = 0
         self._duplicates = 0
@@ -252,7 +255,12 @@ class IngestPlane:
         *values* is the node's full length-33 metric vector.  This is
         the per-announcement hot path: one dict lookup, the
         late/duplicate checks, and two array-row writes — no Python
-        object is created for the announcement.  While observability is
+        object is created for the announcement.  An announcement with a
+        NaN or infinite timestamp, or a *values* vector of any other
+        length, is dropped as ``invalid`` (counted in
+        :attr:`IngestStats.invalid` and under
+        ``ingest.announcements.dropped{reason="invalid"}``) and leaves
+        the plane's timeline untouched.  While observability is
         on, each accepted announcement also mints a request-trace id and
         stamps the registry clock into the ring's parallel trace
         columns, so the trace survives the ring boundary without
@@ -269,6 +277,8 @@ class IngestPlane:
                     reason="filtered",
                 ).inc()
             return False
+        if not math.isfinite(timestamp):
+            return self._drop_invalid()
         ring = self._ring_of.get(node)
         if ring is None:
             ring = self._register(node)
@@ -281,34 +291,41 @@ class IngestPlane:
                     reason="duplicate",
                 ).inc()
             return False
-        if timestamp <= self._frontier:
-            if self.late_policy == "drop":
-                self._late_dropped += 1
-                if obs_enabled():
-                    obs_counter(
-                        "ingest.announcements.dropped",
-                        help="Announcements the ingest plane discarded.",
-                        reason="late",
-                    ).inc()
-                return False
-            self._late_accepted += 1
+        late = timestamp <= self._frontier
+        if late and self.late_policy == "drop":
+            self._late_dropped += 1
             if obs_enabled():
                 obs_counter(
-                    "ingest.announcements.late",
-                    help="Late announcements accepted behind the frontier.",
+                    "ingest.announcements.dropped",
+                    help="Announcements the ingest plane discarded.",
+                    reason="late",
                 ).inc()
+            return False
         trace_id = 0
         enqueued_s = 0.0
         if obs_enabled():
             registry = obs_get_registry()
             trace_id = registry.next_trace_id()
             enqueued_s = registry.clock()
-        if not ring.push(timestamp, values, trace_id, enqueued_s) and obs_enabled():
+        try:
+            kept = ring.push(timestamp, values, trace_id, enqueued_s)
+        except ValueError:
+            # A wrong-length vector fails the ring's row write before
+            # anything is buffered.
+            return self._drop_invalid()
+        if not kept and obs_enabled():
             obs_counter(
                 "ingest.announcements.dropped",
                 help="Announcements the ingest plane discarded.",
                 reason="overflow",
             ).inc()
+        if late:
+            self._late_accepted += 1
+            if obs_enabled():
+                obs_counter(
+                    "ingest.announcements.late",
+                    help="Late announcements accepted behind the frontier.",
+                ).inc()
         if timestamp > self._max_seen:
             self._max_seen = timestamp
         if obs_enabled():
@@ -317,6 +334,17 @@ class IngestPlane:
                 help="Announcements offered to the ingest plane.",
             ).inc()
         return True
+
+    def _drop_invalid(self) -> bool:
+        """Count one announcement dropped as invalid; returns False for push."""
+        self._invalid += 1
+        if obs_enabled():
+            obs_counter(
+                "ingest.announcements.dropped",
+                help="Announcements the ingest plane discarded.",
+                reason="invalid",
+            ).inc()
+        return False
 
     # ------------------------------------------------------------------
     # consumer side
@@ -350,6 +378,7 @@ class IngestPlane:
         return IngestStats(
             received=self._received,
             filtered=self._filtered,
+            invalid=self._invalid,
             late_accepted=self._late_accepted,
             late_dropped=self._late_dropped,
             duplicates=self._duplicates,

@@ -86,24 +86,27 @@ class AnnouncementRing:
     ) -> bool:
         """Buffer one announcement; returns False when an old entry was dropped.
 
-        *values* must be the node's full length-33 metric vector (any
-        other length fails the row assignment).  A timestamp older than
+        *values* must be the node's full length-33 metric vector.  Any
+        other length fails the row assignment with NumPy's
+        ``ValueError`` before anything else is written, so a failed push
+        leaves the ring's entries, counters and newest timestamp as they
+        were.  (A scalar or a length-1 vector broadcasts over the row
+        and is not caught: there is no shape check on this hot path.)
+        A timestamp older than
         the newest buffered one is accepted — the ring re-sorts lazily
         on the next ordered read — so bounded network reordering never
         loses data at this layer.  *trace_id*/*enqueued_s* ride along in
         parallel arrays so a request trace survives the ring boundary.
         """
         dropped = self._count == self.capacity
+        # Drop-oldest: a full ring overwrites its head slot.
+        slot = self._start if dropped else (self._start + self._count) % self.capacity
+        self.values[slot] = values
         if dropped:
-            # Drop-oldest: overwrite the head slot and advance.
-            slot = self._start
             self._start = (self._start + 1) % self.capacity
             self._count -= 1
             self.overflowed += 1
-        else:
-            slot = (self._start + self._count) % self.capacity
         self.timestamps[slot] = timestamp
-        self.values[slot] = values
         self.trace_ids[slot] = trace_id
         self.enqueued_s[slot] = enqueued_s
         self._count += 1

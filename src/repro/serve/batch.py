@@ -17,9 +17,11 @@ class vectors, scores, compositions, application classes, and
 categories are **bit-identical** to calling ``classify_series`` on each
 run separately (asserted by ``tests/test_serve_batch.py``), in either
 compute dtype, at a multiple of the sequential throughput
-(``benchmarks/bench_serve_throughput.py``).  The neighbor search chunks
-the stacked rows at the kNN model's ``chunk_size``, so a large fleet
-never allocates one ``rows × pool`` distance buffer.
+(``benchmarks/bench_serve_throughput.py``).  The neighbor search splits
+the stacked rows into pool-sized blocks
+(:attr:`~repro.core.knn.KNeighborsClassifier.block_rows`) assembled in
+the calling thread's reused workspace, so a large fleet never allocates
+one ``rows × pool`` distance buffer and a serving round allocates none.
 """
 
 from __future__ import annotations

@@ -1,9 +1,15 @@
 """Tests for the from-scratch k-NN classifier."""
 
+import os
+import pickle
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from repro.core.knn import KNeighborsClassifier, rowwise_sq_distances
+from repro.core.knn import BLOCK_BYTES, KNeighborsClassifier, rowwise_sq_distances
 
 
 def three_clusters(per=30, seed=0):
@@ -273,6 +279,126 @@ class TestTieRule:
         idx, dist = knn.kneighbors_rows(np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.float32))
         assert idx.tolist() == [[1, 0, 2], [1, 0, 2]]
         assert np.isposinf(dist[:, 1:]).all()
+
+
+class TestBlockedSearch:
+    """Pool-sized distance blocks in a reused per-thread workspace."""
+
+    @staticmethod
+    def fitted(n, dtype=np.float64, chunk_size=2048, seed=0):
+        rng = np.random.default_rng(seed)
+        pool = rng.normal(size=(n, 2)).astype(dtype)
+        return KNeighborsClassifier(k=3, chunk_size=chunk_size).fit(pool, rng.integers(0, 5, n))
+
+    def test_block_rows_fill_the_byte_budget(self):
+        # The Table-2 pool has 327 points: 300 float64 or 601 float32 rows.
+        f64 = self.fitted(327).block_rows
+        f32 = self.fitted(327, np.float32).block_rows
+        assert (f64, f32) == (300, 601)
+        for n in (327, 1000, 40_000):
+            rows = self.fitted(n).block_rows
+            assert self.fitted(n, np.float32).block_rows in (2 * rows, 2 * rows + 1)
+
+    def test_block_rows_capped_by_chunk_size_and_at_least_one(self):
+        assert self.fitted(327, chunk_size=7).block_rows == 7
+        wide = BLOCK_BYTES // 8 + 1  # one float64 pool row overflows the budget
+        assert self.fitted(wide).block_rows == 1
+        assert self.fitted(2 * wide, np.float32).block_rows == 1
+
+    def test_one_row_blocks_match_one_block(self):
+        wide = self.fitted(BLOCK_BYTES // 8 + 1)
+        x = np.random.default_rng(1).normal(size=(5, 2))
+        idx, dist = wide.kneighbors_rows(x)
+        d2 = rowwise_sq_distances(x, wide.training_points)
+        want = np.argsort(d2, axis=1, kind="stable")[:, :3]
+        assert np.array_equal(idx, want)
+        assert np.array_equal(dist, np.sqrt(np.take_along_axis(d2, want, axis=1)))
+
+    def test_workspace_is_reused_across_calls(self):
+        knn = self.fitted(327)
+        x = np.random.default_rng(2).normal(size=(700, 2))
+        knn.kneighbors_rows(x)
+        first = knn._local.work
+        assert first.shape == (2, 300, 327)
+        knn.kneighbors_rows(x[:1])
+        knn.kneighbors_rows(x)
+        assert knn._local.work is first
+
+    def test_small_calls_allocate_small_and_grow_to_a_block(self):
+        knn = self.fitted(327)
+        x = np.random.default_rng(3).normal(size=(400, 2))
+        knn.kneighbors_rows(x[:10])
+        assert knn._local.work.shape == (2, 10, 327)
+        knn.kneighbors_rows(x)
+        assert knn._local.work.shape == (2, 300, 327)
+
+    @pytest.mark.parametrize(
+        "refit", [(100, np.float64), (327, np.float32), (40_000, np.float64), (327, np.float64)]
+    )
+    def test_refit_never_reads_a_stale_workspace(self, refit):
+        n, dtype = refit
+        knn = self.fitted(327)
+        x = np.random.default_rng(4).normal(size=(350, 2))
+        knn.kneighbors_rows(x)
+        other = self.fitted(n, dtype, seed=9)
+        knn.fit(other.training_points, other.training_labels)
+        # Few enough rows that the old workspace is not too small.
+        got = knn.kneighbors_rows(x[:5])
+        want = other.kneighbors_rows(x[:5])
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[1].dtype == np.dtype(dtype)
+        assert knn._local.work.shape[2] == n
+        assert knn._local.work.dtype == np.dtype(dtype)
+
+    def test_pickle_round_trip_drops_the_workspace(self):
+        knn = self.fitted(327)
+        x = np.random.default_rng(5).normal(size=(20, 2))
+        before = knn.kneighbors_rows(x)
+        clone = pickle.loads(pickle.dumps(knn))
+        assert getattr(clone._local, "work", None) is None
+        after = clone.kneighbors_rows(x)
+        assert np.array_equal(before[0], after[0])
+        assert np.array_equal(before[1], after[1])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_concurrent_searches_match_single_thread_results(self, dtype):
+        # 2000 points: 49 float64 or 98 float32 rows per block, so most
+        # calls span several blocks of each thread's own workspace.
+        knn = self.fitted(2000, dtype)
+        rng = np.random.default_rng(6)
+        n_threads = 2 * (os.cpu_count() or 1) + 2
+        jobs = []
+        for t in range(n_threads):
+            sizes = [1 + t, knn.block_rows + t, 3 * knn.block_rows + 2 * t + 1]
+            batches = [rng.normal(size=(m, 2)).astype(dtype) for m in sizes]
+            jobs.append([(x, knn.kneighbors_rows(x)) for x in batches])
+        deadline = time.monotonic() + 1.5
+        failures = []
+
+        def worker(job):
+            try:
+                while time.monotonic() < deadline:
+                    for x, (want_idx, want_dist) in job:
+                        idx, dist = knn.kneighbors_rows(x)
+                        if not (np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)):
+                            failures.append(len(x))
+                            return
+            except Exception as exc:  # surfaced by the assertion below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(job,), daemon=True) for job in jobs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
 
 class TestCancellationClamp:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.ingest import IngestPlane, MetricAnnouncement, MulticastChannel, ingest_slo_rules
 from repro.metrics.catalog import NUM_METRICS
 
@@ -228,6 +229,72 @@ class TestDropAccounting:
         assert stats.drains == 1
         assert stats.drained_rows == 1
         assert stats.buffered == 1
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_timestamp_dropped(self, bad):
+        plane = IngestPlane()
+        pushed = [plane.push("a", t, np.full(NUM_METRICS, t)) for t in (1.0, 2.0, bad, 3.0, 4.0)]
+        assert pushed == [True, True, False, True, True]
+        assert plane.stats().invalid == 1
+        # The bad row neither holds back the watermark's rows nor comes
+        # out at flush.
+        batch = plane.drain()
+        assert batch.watermark == 4.0
+        assert batch.timestamps.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert len(plane.drain(flush=True)) == 0
+
+    @pytest.mark.parametrize("length", [0, NUM_METRICS - 1, NUM_METRICS + 1])
+    def test_wrong_length_vector_dropped_without_touching_the_ring(self, length):
+        plane = IngestPlane(capacity=2)
+        plane.push("a", 1.0, np.full(NUM_METRICS, 1.0))
+        plane.push("a", 2.0, np.full(NUM_METRICS, 2.0))
+        ring = plane._ring_of["a"]
+        before = (ring.pushed, ring.overflowed, ring.newest_timestamp, len(ring))
+        assert plane.push("a", 3.0, np.ones(length)) is False
+        assert (ring.pushed, ring.overflowed, ring.newest_timestamp, len(ring)) == before
+        stats = plane.stats()
+        assert stats.invalid == 1
+        assert stats.received == 3
+        batch = plane.drain()
+        assert batch.timestamps.tolist() == [1.0, 2.0]
+        assert batch.values[:, 0].tolist() == [1.0, 2.0]
+
+    def test_invalid_drops_are_counted_under_their_reason(self):
+        registry = obs.enable()
+        try:
+            plane = IngestPlane()
+            plane.push("a", np.nan, np.ones(NUM_METRICS))
+            plane.push("a", 1.0, np.ones(3))
+            dropped = registry.counter("ingest.announcements.dropped", reason="invalid")
+            assert dropped.value == 2.0
+        finally:
+            obs.disable()
+
+    def test_reasons_sum_to_received_over_a_mixed_stream(self):
+        plane = IngestPlane(nodes=["a", "b"], capacity=4, late_policy="drop")
+        good = np.ones(NUM_METRICS)
+        stream = [
+            ("a", 1.0, good),
+            ("b", 1.0, good),
+            ("a", 1.0, good),  # duplicate
+            ("z", 2.0, good),  # filtered
+            ("a", np.nan, good),  # invalid timestamp
+            ("b", 2.0, np.ones(NUM_METRICS + 1)),  # invalid length
+            ("a", 2.0, good),
+            ("a", -np.inf, np.ones(2)),  # invalid both ways
+            ("b", 3.0, good),
+        ]
+        accepted = sum(plane.push(*item) for item in stream)
+        plane.drain()
+        accepted += plane.push("a", 0.5, good)  # late, dropped
+        accepted += sum(plane.push("b", 4.0 + t, good) for t in range(6))  # overflows
+        stats = plane.stats()
+        assert (stats.filtered, stats.invalid, stats.duplicates, stats.late_dropped) == (1, 3, 1, 1)
+        assert stats.overflowed == 2
+        dropped = stats.filtered + stats.invalid + stats.duplicates + stats.late_dropped
+        assert accepted + dropped == stats.received == len(stream) + 7
 
 
 class TestBufferReuse:

@@ -100,6 +100,23 @@ class TestOverflow:
         assert ts.shape[0] == 4
 
 
+class TestFailedPush:
+    @pytest.mark.parametrize("capacity", [4, 2])
+    def test_wrong_length_push_leaves_the_ring_untouched(self, capacity):
+        ring = AnnouncementRing("n", capacity=capacity)
+        ring.push(1.0, row(1.0))
+        ring.push(2.0, row(2.0))
+        timestamps = ring.timestamps.copy()
+        state = (len(ring), ring.pushed, ring.overflowed, ring.newest_timestamp)
+        with pytest.raises(ValueError):
+            ring.push(3.0, np.ones(NUM_METRICS - 1))
+        assert np.array_equal(ring.timestamps, timestamps)
+        assert (len(ring), ring.pushed, ring.overflowed, ring.newest_timestamp) == state
+        ts, vals = drain_all(ring)
+        assert ts.tolist() == [1.0, 2.0]
+        assert vals[:, 0].tolist() == [1.0, 2.0]
+
+
 class TestOutOfOrder:
     def test_out_of_order_push_restored_at_drain(self):
         ring = AnnouncementRing("n", capacity=8)

@@ -135,3 +135,32 @@ def test_kneighbors_equals_stable_argsort(dtype, data):
         one_idx, one_dist = knn.kneighbors_rows(queries[i : i + 1])
         assert np.array_equal(one_idx[0], idx[i])
         assert np.array_equal(one_dist[0], dist[i])
+
+
+#: A wide lattice pool (many exact duplicates and equal distances):
+#: two float64 or four float32 query rows fill a distance block.
+WIDE_POOL = np.random.default_rng(0).integers(-50, 50, size=(40_000, 2)) * 0.5
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_block_boundaries_keep_bits(dtype, data):
+    """Blocks of a few rows: every row equals its one-row call and the stable argsort."""
+    pool = WIDE_POOL.astype(dtype)
+    knn = KNeighborsClassifier(k=3, chunk_size=data.draw(st.sampled_from([1, 3, 2048]))).fit(
+        pool, np.zeros(len(pool), dtype=np.int64)
+    )
+    assert knn.block_rows <= 4
+    cells = st.integers(-52, 52)
+    queries = data.draw(arrays(np.int64, (data.draw(st.integers(1, 11)), 2), elements=cells))
+    queries = (queries * 0.5).astype(dtype)
+    idx, dist = knn.kneighbors_rows(queries)
+    d2 = rowwise_sq_distances(queries, pool)
+    want = np.argsort(d2, axis=1, kind="stable")[:, :3]
+    assert np.array_equal(idx, want)
+    assert np.array_equal(dist, np.sqrt(np.take_along_axis(d2, want, axis=1)))
+    for i in range(len(queries)):
+        one_idx, one_dist = knn.kneighbors_rows(queries[i : i + 1])
+        assert np.array_equal(one_idx[0], idx[i])
+        assert np.array_equal(one_dist[0], dist[i])
