@@ -29,7 +29,7 @@ import pytest
 
 from repro.core.knn import _sq_distances
 
-from conftest import emit, knn_queries, per_call_seconds
+from conftest import best_of_pairs, emit, knn_queries
 
 #: Query rows per call.
 QUERY_ROWS = 4096
@@ -69,10 +69,9 @@ def test_knn_block_speedup(dtype, classifier, classifier_f32, out_dir, smoke):
     )
 
     repeats, calls = (SMOKE_REPEATS, SMOKE_CALLS) if smoke else (FULL_REPEATS, FULL_CALLS)
-    blocked = reference = np.inf
-    for _ in range(repeats):
-        blocked = min(blocked, per_call_seconds(lambda: knn.kneighbors_rows(x), calls))
-        reference = min(reference, per_call_seconds(lambda: _fresh_chunks_kneighbors(knn, x), calls))
+    blocked, reference = best_of_pairs(
+        [lambda: knn.kneighbors_rows(x), lambda: _fresh_chunks_kneighbors(knn, x)], repeats, calls
+    )
     speedup = reference / blocked
 
     payload = {

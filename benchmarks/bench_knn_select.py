@@ -27,7 +27,7 @@ import pytest
 
 from repro.core.knn import _sq_distances
 
-from conftest import emit, knn_queries, per_call_seconds
+from conftest import best_of_pairs, emit, knn_queries
 
 #: Query rows per call.
 QUERY_ROWS = 256
@@ -65,13 +65,14 @@ def test_knn_select_speedup(dtype, classifier, classifier_f32, out_dir, smoke):
     ref_idx, _ = _partial_sort_kneighbors(x, cols, knn.training_sq_norms, k)
 
     repeats, calls = (SMOKE_REPEATS, SMOKE_CALLS) if smoke else (FULL_REPEATS, FULL_CALLS)
-    masked = reference = np.inf
-    for _ in range(repeats):
-        masked = min(masked, per_call_seconds(lambda: knn.kneighbors_rows(x), calls))
-        reference = min(
-            reference,
-            per_call_seconds(lambda: _partial_sort_kneighbors(x, cols, knn.training_sq_norms, k), calls),
-        )
+    masked, reference = best_of_pairs(
+        [
+            lambda: knn.kneighbors_rows(x),
+            lambda: _partial_sort_kneighbors(x, cols, knn.training_sq_norms, k),
+        ],
+        repeats,
+        calls,
+    )
     speedup = reference / masked
 
     payload = {

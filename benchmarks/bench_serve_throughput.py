@@ -26,11 +26,14 @@ drops below the documented 99% guarantee.
 """
 
 import json
+from functools import partial
+
+import numpy as np
 
 from repro.experiments.fleet import profile_fleet
-from repro.serve.bench import run_dtype_benchmark, run_throughput_benchmark
+from repro.serve.batch import BatchClassifier
 
-from conftest import emit
+from conftest import best_of_pairs, emit
 
 #: Full-mode fleet and gate (the acceptance criterion's 64-run batch).
 FULL_RUNS = 64
@@ -56,22 +59,52 @@ MIN_F32_SPEEDUP = 1.2
 MIN_F32_AGREEMENT = 0.99
 
 
+def _bit_identical(sequential, batched) -> bool:
+    """True iff every batched result matches its sequential twin bit for bit."""
+    return all(
+        np.array_equal(seq.class_vector, bat.class_vector)
+        and np.array_equal(seq.scores, bat.scores)
+        and seq.composition == bat.composition
+        and seq.application_class is bat.application_class
+        and seq.category == bat.category
+        for seq, bat in zip(sequential, batched)
+    )
+
+
 def test_serve_throughput(classifier, out_dir, smoke):
     runs = SMOKE_RUNS if smoke else FULL_RUNS
     repeats = SMOKE_REPEATS if smoke else FULL_REPEATS
     floor = SMOKE_MIN_SPEEDUP if smoke else FULL_MIN_SPEEDUP
 
     series_list = profile_fleet(runs, seed=100)
-    result = run_throughput_benchmark(classifier, series_list, repeats=repeats)
+    batched = partial(BatchClassifier(classifier).classify_batch, series_list)
 
-    payload = dict(result.to_dict(), mode="smoke" if smoke else "full", floor=floor)
+    def sequential():
+        return [classifier.classify_series(s) for s in series_list]
+
+    # The untimed warm-up pass of each arm doubles as the bit-identity check.
+    identical = _bit_identical(sequential(), batched())
+    sequential_s, batch_s = best_of_pairs([sequential, batched], repeats)
+    speedup = sequential_s / batch_s
+
+    payload = {
+        "num_runs": runs,
+        "num_snapshots": int(sum(len(s) for s in series_list)),
+        "repeats": repeats,
+        "sequential_ms": sequential_s * 1e3,
+        "batch_ms": batch_s * 1e3,
+        "speedup": speedup,
+        "bit_identical": identical,
+        "mode": "smoke" if smoke else "full",
+        "floor": floor,
+    }
     emit(out_dir, "BENCH_serve.json", json.dumps(payload, indent=2, sort_keys=True))
 
-    assert result.bit_identical, "batched results diverged from the sequential path"
-    assert result.speedup >= floor, (
-        f"batch speedup {result.speedup:.2f}x below the {floor:.1f}x floor "
-        f"(sequential {result.sequential_ms:.2f} ms vs batch {result.batch_ms:.2f} ms "
-        f"over {result.num_runs} runs / {result.num_snapshots} snapshots)"
+    assert identical, "batched results diverged from the sequential path"
+    assert speedup >= floor, (
+        f"batch speedup {speedup:.2f}x below the {floor:.1f}x floor "
+        f"(sequential {sequential_s * 1e3:.2f} ms vs batch {batch_s * 1e3:.2f} ms "
+        f"over {runs} runs / {payload['num_snapshots']} snapshots)"
     )
 
 
@@ -85,26 +118,44 @@ def test_serve_throughput_float32(classifier, classifier_f32, out_dir, smoke):
         base_duration_s=F32_BASE_DURATION_S,
         duration_step_s=F32_DURATION_STEP_S,
     )
-    result = run_dtype_benchmark(classifier, classifier_f32, series_list, repeats=repeats)
+    batched64 = partial(BatchClassifier(classifier).classify_batch, series_list)
+    batched32 = partial(BatchClassifier(classifier_f32).classify_batch, series_list)
 
-    payload = dict(
-        result.to_dict(),
-        mode="smoke" if smoke else "full",
-        floor=MIN_F32_SPEEDUP,
-        min_agreement=MIN_F32_AGREEMENT,
+    # Untimed warm-up pass of each arm: its outputs give the label
+    # agreement, and the float32 batch must equal the float32 sequential
+    # path bit for bit (the same-dtype guarantee).
+    results64, results32 = batched64(), batched32()
+    f32_identical = _bit_identical(
+        [classifier_f32.classify_series(s) for s in series_list], results32
     )
+    labels64 = np.concatenate([r.class_vector for r in results64])
+    labels32 = np.concatenate([r.class_vector for r in results32])
+    agreement = float(np.mean(labels64 == labels32))
+    f64_s, f32_s = best_of_pairs([batched64, batched32], repeats)
+    speedup = f64_s / f32_s
+
+    payload = {
+        "num_runs": runs,
+        "num_snapshots": int(labels64.shape[0]),
+        "repeats": repeats,
+        "batch_f64_ms": f64_s * 1e3,
+        "batch_f32_ms": f32_s * 1e3,
+        "speedup": speedup,
+        "label_agreement": agreement,
+        "f32_bit_identical": f32_identical,
+        "mode": "smoke" if smoke else "full",
+        "floor": MIN_F32_SPEEDUP,
+        "min_agreement": MIN_F32_AGREEMENT,
+    }
     emit(out_dir, "BENCH_serve_f32.json", json.dumps(payload, indent=2, sort_keys=True))
 
-    assert result.f32_bit_identical, (
-        "float32 batched results diverged from the float32 sequential path"
-    )
-    assert result.label_agreement >= MIN_F32_AGREEMENT, (
-        f"float32 label agreement {result.label_agreement:.4f} below the "
+    assert f32_identical, "float32 batched results diverged from the float32 sequential path"
+    assert agreement >= MIN_F32_AGREEMENT, (
+        f"float32 label agreement {agreement:.4f} below the "
         f"{MIN_F32_AGREEMENT:.0%} tolerance-mode guarantee"
     )
-    assert result.speedup >= MIN_F32_SPEEDUP, (
-        f"float32 speedup {result.speedup:.2f}x below the {MIN_F32_SPEEDUP:.1f}x floor "
-        f"(float64 batch {result.batch_f64_ms:.2f} ms vs float32 batch "
-        f"{result.batch_f32_ms:.2f} ms over {result.num_runs} runs / "
-        f"{result.num_snapshots} snapshots)"
+    assert speedup >= MIN_F32_SPEEDUP, (
+        f"float32 speedup {speedup:.2f}x below the {MIN_F32_SPEEDUP:.1f}x floor "
+        f"(float64 batch {f64_s * 1e3:.2f} ms vs float32 batch "
+        f"{f32_s * 1e3:.2f} ms over {runs} runs / {payload['num_snapshots']} snapshots)"
     )

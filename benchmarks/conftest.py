@@ -104,3 +104,19 @@ def per_call_seconds(fn, calls: int) -> float:
     for _ in range(calls):
         fn()
     return (time.perf_counter() - start) / calls
+
+
+def best_of_pairs(arms, repeats: int, calls: int = 1) -> list[float]:
+    """Best :func:`per_call_seconds` of each arm over *repeats* interleaved rounds.
+
+    Each round times every arm once, in order, so a slow period of the
+    host moves all arms together instead of biasing whichever ran
+    second; each arm's figure is its minimum over the rounds (the
+    noise-robust estimator for CPU-bound code).  Returns one figure per
+    arm, in order.
+    """
+    best = [float("inf")] * len(arms)
+    for _ in range(repeats):
+        for i, arm in enumerate(arms):
+            best[i] = min(best[i], per_call_seconds(arm, calls))
+    return best

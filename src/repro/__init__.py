@@ -40,7 +40,7 @@ Subpackages
   (``except ReproError`` catches every caller-facing error).
 """
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 from . import (
     analysis,

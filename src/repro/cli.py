@@ -9,8 +9,6 @@ Usage::
     python -m repro fig3
     python -m repro fig4 [--horizon S]
     python -m repro cost [--samples N]
-    python -m repro serve bench [--runs N] [--repeats N] [--compute-dtype D] [--json]
-    python -m repro ingest bench [--nodes N] [--per-node N] [--repeats N] [--json]
     python -m repro obs dump [--app KEY] [--format prometheus|json|trace] [--trace ID]
     python -m repro obs serve [--app KEY] [--port N] [--duration S] [--profile]
     python -m repro obs profile [--app KEY] [--interval S] [--output FILE]
@@ -79,41 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("app", help="catalog key (see list-apps)")
     p.add_argument("--mem", type=float, default=None, help="VM memory override (MB)")
     p.add_argument("--seed", type=int, default=42)
-
-    p = sub.add_parser("serve", help="serving layer: benchmark batched classification")
-    serve_sub = p.add_subparsers(dest="serve_command", required=True)
-    b = serve_sub.add_parser(
-        "bench",
-        help="time sequential vs batched classification of a synthetic fleet",
-    )
-    b.add_argument("--runs", type=int, default=64, help="fleet size (profiled runs)")
-    b.add_argument("--repeats", type=int, default=30, help="timing passes per arm")
-    b.add_argument("--seed", type=int, default=100)
-    b.add_argument(
-        "--compute-dtype",
-        choices=("float64", "float32"),
-        default="float64",
-        help="numeric mode of the benchmarked model (float32 = tolerance mode)",
-    )
-    b.add_argument("--json", action="store_true", help="emit the result as JSON")
-
-    p = sub.add_parser("ingest", help="streaming ingest plane: benchmark drained batches")
-    ingest_sub = p.add_subparsers(dest="ingest_command", required=True)
-    b = ingest_sub.add_parser(
-        "bench",
-        help="time per-announcement vs ingest-plane classification of a synthetic fleet",
-    )
-    b.add_argument("--nodes", type=int, default=64, help="fleet size (monitored nodes)")
-    b.add_argument("--per-node", type=int, default=100, help="announcements per node")
-    b.add_argument("--repeats", type=int, default=5, help="timing passes per arm")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument(
-        "--compute-dtype",
-        choices=("float64", "float32"),
-        default="float64",
-        help="numeric mode of the benchmarked model (float32 = tolerance mode)",
-    )
-    b.add_argument("--json", action="store_true", help="emit the result as JSON")
 
     p = sub.add_parser(
         "obs", help="observability: dump, serve, watch, or reset the telemetry plane"
@@ -320,63 +283,6 @@ def _cmd_stages(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-
-    from .core.config import ClassifierConfig
-    from .experiments.fleet import profile_fleet
-    from .manager.service import shared_model_cache
-    from .serve.bench import run_throughput_benchmark
-
-    print(f"profiling a fleet of {args.runs} short runs ...")
-    series_list = profile_fleet(args.runs, seed=args.seed)
-    config = ClassifierConfig(compute_dtype=args.compute_dtype)
-    classifier = shared_model_cache().get(config, seed=0)
-    result = run_throughput_benchmark(classifier, series_list, repeats=args.repeats)
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"runs:          {result.num_runs} ({result.num_snapshots} snapshots)")
-        print(f"compute dtype: {args.compute_dtype}")
-        print(f"sequential:    {result.sequential_ms:.2f} ms/fleet")
-        print(f"batched:       {result.batch_ms:.2f} ms/fleet")
-        print(f"speedup:       {result.speedup:.2f}x")
-        print(f"bit-identical: {result.bit_identical}")
-    return 0 if result.bit_identical else 1
-
-
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    import json
-
-    from .core.config import ClassifierConfig
-    from .manager.service import shared_model_cache
-    from .serve.stream import run_ingest_benchmark
-
-    total = args.nodes * args.per_node
-    print(f"streaming {total} announcements from {args.nodes} synthetic nodes ...")
-    config = ClassifierConfig(compute_dtype=args.compute_dtype)
-    classifier = shared_model_cache().get(config, seed=0)
-    result = run_ingest_benchmark(
-        classifier,
-        num_nodes=args.nodes,
-        per_node=args.per_node,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"announcements:    {result.num_announcements} ({result.num_nodes} nodes)")
-        print(f"compute dtype:    {args.compute_dtype}")
-        print(f"per-announcement: {result.per_announcement_ms:.2f} ms/fleet "
-              f"({result.per_announcement_rate:,.0f}/s)")
-        print(f"ingest plane:     {result.ingest_ms:.2f} ms/fleet "
-              f"({result.ingest_rate:,.0f}/s, {result.drains} drains)")
-        print(f"speedup:          {result.speedup:.2f}x")
-        print(f"bit-identical:    {result.bit_identical}")
-    return 0 if result.bit_identical else 1
-
-
 def _obs_profile(args: argparse.Namespace) -> int:
     """Profile + learn the requested app with collection on; 0 on success.
 
@@ -553,10 +459,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_validate(args)
     if args.command == "stages":
         return _cmd_stages(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "ingest":
-        return _cmd_ingest(args)
     if args.command == "obs":
         return _cmd_obs(args)
     raise AssertionError(f"unhandled command {args.command!r}")

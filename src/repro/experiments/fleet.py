@@ -5,8 +5,8 @@ monitoring windows a resource manager classifies every scheduling round
 — rather than the paper's few long profiling runs.  This driver
 manufactures that fleet: a deterministic mix of CPU-, IO-, and
 idle-leaning constant workloads with varied durations, each profiled in
-its own VM.  Used by ``repro serve bench`` and
-``benchmarks/bench_serve_throughput.py``.
+its own VM.  Used by ``benchmarks/bench_serve_throughput.py`` and the
+serving-layer tests.
 """
 
 from __future__ import annotations

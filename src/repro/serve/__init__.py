@@ -17,13 +17,13 @@ that regime:
 - :class:`~repro.serve.cache.ModelCache` — trained models memoized by
   :class:`~repro.core.config.ClassifierConfig`, shared across managers
   and workers;
-- :func:`~repro.serve.bench.run_throughput_benchmark` — the
-  sequential-vs-batched measurement behind ``repro serve bench``;
-- :func:`~repro.serve.stream.run_ingest_benchmark` and
-  :func:`~repro.serve.stream.drain_to_series` — the ingest-plane
-  consumers: per-announcement vs drained-batch timing behind
-  ``repro ingest bench``, and drain→series regrouping for the
-  micro-batcher (``ClassificationService.submit_drain``).
+- :func:`~repro.serve.stream.drain_to_series` — the ingest-plane
+  consumer: drain→series regrouping for the micro-batcher
+  (``ClassificationService.submit_drain``).
+
+The CI ratio gates that time these paths against their slower
+references are ``benchmarks/bench_serve_throughput.py`` and
+``benchmarks/bench_ingest.py``.
 
 Typical use::
 
@@ -37,22 +37,17 @@ Typical use::
 from __future__ import annotations
 
 from .batch import BatchClassifier
-from .bench import ServeBenchResult, run_throughput_benchmark
 from .cache import ModelCache, Trainer
 from .protocol import Classifier
 from .service import ClassificationService, ServiceStats
-from .stream import IngestBenchResult, drain_to_series, run_ingest_benchmark
+from .stream import drain_to_series
 
 __all__ = [
     "BatchClassifier",
     "ClassificationService",
     "Classifier",
-    "IngestBenchResult",
     "ModelCache",
-    "ServeBenchResult",
     "ServiceStats",
     "Trainer",
     "drain_to_series",
-    "run_ingest_benchmark",
-    "run_throughput_benchmark",
 ]

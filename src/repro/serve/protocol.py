@@ -1,4 +1,4 @@
-"""The unified ``Classifier`` protocol (public API 2.0.0).
+"""The unified ``Classifier`` protocol (public API 3.0.0).
 
 Every classification front end speaks one structural shape:
 

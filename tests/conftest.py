@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import ClassifierConfig
+from repro.core.pipeline import ApplicationClassifier
 from repro.experiments.training import TrainingOutcome, build_trained_classifier
 from repro.sim.execution import RunResult, profiled_run
 from repro.vm.resources import ResourceDemand
@@ -25,6 +27,19 @@ def training_outcome() -> TrainingOutcome:
 @pytest.fixture(scope="session")
 def classifier(training_outcome):
     return training_outcome.classifier
+
+
+@pytest.fixture(scope="session")
+def classifier_f32(training_outcome):
+    """A float32 tolerance-mode classifier refit on the session's training runs."""
+    clf = ApplicationClassifier.from_config(ClassifierConfig(compute_dtype="float32"))
+    clf.train(
+        [
+            (run.series, training_outcome.labels[key])
+            for key, run in training_outcome.runs.items()
+        ]
+    )
+    return clf
 
 
 @pytest.fixture()

@@ -1,11 +1,13 @@
 """Tests for the experiment drivers (fast configurations)."""
 
+import numpy as np
 import pytest
 
 from repro.experiments.cost import collect_snapshot_pool, measure_cost
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig45 import Fig45Outcome
 from repro.experiments.table3 import run_table3
+from repro.monitoring.filter import PerformanceFilter
 from repro.scheduler.schedules import enumerate_schedules
 from repro.scheduler.throughput import ScheduleThroughput
 
@@ -49,6 +51,28 @@ class TestCostDriver:
     def test_pool_validation(self):
         with pytest.raises(ValueError):
             collect_snapshot_pool(num_samples=0)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_classifies_the_classify_series_scores(
+        self, dtype, classifier, classifier_f32, monkeypatch
+    ):
+        """The rows measured by the classify stage are classify_series' scores, bit for bit."""
+        clf = classifier if dtype == "float64" else classifier_f32
+        pool = collect_snapshot_pool(num_samples=50, seed=500)
+        seen = []
+        predict_rows = clf.knn.predict_rows
+
+        def recording_predict_rows(rows):
+            seen.append(rows)
+            return predict_rows(rows)
+
+        monkeypatch.setattr(clf.knn, "predict_rows", recording_predict_rows)
+        measure_cost(clf, pool)
+        monkeypatch.undo()
+        (rows,) = seen
+        want = clf.classify_series(PerformanceFilter().extract(pool, "VM1")).scores
+        assert rows.dtype == want.dtype
+        assert np.array_equal(rows, want)
 
 
 class TestFig45Outcome:

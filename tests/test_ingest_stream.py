@@ -5,27 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import ClassifierConfig
-from repro.core.pipeline import ApplicationClassifier
 from repro.ingest import IngestPlane, MulticastChannel, synthetic_fleet
 from repro.serve.batch import BatchClassifier
 from repro.serve.service import ClassificationService
-from repro.serve.stream import drain_to_series, run_ingest_benchmark
+from repro.serve.stream import drain_to_series
 from repro.core.online import OnlineClassifier
 from repro.metrics.catalog import NUM_METRICS
-
-
-@pytest.fixture(scope="module")
-def classifier_f32(training_outcome):
-    """A float32 tolerance-mode model refit on the session's training runs."""
-    clf = ApplicationClassifier.from_config(ClassifierConfig(compute_dtype="float32"))
-    clf.train(
-        [
-            (run.series, training_outcome.labels[key])
-            for key, run in training_outcome.runs.items()
-        ]
-    )
-    return clf
 
 
 def run_both_arms(classifier, announcements, *, pump_rows=None, lateness_s=0.0):
@@ -207,13 +192,3 @@ class TestDrainToSeries:
         for a, b in zip(direct, via_service):
             assert a.application_class == b.application_class
             assert np.array_equal(a.class_vector, b.class_vector)
-
-
-def test_run_ingest_benchmark_smoke(classifier):
-    result = run_ingest_benchmark(classifier, num_nodes=4, per_node=8, repeats=1)
-    assert result.bit_identical
-    assert result.num_announcements == 32
-    assert result.drains >= 1
-    assert result.ingest_rate > 0
-    with pytest.raises(ValueError):
-        run_ingest_benchmark(classifier, repeats=0)

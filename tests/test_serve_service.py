@@ -6,7 +6,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import EmptySeriesError, ReproError, ServiceOverloadedError
+from repro.core.pipeline import ApplicationClassifier
+from repro.errors import (
+    EmptySeriesError,
+    NotTrainedError,
+    ReproError,
+    ServiceOverloadedError,
+)
 from repro.experiments.fleet import profile_fleet
 from repro.metrics.series import SnapshotSeries
 from repro.serve.service import ClassificationService
@@ -113,6 +119,32 @@ class TestBackpressure:
         service.shutdown()
         with pytest.raises(RuntimeError):
             service.submit(fleet[0])
+
+
+class TestBatchFailure:
+    def test_exception_mid_batch_fails_every_waiter_and_worker_keeps_serving(
+        self, classifier, fleet
+    ):
+        service = ClassificationService(classifier, batch_size=3, autostart=False)
+        try:
+            futures = [service.submit(s) for s in fleet[:3]]
+            # An untrained classifier makes the worker's classify_batch
+            # raise NotTrainedError for the whole three-request batch.
+            service.batch.classifier = ApplicationClassifier()
+            service.start()
+            for future in futures:
+                with pytest.raises(NotTrainedError):
+                    future.result(timeout=10.0)
+            service.batch.classifier = classifier
+            result = service.submit(fleet[3]).result(timeout=10.0)
+            assert result.num_samples == len(fleet[3])
+        finally:
+            stopper = threading.Thread(target=service.shutdown)
+            stopper.start()
+            stopper.join(10.0)
+        assert not stopper.is_alive()
+        stats = service.stats
+        assert (stats.failed, stats.completed, stats.batches) == (3, 1, 2)
 
 
 class TestShutdown:

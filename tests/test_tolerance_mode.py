@@ -27,8 +27,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import ClassifierConfig
-from repro.core.pipeline import ApplicationClassifier
 from repro.serve.batch import BatchClassifier
 from repro.sim.execution import profiled_run
 from repro.workloads.catalog import test_entries as table2_test_entries
@@ -40,19 +38,6 @@ NORM_RTOL = 1e-6
 PCA_ATOL = 1e-6
 SCORE_ATOL = 1e-4
 FUSED_F64_ATOL = 1e-12
-
-
-@pytest.fixture(scope="module")
-def classifier_f32(training_outcome):
-    """Float32 classifier refit from the float64 session's profiles."""
-    clf = ApplicationClassifier.from_config(ClassifierConfig(compute_dtype="float32"))
-    clf.train(
-        [
-            (run.series, training_outcome.labels[key])
-            for key, run in training_outcome.runs.items()
-        ]
-    )
-    return clf
 
 
 @pytest.fixture(scope="module")
