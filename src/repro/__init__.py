@@ -34,13 +34,12 @@ Subpackages
 - :mod:`repro.obs` — observability: metrics registry, tracing spans,
   Prometheus/JSON exporters (off by default; ``obs.enable()``).
 - :mod:`repro.serve` — batched fleet-classification serving layer
-  (the unified ``Classifier`` protocol, vectorized ``classify_batch``,
-  micro-batching service, model cache).
+  (vectorized ``classify_batch``, micro-batching service, model cache).
 - :mod:`repro.errors` — the typed exception hierarchy
   (``except ReproError`` catches every caller-facing error).
 """
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 from . import (
     analysis,

@@ -23,16 +23,11 @@ kernel, so the drained-batch results are bit-identical (per compute
 dtype) to classifying each announcement alone, and the fan-back
 arithmetic reproduces the sequential :meth:`NodeClassificationState.record`
 fold exactly.
-
-The entry points are the ``Classifier`` protocol methods ``classify`` /
-``classify_batch`` / ``classify_stream`` (see ``repro.serve.protocol``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
-
 import numpy as np
 
 from ..errors import NotTrainedError
@@ -173,28 +168,6 @@ class OnlineClassifier:
         self._attached = False
         self.attach()
 
-    @classmethod
-    def from_config(
-        cls,
-        config,
-        channel: MulticastChannel | object,
-        *,
-        model_source,
-        seed: int = 0,
-        nodes: list[str] | None = None,
-    ) -> "OnlineClassifier":
-        """Build an attached online classifier from a ``ClassifierConfig``.
-
-        *model_source* is anything with ``get(config, seed=...)``
-        returning a trained classifier — in practice a
-        ``repro.serve.cache.ModelCache`` such as
-        ``repro.manager.service.shared_model_cache()``.  It is injected
-        rather than defaulted because training recipes live above core
-        in the layering DAG.  *channel* may be a multicast channel or an
-        ingest plane, exactly as in the constructor.
-        """
-        return cls(model_source.get(config, seed=seed), channel, nodes=nodes)
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -203,18 +176,10 @@ class OnlineClassifier:
         """True while bound to an announcement source."""
         return self._attached
 
-    @property
-    def pull_mode(self) -> bool:
-        """True when the bound source is an ingest plane (pumped, not pushed)."""
-        return hasattr(self.channel, "drain")
+    def attach(self) -> None:
+        """Start (or resume) consuming from the announcement source; idempotent.
 
-    def attach(self, source: MulticastChannel | object | None = None) -> None:
-        """(Re)bind to an announcement source and start consuming; idempotent.
-
-        With no argument, resumes consuming from the current source —
-        the pre-1.2 signature, still idempotent.  With *source*, rebinds
-        to it first (detaching from the old source if needed): a source
-        with ``subscribe`` is a raw multicast channel and every
+        A source with ``subscribe`` is a raw multicast channel and every
         announcement is classified on delivery; a source with ``drain``
         is an ingest plane and announcements are consumed in drained
         batches via :meth:`pump`.
@@ -229,10 +194,6 @@ class OnlineClassifier:
         TypeError
             If the source is neither a channel nor an ingest plane.
         """
-        if source is not None and source is not self.channel:
-            if self._attached:
-                self.detach()
-            self.channel = source
         if self._attached:
             return
         push_source = hasattr(self.channel, "subscribe")
@@ -313,7 +274,7 @@ class OnlineClassifier:
             )
 
     def classify(self, snapshot: MetricAnnouncement) -> SnapshotClass:
-        """Classify one 33-metric announcement (protocol entry point).
+        """Classify one 33-metric announcement.
 
         Pure — no per-node state is recorded (delivery through the
         attached source records state; see :meth:`state`).  Runs the
@@ -333,45 +294,6 @@ class OnlineClassifier:
         code = self.classifier.classify_rows(raw)[0]
         return SnapshotClass(int(code))
 
-    def classify_batch(self, snapshots: Iterable[MetricAnnouncement]) -> list[SnapshotClass]:
-        """Classify many announcements in one vectorized call (protocol entry point).
-
-        Pure, like :meth:`classify`, and bit-identical to it per
-        announcement: the rows are stacked and run through the same
-        batch-size-invariant kernel.  Returns one class per
-        announcement, in input order.
-
-        Raises
-        ------
-        RuntimeError
-            If called while detached.
-        """
-        self._require_attached()
-        announcements = list(snapshots)
-        if not announcements:
-            return []
-        raw = np.stack([a.values for a in announcements])[:, self._metric_idx]
-        codes = self.classifier.classify_rows(raw)
-        return [SnapshotClass(int(code)) for code in codes]
-
-    def classify_stream(self, drains: Iterable) -> Iterator[DrainClassification]:
-        """Classify a stream of drained batches (protocol entry point).
-
-        *drains* yields ``DrainBatch``-shaped windows (``nodes``,
-        ``node_ids``, ``timestamps``, ``values``, ``watermark``); each
-        is classified in one vectorized call and **fanned back into the
-        per-node rolling state** exactly as per-announcement delivery
-        would have, then yielded as a :class:`DrainClassification`.
-        Lazy: state mutates as the caller iterates.
-
-        Raises
-        ------
-        RuntimeError
-            If a batch is consumed while detached.
-        """
-        for batch in drains:
-            yield self._classify_drain(batch)
-
     def pump(self, max_rows: int | None = None, *, flush: bool = False) -> DrainClassification:
         """Drain the attached ingest plane once and classify the batch.
 
@@ -388,10 +310,8 @@ class OnlineClassifier:
             plane.
         """
         self._require_attached()
-        if not self.pull_mode:
-            raise RuntimeError(
-                "attached source is not an ingest plane; pump() requires attach(plane)"
-            )
+        if not hasattr(self.channel, "drain"):
+            raise RuntimeError("attached source is not an ingest plane; pump() requires one")
         batch = self.channel.drain(max_rows, flush=flush)
         return self._classify_drain(batch)
 

@@ -267,10 +267,16 @@ class IngestPlane:
         carrying any object.
         """
         self._received += 1
+        observed = obs_enabled()
+        if observed:
+            obs_counter(
+                "ingest.announcements.received",
+                help="Announcements offered to the ingest plane.",
+            ).inc()
         timestamp = float(timestamp)
         if self._allow is not None and node not in self._allow:
             self._filtered += 1
-            if obs_enabled():
+            if observed:
                 obs_counter(
                     "ingest.announcements.dropped",
                     help="Announcements the ingest plane discarded.",
@@ -278,13 +284,13 @@ class IngestPlane:
                 ).inc()
             return False
         if not math.isfinite(timestamp):
-            return self._drop_invalid()
+            return self._drop_invalid(observed)
         ring = self._ring_of.get(node)
         if ring is None:
             ring = self._register(node)
         if ring.pushed and timestamp == ring.newest_timestamp:
             self._duplicates += 1
-            if obs_enabled():
+            if observed:
                 obs_counter(
                     "ingest.announcements.dropped",
                     help="Announcements the ingest plane discarded.",
@@ -294,7 +300,7 @@ class IngestPlane:
         late = timestamp <= self._frontier
         if late and self.late_policy == "drop":
             self._late_dropped += 1
-            if obs_enabled():
+            if observed:
                 obs_counter(
                     "ingest.announcements.dropped",
                     help="Announcements the ingest plane discarded.",
@@ -303,7 +309,7 @@ class IngestPlane:
             return False
         trace_id = 0
         enqueued_s = 0.0
-        if obs_enabled():
+        if observed:
             registry = obs_get_registry()
             trace_id = registry.next_trace_id()
             enqueued_s = registry.clock()
@@ -312,8 +318,8 @@ class IngestPlane:
         except ValueError:
             # A wrong-length vector fails the ring's row write before
             # anything is buffered.
-            return self._drop_invalid()
-        if not kept and obs_enabled():
+            return self._drop_invalid(observed)
+        if not kept and observed:
             obs_counter(
                 "ingest.announcements.dropped",
                 help="Announcements the ingest plane discarded.",
@@ -321,24 +327,19 @@ class IngestPlane:
             ).inc()
         if late:
             self._late_accepted += 1
-            if obs_enabled():
+            if observed:
                 obs_counter(
                     "ingest.announcements.late",
                     help="Late announcements accepted behind the frontier.",
                 ).inc()
         if timestamp > self._max_seen:
             self._max_seen = timestamp
-        if obs_enabled():
-            obs_counter(
-                "ingest.announcements.received",
-                help="Announcements offered to the ingest plane.",
-            ).inc()
         return True
 
-    def _drop_invalid(self) -> bool:
+    def _drop_invalid(self, observed: bool) -> bool:
         """Count one announcement dropped as invalid; returns False for push."""
         self._invalid += 1
-        if obs_enabled():
+        if observed:
             obs_counter(
                 "ingest.announcements.dropped",
                 help="Announcements the ingest plane discarded.",

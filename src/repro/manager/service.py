@@ -111,29 +111,6 @@ class ResourceManager:
     # ------------------------------------------------------------------
     # classifier lifecycle
     # ------------------------------------------------------------------
-    @classmethod
-    def from_config(
-        cls,
-        config: ClassifierConfig | None = None,
-        *,
-        seed: int = 0,
-        db: ApplicationDB | None = None,
-        model_cache: ModelCache | None = None,
-    ) -> ResourceManager:
-        """Build a manager whose model comes from *config* via the cache.
-
-        The :class:`~repro.serve.protocol.Classifier`-protocol factory:
-        the model itself is fetched lazily (trained on first use) from
-        *model_cache* — the process-wide :func:`shared_model_cache` by
-        default — keyed by ``(config, seed)``.
-        """
-        return cls(
-            db=db if db is not None else ApplicationDB(),
-            seed=seed,
-            config=config,
-            model_cache=model_cache,
-        )
-
     def ensure_trained(self) -> ApplicationClassifier:
         """Fetch (or train) the configured classifier on first use; return it.
 
@@ -190,19 +167,6 @@ class ResourceManager:
                     )
                 )
             return BatchClassifier(classifier).classify_batch([r.series for r in runs])
-
-    def classify_stream(self, drains):
-        """Lazily classify a stream of ingest-plane drains.
-
-        The :class:`~repro.serve.protocol.Classifier` streaming verb:
-        each :class:`~repro.ingest.DrainBatch` is regrouped into
-        per-node series and pushed through the vectorized batch kernel,
-        yielding one ``list[ClassificationResult]`` per drain.  Nothing
-        is profiled or recorded — monitoring announcements already carry
-        their measurements.
-        """
-        batch = BatchClassifier(self.ensure_trained())
-        yield from batch.classify_stream(drains)
 
     def learn_many(
         self,

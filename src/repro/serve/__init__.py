@@ -5,9 +5,6 @@ deployment watching a fleet classifies hundreds of short monitoring
 windows per scheduling round.  This package is the serving layer for
 that regime:
 
-- :class:`~repro.serve.protocol.Classifier` — the unified
-  protocol (``classify`` / ``classify_batch`` / ``classify_stream``)
-  every classification front end satisfies;
 - :class:`~repro.serve.batch.BatchClassifier` — vectorized
   ``classify_batch`` over many snapshot series, **bit-identical** to the
   sequential ``classify_series`` path at a multiple of its throughput;
@@ -38,14 +35,12 @@ from __future__ import annotations
 
 from .batch import BatchClassifier
 from .cache import ModelCache, Trainer
-from .protocol import Classifier
 from .service import ClassificationService, ServiceStats
 from .stream import drain_to_series
 
 __all__ = [
     "BatchClassifier",
     "ClassificationService",
-    "Classifier",
     "ModelCache",
     "ServiceStats",
     "Trainer",

@@ -26,7 +26,7 @@ one ``rows × pool`` distance buffer and a serving round allocates none.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,53 +61,6 @@ class BatchClassifier:
         if not classifier.trained:
             raise NotTrainedError("batch classification requires a trained classifier")
         self.classifier = classifier
-
-    @classmethod
-    def from_config(
-        cls, config, *, model_source, seed: int = 0
-    ) -> "BatchClassifier":
-        """Build a batch classifier from a ``ClassifierConfig``.
-
-        *model_source* is anything with ``get(config, seed=...)``
-        returning a trained classifier — in practice a
-        :class:`~repro.serve.cache.ModelCache` such as
-        ``repro.manager.service.shared_model_cache()``; injected because
-        training recipes live above ``repro.serve`` in the layering DAG.
-        """
-        return cls(model_source.get(config, seed=seed))
-
-    def classify(self, snapshot: SnapshotSeries) -> ClassificationResult:
-        """Classify one series (the unified protocol entry point).
-
-        Single-series form of :meth:`classify_batch` — same validation,
-        same stacked kernel, bit-identical to the sequential
-        ``classify_series`` path.
-
-        Raises
-        ------
-        NotTrainedError
-            If the classifier lost its training since construction.
-        EmptySeriesError
-            If the series is empty.
-        """
-        return self.classify_batch([snapshot])[0]
-
-    def classify_stream(
-        self, drains: Iterable
-    ) -> Iterator[list[ClassificationResult]]:
-        """Classify a stream of ingest-plane drains (protocol entry point).
-
-        *drains* yields ``DrainBatch``-shaped windows; each is regrouped
-        into per-node series (:func:`repro.serve.stream.drain_to_series`)
-        and classified through the stacked kernel, yielding one result
-        list per drained batch (nodes in the batch's node order; nodes
-        with no rows in a window are skipped).  Lazy — drains are
-        consumed as the caller iterates.
-        """
-        from .stream import drain_to_series
-
-        for batch in drains:
-            yield self.classify_batch(drain_to_series(batch))
 
     def classify_batch(
         self, series_list: Sequence[SnapshotSeries]

@@ -215,40 +215,32 @@ class ClassificationService:
             self.telemetry.set_ready(False)
         obs_event("serve.drain.begin", drain=str(drain), pending=str(self._queue.qsize()))
         if not drain:
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if isinstance(item, _Request):
-                    item.future.set_exception(
-                        ServiceOverloadedError("service shut down before request ran")
-                    )
-                    with self._lock:
-                        self._failed += 1
+            self._fail_queued("service shut down before request ran")
         if started:
             for _ in threads:
                 self._queue.put(_STOP)
             for thread in threads:
                 thread.join()
         else:
-            # Never-started service: fail anything still queued.
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if isinstance(item, _Request):
-                    item.future.set_exception(
-                        ServiceOverloadedError("service shut down before starting")
-                    )
-                    with self._lock:
-                        self._failed += 1
+            # Never-started service: no worker will drain the queue.
+            self._fail_queued("service shut down before starting")
         stats = self.stats
         obs_event("serve.drain.end", completed=str(stats.completed), failed=str(stats.failed))
         if self.telemetry is not None:
             self.telemetry.stop()
         self._stopped.set()
+
+    def _fail_queued(self, message: str) -> None:
+        """Fail every request still queued with ``ServiceOverloadedError``."""
+        while True:
+            try:
+                item = self._queue.get_nowait()
+            except queue.Empty:
+                return
+            if isinstance(item, _Request):
+                item.future.set_exception(ServiceOverloadedError(message))
+                with self._lock:
+                    self._failed += 1
 
     def stop(self) -> None:
         """Shut down without draining (pending requests fail fast)."""

@@ -272,8 +272,9 @@ class TestInvalidInput:
         finally:
             obs.disable()
 
-    def test_reasons_sum_to_received_over_a_mixed_stream(self):
-        plane = IngestPlane(nodes=["a", "b"], capacity=4, late_policy="drop")
+    @staticmethod
+    def push_mixed_stream(plane):
+        """Push one of every outcome into *plane*; return the accepted count."""
         good = np.ones(NUM_METRICS)
         stream = [
             ("a", 1.0, good),
@@ -290,11 +291,33 @@ class TestInvalidInput:
         plane.drain()
         accepted += plane.push("a", 0.5, good)  # late, dropped
         accepted += sum(plane.push("b", 4.0 + t, good) for t in range(6))  # overflows
+        return accepted
+
+    def test_reasons_sum_to_received_over_a_mixed_stream(self):
+        plane = IngestPlane(nodes=["a", "b"], capacity=4, late_policy="drop")
+        accepted = self.push_mixed_stream(plane)
         stats = plane.stats()
         assert (stats.filtered, stats.invalid, stats.duplicates, stats.late_dropped) == (1, 3, 1, 1)
         assert stats.overflowed == 2
         dropped = stats.filtered + stats.invalid + stats.duplicates + stats.late_dropped
-        assert accepted + dropped == stats.received == len(stream) + 7
+        assert accepted + dropped == stats.received == 16
+
+    def test_received_counter_counts_every_offer(self):
+        registry = obs.enable()
+        try:
+            plane = IngestPlane(nodes=["a", "b"], capacity=4, late_policy="drop")
+            accepted = self.push_mixed_stream(plane)
+            received = registry.counter("ingest.announcements.received").value
+            dropped = sum(
+                registry.counter("ingest.announcements.dropped", reason=reason).value
+                for reason in ("filtered", "invalid", "duplicate", "late")
+            )
+        finally:
+            obs.disable()
+        assert received == plane.stats().received == 16
+        # An overflow evicts an older, already accepted row, so it is
+        # not an offer outcome and stays out of the sum.
+        assert received == accepted + dropped
 
 
 class TestBufferReuse:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import ClassifierConfig
 from repro.core.cost_model import UnitCostModel
 from repro.core.labels import ClassComposition, SnapshotClass
 from repro.errors import UnknownApplicationError, UnknownPolicyError
@@ -65,6 +66,21 @@ class TestLearning:
         clf = mgr.ensure_trained()
         assert clf.trained
         assert mgr.ensure_trained() is clf  # cached
+
+    def test_injected_model_cache_is_fetched_lazily(self, classifier):
+        requests = []
+
+        class RecordingCache:
+            def get(self, config=None, seed=0):
+                requests.append((config, seed))
+                return classifier
+
+        config = ClassifierConfig()
+        mgr = ResourceManager(config=config, seed=3, model_cache=RecordingCache())
+        assert mgr.classifier is None, "model fetched on first use, not at build"
+        assert mgr.ensure_trained() is classifier
+        assert mgr.ensure_trained() is classifier
+        assert requests == [(config, 3)]
 
     def test_untrained_supplied_classifier_rejected(self):
         from repro.core.pipeline import ApplicationClassifier

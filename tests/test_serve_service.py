@@ -167,6 +167,21 @@ class TestShutdown:
                 future.result(timeout=0)
         assert service.stats.failed == len(fleet)
 
+    def test_drain_of_never_started_service_fails_queued(self, classifier, fleet):
+        # No worker ever ran, so draining has nobody to serve the queue:
+        # every queued request fails instead of hanging its caller.
+        service = ClassificationService(classifier, max_queue=16, autostart=False)
+        futures = [service.submit(s) for s in fleet[:3]]
+        closer = threading.Thread(target=service.shutdown, kwargs={"drain": True}, daemon=True)
+        closer.start()
+        closer.join(timeout=10.0)
+        assert not closer.is_alive(), "shutdown(drain=True) hung"
+        for future in futures:
+            with pytest.raises(ServiceOverloadedError):
+                future.result(timeout=5.0)
+        stats = service.stats
+        assert (stats.failed, stats.batches, stats.pending) == (3, 0, 0)
+
     def test_shutdown_idempotent(self, classifier):
         service = ClassificationService(classifier)
         service.shutdown()
