@@ -22,20 +22,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import EmptySeriesError, NotTrainedError
+from ..metrics.catalog import metric_indices
 from ..metrics.series import SnapshotSeries
 from ..obs import (
     enabled as obs_enabled,
     get_registry as obs_get_registry,
     span as obs_span,
 )
+from ..obs.context import PIPELINE_STAGE_NAMES
 from .config import ClassifierConfig
 from .knn import KNeighborsClassifier
-from .labels import (
-    ClassComposition,
-    SnapshotClass,
-    application_category,
-    majority_vote,
-)
+from .labels import ALL_CLASSES, ClassComposition, SnapshotClass, application_category
 from .pca import PCA
 from .preprocessing import MetricSelector, Normalizer, Preprocessor
 
@@ -259,10 +256,11 @@ class ApplicationClassifier:
     # ------------------------------------------------------------------
     # classification
     # ------------------------------------------------------------------
-    def _obs_instruments(self) -> tuple[dict, object, object]:
+    def _obs_instruments(self) -> tuple[tuple, object, object]:
         """Instrument handles for the hot path, cached per registry epoch.
 
-        ``classify_series`` observes five stage latencies and two
+        ``classify_series`` observes five stage latencies (handles in
+        :data:`~repro.obs.context.PIPELINE_STAGE_NAMES` order) and two
         counters per call; resolving each through the registry's
         get-or-create (label normalization, dict keys) would dominate
         the instrumentation budget.  Handles stay valid until the
@@ -273,14 +271,14 @@ class ApplicationClassifier:
         cache = self._obs_cache
         if cache is not None and cache[0] is registry and cache[1] == registry.generation:
             return cache[2], cache[3], cache[4]
-        stage_hists = {
-            stage: registry.histogram(
+        stage_hists = tuple(
+            registry.histogram(
                 "pipeline.stage.seconds",
                 help="Latency of one classification pipeline stage.",
                 stage=stage,
             )
-            for stage in ("filter", "normalize", "pca", "knn", "postprocess")
-        }
+            for stage in PIPELINE_STAGE_NAMES
+        )
         snapshots_c = registry.counter(
             "pipeline.snapshots", help="Snapshots classified by classify_series."
         )
@@ -291,10 +289,11 @@ class ApplicationClassifier:
     def classify_series(self, series: SnapshotSeries) -> ClassificationResult:
         """Classify every snapshot of *series* and aggregate.
 
-        Runs the :meth:`classify_rows` steps over the series' gathered
-        rows, with the §5.3 stage clock reads between them, so each
-        snapshot's score and class are bit-identical to the batched and
-        streaming paths.
+        The one-series case of the stacked kernel that
+        :class:`~repro.serve.batch.BatchClassifier` runs over a fleet,
+        so each snapshot's score and class are bit-identical to the
+        batched and streaming paths, and the §5.3 stage timings come
+        from the same six clock reads.
 
         Raises
         ------
@@ -307,81 +306,94 @@ class ApplicationClassifier:
             raise NotTrainedError("classifier not trained")
         if len(series) == 0:
             raise EmptySeriesError("cannot classify an empty series")
-        timings = StageTimings()
-        clock = self.clock
 
-        # Observability reuses the §5.3 StageTimings clock reads: one
-        # tracing span wraps the whole pipeline and the per-stage
-        # latencies go into the ``pipeline.stage.seconds`` histogram
-        # family, with no per-stage spans.  The observations are not
-        # free: each takes its own lock and runs a bisect, and on a
-        # 96-snapshot series on a 2-core VM the enabled instruments
-        # cost ~5.6% of the call, over the 5% overhead budget.  While
-        # obs is disabled (the default) the span is a shared no-op and
-        # ``timed`` is False, so the clock-call sequence is exactly the
-        # classic four stage pairs.
+        # Observability reuses the kernel's stage durations: one tracing
+        # span wraps the whole pipeline and the per-stage latencies go
+        # into the ``pipeline.stage.seconds`` histogram family.  While
+        # obs is disabled (the default) the span is a shared no-op, so
+        # the clock reads are the kernel's six either way.
         timed = obs_enabled()
-        with obs_span("pipeline.classify", clock=clock):
-            t0 = t = clock()
-            selected = self.preprocessor.selector.transform_series(series)
-            t_filter = clock() if timed else 0.0
-            features = self.normalize_rows(selected)
-            t1 = clock()
-            timings.preprocess_s = t1 - t
-
-            t_pca = clock()
-            scores = self.project_rows(features)
-            timings.pca_s = clock() - t_pca
-
-            t_knn = clock()
-            class_vector = self.knn.predict_rows(scores)
-            timings.classify_s = clock() - t_knn
-
-            t_vote = clock()
-            composition = ClassComposition.from_class_vector(class_vector)
-            app_class = majority_vote(class_vector)
-            category = application_category(composition)
-            timings.vote_s = clock() - t_vote
-
+        with obs_span("pipeline.classify", clock=self.clock):
+            (result,), start, stage_seconds = self._classify_stacked([series])
             # Under a request trace (an enclosing span carrying a
-            # nonzero trace id) the per-stage latencies become child
-            # spans too — synthesized from the clock reads already
-            # taken, so tracing adds zero extra clock calls here.
+            # nonzero trace id) the stages also become child spans,
+            # laid end to end from the kernel's first clock read, so
+            # tracing adds no clock read.
             if timed:
                 registry = obs_get_registry()
                 if registry.current_trace_id():
-                    registry.emit_spans(
-                        (
-                            ("pipeline.stage.filter", t0, t_filter - t0),
-                            ("pipeline.stage.normalize", t_filter, t1 - t_filter),
-                            ("pipeline.stage.pca", t_pca, timings.pca_s),
-                            ("pipeline.stage.knn", t_knn, timings.classify_s),
-                            ("pipeline.stage.postprocess", t_vote, timings.vote_s),
-                        )
-                    )
+                    spans = []
+                    for stage, duration in zip(PIPELINE_STAGE_NAMES, stage_seconds):
+                        spans.append((f"pipeline.stage.{stage}", start, duration))
+                        start += duration
+                    registry.emit_spans(spans)
         if timed:
             stage_hists, snapshots_c, runs_c = self._obs_instruments()
-            for stage, duration in (
-                ("filter", t_filter - t0),
-                ("normalize", t1 - t_filter),
-                ("pca", timings.pca_s),
-                ("knn", timings.classify_s),
-                ("postprocess", timings.vote_s),
-            ):
-                stage_hists[stage].observe(duration)
+            for hist, duration in zip(stage_hists, stage_seconds):
+                hist.observe(duration)
             snapshots_c.inc(len(series))
             runs_c.inc()
+        return result
 
-        return ClassificationResult(
-            node=series.node,
-            num_samples=len(series),
-            class_vector=class_vector,
-            composition=composition,
-            application_class=app_class,
-            category=category,
-            scores=scores,
-            timings=timings,
-        )
+    def _classify_stacked(
+        self, series_list: Sequence[SnapshotSeries]
+    ) -> tuple[list[ClassificationResult], float, tuple[float, float, float, float, float]]:
+        """The staged classify kernel, once over many series' stacked rows.
+
+        Gathers each series' selected metric rows into its slot of one
+        ``(rows, p)`` buffer at the compute dtype, runs the
+        :meth:`classify_rows` steps over the stack, and packages one
+        result per series, reading the clock once before the gather and
+        once after each of the five stages.  Returns the results (in
+        input order), the first clock read, and the five stage
+        durations in :data:`~repro.obs.context.PIPELINE_STAGE_NAMES`
+        order; each result's ``timings`` holds the stage costs
+        apportioned by its share of the stacked snapshots, so summed
+        per-run timings reproduce the totals (§5.3 accounting).
+
+        The caller validates: the classifier is trained, *series_list*
+        is non-empty and no series is empty.
+        """
+        clock = self.clock
+
+        # --- gather: the same values ``selector.transform_series``
+        # yields per run, and in float32 the same rounding its cast
+        # applies.
+        t = clock()
+        idx_cols = np.asarray(metric_indices(self.preprocessor.selector.names), dtype=np.intp)
+        lengths = [s.matrix.shape[1] for s in series_list]
+        offsets = [0]
+        for m in lengths:
+            offsets.append(offsets[-1] + m)
+        total = offsets[-1]
+        raw = np.empty((total, idx_cols.shape[0]), dtype=self.compute_dtype)
+        for i, s in enumerate(series_list):
+            o = offsets[i]
+            raw[o : o + lengths[i]] = s.matrix[idx_cols, :].T
+        t_gather = clock()
+
+        # --- the classify_rows kernel, once over the stacked rows.
+        features = self.normalize_rows(raw)
+        t_normalized = clock()
+        scores_all = self.project_rows(features)
+        t_projected = clock()
+        class_vector_all = self.knn.predict_rows(scores_all)
+        t_searched = clock()
+        results = _package_results(series_list, lengths, offsets, class_vector_all, scores_all)
+        t_done = clock()
+
+        filter_s = t_gather - t
+        normalize_s = t_normalized - t_gather
+        pca_s = t_projected - t_normalized
+        classify_s = t_searched - t_projected
+        vote_s = t_done - t_searched
+        for i, result in enumerate(results):
+            share = lengths[i] / total
+            result.timings.preprocess_s = (filter_s + normalize_s) * share
+            result.timings.pca_s = pca_s * share
+            result.timings.classify_s = classify_s * share
+            result.timings.vote_s = vote_s * share
+        return results, t, (filter_s, normalize_s, pca_s, classify_s, vote_s)
 
     def classify_rows(self, features: np.ndarray) -> np.ndarray:
         """Classify pre-selected raw feature rows: the one classify kernel.
@@ -392,10 +404,10 @@ class ApplicationClassifier:
         the length-``k`` class vector.  Three steps: :meth:`normalize_rows`,
         :meth:`project_rows`, and
         :meth:`~repro.core.knn.KNeighborsClassifier.predict_rows`.
-        :meth:`classify_series`, the batched serving kernel, and the
-        streaming ingest path run exactly these steps (the first two
-        with stage clock reads in between), so every path computes the
-        same bits for a row.
+        The stacked kernel behind :meth:`classify_series` and the
+        batched serving path (with stage clock reads in between) and
+        the streaming ingest path run exactly these steps, so every
+        path computes the same bits for a row.
 
         **Row *i*'s class is bit-identical for any batch size**: every
         step is row-independent, the projection is accumulated feature
@@ -446,3 +458,47 @@ class ApplicationClassifier:
             terms = self.pca.components_.T[:, :, None] * centered[:, None, :]  # (p, q, m)
         np.add.accumulate(terms, axis=0, out=terms)
         return terms[-1].T.copy()
+
+
+def _package_results(
+    series_list: Sequence[SnapshotSeries],
+    lengths: list[int],
+    offsets: list[int],
+    class_vector_all: np.ndarray,
+    scores_all: np.ndarray,
+) -> list[ClassificationResult]:
+    """Per-run results from the stacked class vector and scores.
+
+    dtype: float64
+
+    Compositions are fractions of integer counts — exact bookkeeping
+    shared by both numeric modes, always at float64 — via one stacked
+    bincount (identical by construction to per-run
+    ``ClassComposition.from_class_vector``) and one row-wise argmax
+    (identical to each composition's ``dominant()``).  Timings are left
+    for the kernel to fill in.
+    """
+    n_classes = len(ALL_CLASSES)
+    run_ids = np.repeat(np.arange(len(lengths)), lengths)
+    counts = np.bincount(
+        run_ids * n_classes + class_vector_all, minlength=len(lengths) * n_classes
+    ).reshape(len(lengths), n_classes)
+    fractions = counts / np.asarray(lengths, dtype=np.float64)[:, None]
+    dominant_codes = np.argmax(fractions, axis=1)
+    results: list[ClassificationResult] = []
+    for i, series in enumerate(series_list):
+        o, m = offsets[i], lengths[i]
+        composition = ClassComposition(fractions=tuple(fractions[i].tolist()))
+        app_class = SnapshotClass(int(dominant_codes[i]))
+        results.append(
+            ClassificationResult(
+                node=series.node,
+                num_samples=m,
+                class_vector=class_vector_all[o : o + m].copy(),
+                composition=composition,
+                application_class=app_class,
+                category=application_category(composition, dominant=app_class),
+                scores=scores_all[o : o + m].copy(),
+            )
+        )
+    return results

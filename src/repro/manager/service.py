@@ -137,11 +137,7 @@ class ResourceManager:
         """Profile and classify a workload without recording it."""
         with obs_span("manager.classify"):
             classifier = self.ensure_trained()
-            self._profile_counter += 1
-            run = profiled_run(
-                workload, vm_mem_mb=vm_mem_mb, seed=self.seed + 1000 + self._profile_counter
-            )
-            return classifier.classify_series(run.series)
+            return classifier.classify_series(self._profile(workload, vm_mem_mb).series)
 
     def classify_batch(
         self, workloads: Sequence[Workload], *, vm_mem_mb: float = 256.0
@@ -156,16 +152,7 @@ class ResourceManager:
         """
         with obs_span("manager.classify_batch"):
             classifier = self.ensure_trained()
-            runs = []
-            for workload in workloads:
-                self._profile_counter += 1
-                runs.append(
-                    profiled_run(
-                        workload,
-                        vm_mem_mb=vm_mem_mb,
-                        seed=self.seed + 1000 + self._profile_counter,
-                    )
-                )
+            runs = [self._profile(workload, vm_mem_mb) for workload in workloads]
             return BatchClassifier(classifier).classify_batch([r.series for r in runs])
 
     def learn_many(
@@ -183,33 +170,12 @@ class ResourceManager:
         """
         with obs_span("manager.learn_many"):
             classifier = self.ensure_trained()
-            apps = []
-            runs = []
-            for application, workload in named_workloads:
-                self._profile_counter += 1
-                apps.append(application)
-                runs.append(
-                    profiled_run(
-                        workload,
-                        vm_mem_mb=vm_mem_mb,
-                        seed=self.seed + 1000 + self._profile_counter,
-                    )
-                )
+            runs = [self._profile(workload, vm_mem_mb) for _, workload in named_workloads]
             results = BatchClassifier(classifier).classify_batch([r.series for r in runs])
-            outcomes = []
-            for application, run, result in zip(apps, runs, results):
-                record = RunRecord(
-                    application=application,
-                    node=run.node,
-                    t0=run.t0,
-                    t1=run.t1,
-                    num_samples=result.num_samples,
-                    application_class=result.application_class,
-                    composition=result.composition,
-                    environment={"vm_mem_mb": vm_mem_mb},
-                )
-                self.db.add_run(record)
-                outcomes.append(LearnOutcome(record=record, result=result, run=run))
+            outcomes = [
+                self._record(application, run, result, vm_mem_mb)
+                for (application, _), run, result in zip(named_workloads, runs, results)
+            ]
             obs_counter("manager.runs.learned", help="Profiling runs learned into the DB.").inc(
                 len(outcomes)
             )
@@ -224,26 +190,41 @@ class ResourceManager:
         """Run *workload* in a dedicated VM, classify it, store the record."""
         with obs_span("manager.profile_and_learn"):
             classifier = self.ensure_trained()
-            self._profile_counter += 1
             with obs_span("manager.profile"):
-                run = profiled_run(
-                    workload, vm_mem_mb=vm_mem_mb, seed=self.seed + 1000 + self._profile_counter
-                )
+                run = self._profile(workload, vm_mem_mb)
             with obs_span("manager.classify"):
                 result = classifier.classify_series(run.series)
-            record = RunRecord(
-                application=application,
-                node=run.node,
-                t0=run.t0,
-                t1=run.t1,
-                num_samples=result.num_samples,
-                application_class=result.application_class,
-                composition=result.composition,
-                environment={"vm_mem_mb": vm_mem_mb},
-            )
-            self.db.add_run(record)
+            outcome = self._record(application, run, result, vm_mem_mb)
             obs_counter("manager.runs.learned", help="Profiling runs learned into the DB.").inc()
-            return LearnOutcome(record=record, result=result, run=run)
+            return outcome
+
+    def _profile(self, workload: Workload, vm_mem_mb: float) -> RunResult:
+        """Profile *workload* in its own VM, on the next profiling seed."""
+        self._profile_counter += 1
+        return profiled_run(
+            workload, vm_mem_mb=vm_mem_mb, seed=self.seed + 1000 + self._profile_counter
+        )
+
+    def _record(
+        self,
+        application: str,
+        run: RunResult,
+        result: ClassificationResult,
+        vm_mem_mb: float,
+    ) -> LearnOutcome:
+        """Store *run*'s classification in the application DB."""
+        record = RunRecord(
+            application=application,
+            node=run.node,
+            t0=run.t0,
+            t1=run.t1,
+            num_samples=result.num_samples,
+            application_class=result.application_class,
+            composition=result.composition,
+            environment={"vm_mem_mb": vm_mem_mb},
+        )
+        self.db.add_run(record)
+        return LearnOutcome(record=record, result=result, run=run)
 
     def known_applications(self) -> list[str]:
         """Applications with at least one learned run."""

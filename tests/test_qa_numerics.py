@@ -666,7 +666,7 @@ class TestNumericsReport:
         payload = json.loads(capsys.readouterr().out)
         kernels = {k["module"] + "." + k["function"] for k in payload["kernels"]}
         assert "repro.core.knn.rowwise_sq_distances" in kernels
-        assert "repro.serve.batch.BatchClassifier._run_stacked" in kernels
+        assert "repro.core.pipeline.ApplicationClassifier._classify_stacked" in kernels
         distances = next(
             k
             for k in payload["kernels"]

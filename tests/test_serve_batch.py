@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.pipeline import ApplicationClassifier
 from repro.errors import EmptySeriesError, NotTrainedError
 from repro.experiments.fleet import profile_fleet
@@ -72,6 +73,31 @@ class TestTimings:
             total = sum(getattr(r.timings, stage) for r in results)
             assert total >= 0.0
         assert results[0].timings.total_s >= 0.0
+
+    def test_series_is_the_one_run_batch_under_a_tick_clock(self, classifier, fleet, monkeypatch):
+        """classify_series and a one-run batch read the same clock, the same way."""
+        reads = []
+
+        def tick():
+            reads.append(None)
+            return float(len(reads))
+
+        monkeypatch.setattr(classifier, "clock", tick)
+        series = fleet[0]
+        timings = classifier.classify_series(series).timings
+        off_reads = len(reads)
+        assert off_reads == 6  # one before the gather, one after each stage
+        assert timings == BatchClassifier(classifier).classify_batch([series])[0].timings
+        del reads[:]
+        obs.enable()
+        try:
+            traced_timings = classifier.classify_series(series).timings
+        finally:
+            obs.disable()
+        assert traced_timings == timings
+        # Obs adds only the pipeline.classify span's own entry and exit
+        # reads; the pipeline reads the clock the same number of times.
+        assert len(reads) - 2 == off_reads
 
 
 class TestRejection:
