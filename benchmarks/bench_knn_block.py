@@ -1,15 +1,17 @@
-"""Blocked kNN search — ``kneighbors_rows`` must stay ≥ 1.2× fresh 2048-row chunks.
+"""Blocked kNN search — the brute-force search must stay ≥ 1.2× fresh 2048-row chunks.
 
-Times ``KNeighborsClassifier.kneighbors_rows`` — distance blocks sized
-from the pool (``block_rows``, 300 float64 or 601 float32 rows for the
-Table-2 pool) assembled in the calling thread's reused workspace, then
-k masked ``argmin`` passes — against a reference arm with the search's
-previous memory layout: the same ``_sq_distances`` kernel over 2048-row
-chunks with fresh buffers for every chunk, then the same
-``_topk_into`` selection.  Both arms search the Table-2 training pool
-of the fitted classifier with the same 4096 query rows: pool rows at
-seeded random positions, a quarter of them exact pool hits and the rest
-jittered by 1% of the pool's spread.
+Times ``KNeighborsClassifier._kneighbors_brute``, the blocked
+brute-force search behind ``kneighbors_rows`` (its only route for
+float32 models and small calls, and the tree route's fallback) —
+distance blocks sized from the pool (``block_rows``, 300 float64 or 601
+float32 rows for the Table-2 pool) assembled in the calling thread's
+reused workspace, then k masked ``argmin`` passes — against a
+reference arm with the search's previous memory layout: the same
+``_sq_distances`` kernel over 2048-row chunks with fresh buffers for
+every chunk, then the same ``_topk_into`` selection.  Both arms search
+the Table-2 training pool of the fitted classifier with the same 4096
+query rows: pool rows at seeded random positions, a quarter of them
+exact pool hits and the rest jittered by 1% of the pool's spread.
 
 Before any timing, the two arms must be bit-identical in neighbor
 indices and distance bits.  The arms are timed in interleaved pairs
@@ -61,7 +63,7 @@ def test_knn_block_speedup(dtype, classifier, classifier_f32, out_dir, smoke):
     assert pool.dtype == np.dtype(dtype)
     x = knn_queries(pool, QUERY_ROWS)
 
-    idx, dist = knn.kneighbors_rows(x)
+    idx, dist = knn._kneighbors_brute(x)
     ref_idx, ref_dist = _fresh_chunks_kneighbors(knn, x)
     assert np.array_equal(idx, ref_idx), "blocked search changed the neighbors"
     assert np.array_equal(dist.view(f"u{dist.itemsize}"), ref_dist.view(f"u{dist.itemsize}")), (
@@ -70,7 +72,7 @@ def test_knn_block_speedup(dtype, classifier, classifier_f32, out_dir, smoke):
 
     repeats, calls = (SMOKE_REPEATS, SMOKE_CALLS) if smoke else (FULL_REPEATS, FULL_CALLS)
     blocked, reference = best_of_pairs(
-        [lambda: knn.kneighbors_rows(x), lambda: _fresh_chunks_kneighbors(knn, x)], repeats, calls
+        [lambda: knn._kneighbors_brute(x), lambda: _fresh_chunks_kneighbors(knn, x)], repeats, calls
     )
     speedup = reference / blocked
 
@@ -91,7 +93,7 @@ def test_knn_block_speedup(dtype, classifier, classifier_f32, out_dir, smoke):
 
     if dtype == "float64":
         assert speedup >= MIN_SPEEDUP, (
-            f"float64 kneighbors_rows {speedup:.2f}x fresh {REFERENCE_CHUNK}-row chunks, below "
+            f"float64 blocked brute force {speedup:.2f}x fresh {REFERENCE_CHUNK}-row chunks, below "
             f"the {MIN_SPEEDUP:.1f}x floor ({blocked * 1e9 / QUERY_ROWS:.0f} vs "
             f"{reference * 1e9 / QUERY_ROWS:.0f} ns/row)"
         )

@@ -1,15 +1,17 @@
-"""kNN top-k selection — ``kneighbors_rows`` must stay ≥ 1.5× a partial sort.
+"""kNN top-k selection — the brute-force search must stay ≥ 1.5× a partial sort.
 
-Times ``KNeighborsClassifier.kneighbors_rows`` — distance assembly plus
-k masked ``argmin`` passes — against a reference arm that runs the same
-``_sq_distances`` kernel followed by the selection it replaced:
-``argpartition`` for the k smallest, then a stable ``argsort`` of those
-k.  Both arms search the Table-2 training pool of the fitted classifier
+Times ``KNeighborsClassifier._kneighbors_brute``, the blocked
+brute-force search behind ``kneighbors_rows`` (its only route for
+float32 models and small calls, and the tree route's fallback) —
+distance assembly plus k masked ``argmin`` passes — against a
+reference arm that runs the same ``_sq_distances`` kernel followed by
+the selection it replaced: ``argpartition`` for the k smallest, then a
+stable ``argsort`` of those k.  Both arms search the Table-2 training pool of the fitted classifier
 with the same 256 query rows: pool rows at seeded random positions, a
 quarter of them exact pool hits (zero distances, ties among duplicated
 snapshots) and the rest jittered by 1% of the pool's spread.
 
-Before any timing, ``kneighbors_rows`` must be bit-identical to a full
+Before any timing, the brute-force search must be bit-identical to a full
 stable ``argsort`` of each distance row — the (squared distance, pool
 index) tie rule — in indices and, after ``sqrt``, in distances.  The
 arms are timed in interleaved pairs with a best-of-N estimator, so a
@@ -55,19 +57,21 @@ def test_knn_select_speedup(dtype, classifier, classifier_f32, out_dir, smoke):
     cols = np.ascontiguousarray(pool.T)
     x = knn_queries(pool, QUERY_ROWS)
 
-    idx, dist = knn.kneighbors_rows(x)
+    idx, dist = knn._kneighbors_brute(x)
     d2 = _sq_distances(x, cols, knn.training_sq_norms)
     want = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    assert np.array_equal(idx, want), "kneighbors_rows left (squared distance, pool index) order"
+    assert np.array_equal(idx, want), (
+        "the brute-force search left (squared distance, pool index) order"
+    )
     assert np.array_equal(dist, np.sqrt(np.take_along_axis(d2, want, axis=1))), (
-        "kneighbors_rows distances are not the kernel's bits"
+        "the brute-force search's distances are not the kernel's bits"
     )
     ref_idx, _ = _partial_sort_kneighbors(x, cols, knn.training_sq_norms, k)
 
     repeats, calls = (SMOKE_REPEATS, SMOKE_CALLS) if smoke else (FULL_REPEATS, FULL_CALLS)
     masked, reference = best_of_pairs(
         [
-            lambda: knn.kneighbors_rows(x),
+            lambda: knn._kneighbors_brute(x),
             lambda: _partial_sort_kneighbors(x, cols, knn.training_sq_norms, k),
         ],
         repeats,
@@ -90,7 +94,7 @@ def test_knn_select_speedup(dtype, classifier, classifier_f32, out_dir, smoke):
     emit(out_dir, f"BENCH_knn_select_{dtype}.json", json.dumps(payload, indent=2, sort_keys=True))
 
     assert speedup >= MIN_SPEEDUP, (
-        f"{dtype} kneighbors_rows {speedup:.2f}x the partial-sort selection, below the "
+        f"{dtype} brute-force search {speedup:.2f}x the partial-sort selection, below the "
         f"{MIN_SPEEDUP:.1f}x floor ({masked * 1e6:.1f} vs {reference * 1e6:.1f} us per "
         f"{QUERY_ROWS}-row call)"
     )

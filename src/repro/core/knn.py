@@ -20,8 +20,22 @@ its kernel (and so its summation order) by operand shape, while the
 column accumulation has one fixed order, so a row's distances — and
 its neighbors and vote — are bit-identical whatever batch it arrives in.
 With ``q = 2`` PCA components that is two fused passes, not a scalar
-loop.  This is the only neighbor search in the package; the sequential,
-batched and streaming classify paths all run it.
+loop.
+
+The sequential, batched and streaming classify paths all search through
+:meth:`KNeighborsClassifier.kneighbors_rows`, which has two routes with
+one result.  The blocked brute force above is the reference; it is the
+whole search for float32 models and for calls under
+:data:`TREE_MIN_ROWS` rows.  A float64 call of at least that many rows
+takes the tree route: a ``scipy.spatial.cKDTree`` built at fit time proposes
+``k +`` :data:`TREE_SURPLUS` candidates per row, and the kernel above
+decides — it recomputes the candidates' squared distances in its own
+element order, ranks them under the tie rule below, and keeps a row only
+if its k-th distance plus a rounding margin is below its farthest
+candidate's.  Every point the tree did not propose is then provably
+farther than the k-th neighbor, so the neighbors and distance bits are
+the brute-force ones; any row that cannot be proved that way goes to
+the brute-force search.
 
 Top-k selection is k passes of ``argmin`` over each distance row, each
 pass overwriting the entry it chose with ``+inf``.  ``argmin`` returns
@@ -44,6 +58,7 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .preprocessing import _check_matrix
 
@@ -55,6 +70,29 @@ DEFAULT_CHUNK_SIZE: int = 2048
 #: outer-product temporary (the two buffers of a thread's workspace)
 #: take twice this, 1.5 MiB, which stays in a 2 MiB or larger L2.
 BLOCK_BYTES: int = 768 * 1024
+
+#: Fewest query rows for which a float64 search takes the tree route.
+#: Below it a call's fixed cost (the tree query's setup, about 20 us,
+#: and some twenty small array operations) outweighs what the tree
+#: saves over the brute-force block.  Against the Table-2 pool, on
+#: Table-3 rows, out-of-distribution rows and jittered pool rows, the
+#: tree route ran 0.89-0.98x brute force at 8 rows per call, 1.02-1.10x
+#: at 16, 1.05-1.63x at 32 and 1.17-1.42x at 128; 32 is the smallest
+#: size that won on all three with room for noise.
+TREE_MIN_ROWS: int = 32
+
+#: Candidates the tree proposes per query row beyond the k neighbors.
+#: A row is kept only if its k-th neighbor is clearly nearer than its
+#: farthest candidate, so the surplus absorbs ties at the k-th place
+#: (duplicated training snapshots) without sending the row to the
+#: brute-force fallback.
+TREE_SURPLUS: int = 3
+
+# Rounding margin of the tree route, in units of ε·(‖a‖² + max‖b‖²):
+# four times a generous bound on the error of either distance
+# computation (see KNeighborsClassifier._kneighbors_tree).
+_MARGIN_ULPS = 1024
+_F64 = np.finfo(np.float64)
 
 
 def rowwise_sq_distances(
@@ -136,6 +174,32 @@ def _sq_distances(
     return d2
 
 
+def _candidate_sq_distances(
+    a: np.ndarray, b_cols: np.ndarray, bb: np.ndarray, cand: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_sq_distances` at chosen pool points only, bit for bit.
+
+    dtype: preserve
+
+    *a* is ``(m, q)``, *b_cols* and *bb* the pool's columns and squared
+    norms as for :func:`_sq_distances`, *cand* an ``(m, c)`` array of
+    pool indices.  Returns the clamped ``(m, c)`` squared distances of
+    each row to its candidates, and the rows' ``(m,)`` squared norms.
+    Entry ``[i, t]`` is computed with the same roundings in the same
+    order as ``_sq_distances(a, b_cols, bb)[i, cand[i, t]]``:
+    ``(−2a₀)·b₀ + (−2a₁)·b₁ + … + ‖a‖² + ‖b‖²``, then clamped at 0.
+    """
+    scaled = a * -2.0
+    d2 = scaled[:, :1] * b_cols[0][cand]
+    for j in range(1, a.shape[1]):
+        d2 += scaled[:, j : j + 1] * b_cols[j][cand]
+    aa = np.einsum("ij,ij->i", a, a)
+    d2 += aa[:, None]
+    d2 += bb[cand]
+    np.maximum(d2, 0.0, out=d2)
+    return d2, aa
+
+
 class KNeighborsClassifier:
     """Vote-of-k-nearest-neighbors classifier.
 
@@ -171,19 +235,23 @@ class KNeighborsClassifier:
         self._classes: np.ndarray | None = None
         self._sq_norms: np.ndarray | None = None
         self._cols: np.ndarray | None = None
+        # Candidate index of a float64 pool (see _kneighbors_tree).
+        self._tree: cKDTree | None = None
         # Per-thread distance workspace (see _workspace).
         self._local = threading.local()
 
     def __getstate__(self) -> dict:
-        """Pickle the fitted model without the per-thread workspace."""
+        """Pickle the fitted model without the per-thread workspace or tree."""
         state = self.__dict__.copy()
         del state["_local"]
+        state.pop("_tree", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
-        """Restore a pickled model with an empty workspace."""
+        """Restore a pickled model with an empty workspace and a rebuilt tree."""
         self.__dict__.update(state)
         self._local = threading.local()
+        self._tree = self._build_tree()
 
     # ------------------------------------------------------------------
     # training
@@ -218,7 +286,21 @@ class KNeighborsClassifier:
         self._classes = np.unique(y)
         self._sq_norms = np.einsum("ij,ij->i", self._x, self._x)
         self._cols = np.ascontiguousarray(self._x.T)
+        self._tree = self._build_tree()
         return self
+
+    def _build_tree(self) -> cKDTree | None:
+        """The fitted pool's candidate tree, or ``None`` where it has no route.
+
+        Only a float64 pool of at least ``k +`` :data:`TREE_SURPLUS`
+        points gets one; float32 and smaller pools always search by
+        brute force.
+        """
+        if self._x is None or self._x.dtype != np.float64:
+            return None
+        if self._x.shape[0] < self.k + TREE_SURPLUS:
+            return None
+        return cKDTree(self._x)
 
     @property
     def fitted(self) -> bool:
@@ -372,22 +454,36 @@ class KNeighborsClassifier:
         distances instead of silently upcasting), and the pool's columns
         and ``‖b‖²`` term come from the per-fit cache.
 
-        The queries are searched in blocks of :attr:`block_rows` rows,
-        each assembled in the calling thread's reused workspace (two
-        ``(block_rows, n)`` buffers, at most 2 × :data:`BLOCK_BYTES`
-        unless one pool row alone is larger), so concurrent calls from
-        different threads are safe.  Distances are the
-        :func:`rowwise_sq_distances` formula, bit for bit, and top-k
-        selection (k masked ``argmin`` passes) is row-wise, so row *i*'s
-        neighbors are bit-identical whether it arrives alone, inside a
-        drained batch, or in a stacked fleet — and wherever a block
-        boundary or *chunk_size* splits the queries.
+        A float64 call of at least :data:`TREE_MIN_ROWS` rows takes the
+        tree route (:meth:`_kneighbors_tree`); every other call, and
+        every row the tree route cannot verify, takes the blocked
+        brute-force search (:meth:`_kneighbors_brute`).  The two give
+        the same neighbors and distance bits, so row *i*'s result is
+        bit-identical whether it arrives alone, inside a drained batch,
+        or in a stacked fleet — and wherever a block boundary or
+        *chunk_size* splits the queries.
         """
         if self._x is None:
             raise RuntimeError("classifier not fitted")
         x = _check_matrix(x, dtype=self._x.dtype)
         if x.shape[1] != self._x.shape[1]:
             raise ValueError(f"dimension mismatch: {x.shape[1]} vs {self._x.shape[1]}")
+        if self._tree is not None and x.shape[0] >= TREE_MIN_ROWS:
+            return self._kneighbors_tree(x)
+        return self._kneighbors_brute(x)
+
+    def _kneighbors_brute(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The blocked brute-force search: the reference and the fallback.
+
+        *x* is a checked ``(m, q)`` query matrix at the pool's dtype.
+        The queries are searched in blocks of :attr:`block_rows` rows,
+        each assembled in the calling thread's reused workspace (two
+        ``(block_rows, n)`` buffers, at most 2 × :data:`BLOCK_BYTES`
+        unless one pool row alone is larger), so concurrent calls from
+        different threads are safe.  Distances are the
+        :func:`rowwise_sq_distances` formula, bit for bit, and top-k
+        selection (k masked ``argmin`` passes) is row-wise.
+        """
         m = x.shape[0]
         indices = np.empty((m, self.k), dtype=np.int64)
         distances = np.empty((m, self.k), dtype=self._x.dtype)
@@ -397,6 +493,65 @@ class KNeighborsClassifier:
             stop = min(start + rows, m)
             d2 = _sq_distances(x[start:stop], self._cols, self._sq_norms, out, tmp)
             self._topk_into(d2, indices[start:stop], distances[start:stop])
+        return indices, distances
+
+    def _kneighbors_tree(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The float64 tree route: the tree proposes, the kernel decides.
+
+        dtype: float64
+
+        *x* is a checked float64 ``(m, q)`` query matrix.  The pool's
+        ``cKDTree`` proposes the ``k +`` :data:`TREE_SURPLUS` nearest
+        candidates of each row, and :func:`_candidate_sq_distances`
+        recomputes their squared distances in :func:`_sq_distances`'
+        element order, ``(−2a₀)·b₀ + (−2a₁)·b₁ + … + ‖a‖² + ‖b‖²``
+        clamped at 0, so each is the brute-force kernel's value, bit
+        for bit.  The top k are the ones the k masked ``argmin``
+        passes would pick: the candidates are sorted by (squared
+        distance, pool index), so among equal distances the lowest pool
+        index comes first, the module's tie rule.
+
+        Why a kept row is exact: let *D* be the true squared distance,
+        *D̂* the kernel's and *D̃* the tree's, and
+        ``e = 256·ε·(‖a‖² + max‖b‖²)``.  Both computations round a
+        handful of terms, each at most ``‖a‖² + max‖b‖²`` in size (the
+        tree also updates its pruning bounds once per level), so
+        ``|D̂ − D| ≤ e`` and ``|D̃ − D| ≤ e`` with a wide safety factor
+        for pools of a few dimensions and a tree of a few dozen levels.
+        A pool point *p* the tree did not propose has ``D̃(p)`` (or its
+        pruned node's bound) at least the largest candidate's ``D̃``,
+        so ``D̂(p) ≥ max D̂(candidates) − 4e``.  A row is kept only if
+        its k-th candidate ``D̂`` plus the margin ``4e`` (and the
+        smallest normal float, for underflow) is below its largest
+        candidate ``D̂``; then every point outside the candidates is
+        strictly farther than the k-th neighbor, and the kernel's top k
+        over the whole pool — ordered by (``D̂``, pool index) — are the
+        top k over the candidates.  Every other row (a tie spanning
+        all candidates, or magnitudes so large that the margin swamps
+        the gaps) is searched again by :meth:`_kneighbors_brute`,
+        whose per-row results do not depend on the batch.
+        """
+        k = self.k
+        _, cand = self._tree.query(x, k=k + TREE_SURPLUS)
+        d2, aa = _candidate_sq_distances(x, self._cols, self._sq_norms, cand)
+        # Complex numbers sort by real part, then imaginary part, so one
+        # sort of (squared distance + i·pool index) orders the candidates
+        # by (squared distance, pool index): the order the k masked
+        # argmin passes pick in.  Both parts are exact (pool indices are
+        # far below 2⁵³).
+        keyed = np.empty(cand.shape, dtype=np.complex128)
+        keyed.real = d2
+        keyed.imag = cand
+        keyed.sort(axis=1)
+        indices = keyed.imag[:, :k].astype(np.int64)
+        distances = keyed.real[:, :k].copy()
+        margin = (_MARGIN_ULPS * _F64.eps) * (aa + self._sq_norms.max()) + _F64.tiny
+        # Written so that a NaN or +inf (overflowed) row fails the test.
+        verified = distances[:, -1] + margin < keyed.real[:, -1]
+        np.sqrt(distances, out=distances)
+        if not verified.all():
+            redo = np.flatnonzero(~verified)
+            indices[redo], distances[redo] = self._kneighbors_brute(x[redo])
         return indices, distances
 
     def predict_rows(self, x: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import NotTrainedError
-from ..metrics.catalog import metric_indices
 from ..monitoring.multicast import MetricAnnouncement, MulticastChannel
 from ..obs import (
     counter as obs_counter,
@@ -154,13 +153,10 @@ class OnlineClassifier:
         channel: MulticastChannel | object,
         nodes: list[str] | None = None,
     ) -> None:
-        if not classifier.trained:
-            raise NotTrainedError("online classification requires a trained classifier")
         self.classifier = classifier
         self.channel = channel
         self._allow = set(nodes) if nodes is not None else None
         self._states: dict[str, NodeClassificationState] = {}
-        self._selector_names = classifier.preprocessor.selector.names
         # Bound-method access creates a fresh object each time; keep one
         # reference so unsubscribe can match it by identity.
         self._callback = self._on_announcement
@@ -184,18 +180,24 @@ class OnlineClassifier:
         is an ingest plane and announcements are consumed in drained
         batches via :meth:`pump`.
 
-        The selector's metric-index array is (re)computed here, once per
-        attachment, so the per-announcement path never touches the
-        catalog.  Node state accumulated before a detach is kept — a
-        re-attached classifier resumes its rolling compositions.
+        The classifier's selected-metric index (computed once, at train
+        time) is read here, once per attachment, so the per-announcement
+        path never touches the catalog and a classifier retrained while
+        detached is followed on re-attach.  Node state accumulated
+        before a detach is kept — a re-attached classifier resumes its
+        rolling compositions.
 
         Raises
         ------
+        NotTrainedError
+            If the classifier is untrained.
         TypeError
             If the source is neither a channel nor an ingest plane.
         """
         if self._attached:
             return
+        if not self.classifier.trained:
+            raise NotTrainedError("online classification requires a trained classifier")
         push_source = hasattr(self.channel, "subscribe")
         if not push_source and not hasattr(self.channel, "drain"):
             raise TypeError(
@@ -203,7 +205,7 @@ class OnlineClassifier:
                 "or an ingest plane (drain), got "
                 f"{type(self.channel).__name__}"
             )
-        self._metric_idx = np.asarray(metric_indices(self._selector_names), dtype=np.intp)
+        self._metric_idx = self.classifier._metric_idx
         if push_source:
             self.channel.subscribe(self._callback)
         self._attached = True

@@ -148,6 +148,9 @@ class ApplicationClassifier:
         # tolerance mode's one-pass projection).
         self.fused_weights_: np.ndarray | None = None
         self.fused_bias_: np.ndarray | None = None
+        # The selected metrics' catalog rows, fixed at train time, so a
+        # classify call never walks the catalog.
+        self._metric_idx: np.ndarray | None = None
         # Cached observability instrument handles, keyed by
         # (registry, generation); see _obs_instruments().
         self._obs_cache: tuple | None = None
@@ -212,6 +215,7 @@ class ApplicationClassifier:
             raise ValueError("training data must cover at least 2 classes")
         series_list = [series for series, _ in training_data]
         self.preprocessor.fit(series_list)
+        self._metric_idx = np.asarray(metric_indices(self.preprocessor.selector.names), dtype=np.intp)
         features = []
         y = []
         for series, label in training_data:
@@ -360,7 +364,7 @@ class ApplicationClassifier:
         # yields per run, and in float32 the same rounding its cast
         # applies.
         t = clock()
-        idx_cols = np.asarray(metric_indices(self.preprocessor.selector.names), dtype=np.intp)
+        idx_cols = self._metric_idx
         lengths = [s.matrix.shape[1] for s in series_list]
         offsets = [0]
         for m in lengths:

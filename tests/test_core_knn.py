@@ -9,7 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.knn import BLOCK_BYTES, KNeighborsClassifier, rowwise_sq_distances
+from repro.core.knn import (
+    BLOCK_BYTES,
+    TREE_MIN_ROWS,
+    TREE_SURPLUS,
+    KNeighborsClassifier,
+    rowwise_sq_distances,
+)
 
 
 def three_clusters(per=30, seed=0):
@@ -314,22 +320,25 @@ class TestBlockedSearch:
         assert np.array_equal(idx, want)
         assert np.array_equal(dist, np.sqrt(np.take_along_axis(d2, want, axis=1)))
 
+    # The workspace belongs to the brute-force search; float64 calls of
+    # TREE_MIN_ROWS rows or more take the tree route, so the workspace
+    # tests drive the brute route directly.
     def test_workspace_is_reused_across_calls(self):
         knn = self.fitted(327)
         x = np.random.default_rng(2).normal(size=(700, 2))
-        knn.kneighbors_rows(x)
+        knn._kneighbors_brute(x)
         first = knn._local.work
         assert first.shape == (2, 300, 327)
-        knn.kneighbors_rows(x[:1])
-        knn.kneighbors_rows(x)
+        knn._kneighbors_brute(x[:1])
+        knn._kneighbors_brute(x)
         assert knn._local.work is first
 
     def test_small_calls_allocate_small_and_grow_to_a_block(self):
         knn = self.fitted(327)
         x = np.random.default_rng(3).normal(size=(400, 2))
-        knn.kneighbors_rows(x[:10])
+        knn._kneighbors_brute(x[:10])
         assert knn._local.work.shape == (2, 10, 327)
-        knn.kneighbors_rows(x)
+        knn._kneighbors_brute(x)
         assert knn._local.work.shape == (2, 300, 327)
 
     @pytest.mark.parametrize(
@@ -339,7 +348,7 @@ class TestBlockedSearch:
         n, dtype = refit
         knn = self.fitted(327)
         x = np.random.default_rng(4).normal(size=(350, 2))
-        knn.kneighbors_rows(x)
+        knn._kneighbors_brute(x)
         other = self.fitted(n, dtype, seed=9)
         knn.fit(other.training_points, other.training_labels)
         # Few enough rows that the old workspace is not too small.
@@ -370,7 +379,9 @@ class TestBlockedSearch:
         n_threads = 2 * (os.cpu_count() or 1) + 2
         jobs = []
         for t in range(n_threads):
-            sizes = [1 + t, knn.block_rows + t, 3 * knn.block_rows + 2 * t + 1]
+            # Float64 calls of TREE_MIN_ROWS rows or more take the tree
+            # route, the others the blocked brute force.
+            sizes = [1 + t, knn.block_rows + t, TREE_MIN_ROWS + t, 3 * knn.block_rows + 2 * t + 1]
             batches = [rng.normal(size=(m, 2)).astype(dtype) for m in sizes]
             jobs.append([(x, knn.kneighbors_rows(x)) for x in batches])
         deadline = time.monotonic() + 1.5
@@ -399,6 +410,144 @@ class TestBlockedSearch:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
+
+
+class TestTreeRoute:
+    """Float64 calls of TREE_MIN_ROWS rows or more: the tree proposes, the kernel decides."""
+
+    @staticmethod
+    def fitted(n=327, dtype=np.float64, seed=0):
+        rng = np.random.default_rng(seed)
+        pool = rng.normal(size=(n, 2)).astype(dtype)
+        pool[::10] = pool[0]  # duplicated snapshots, as in the fitted score space
+        return KNeighborsClassifier(k=3).fit(pool, rng.integers(0, 5, n))
+
+    @staticmethod
+    def spy(knn, name):
+        """Count the rows each call of the route *name* receives."""
+        rows = []
+        route = getattr(knn, name)
+
+        def counted(x):
+            rows.append(len(x))
+            return route(x)
+
+        setattr(knn, name, counted)
+        return rows
+
+    @staticmethod
+    def assert_same(got, want):
+        """Same neighbor indices and distance bits."""
+        bits = f"u{want[1].itemsize}"
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1].view(bits), want[1].view(bits))
+
+    def test_route_is_chosen_by_dtype_and_row_count(self):
+        x = np.random.default_rng(1).normal(size=(TREE_MIN_ROWS, 2))
+        f64, f32 = self.fitted(), self.fitted(dtype=np.float32)
+        tree64, tree32 = self.spy(f64, "_kneighbors_tree"), self.spy(f32, "_kneighbors_tree")
+        f64.kneighbors_rows(x[:-1])
+        f64.kneighbors_rows(x)
+        f32.kneighbors_rows(x)
+        assert tree64 == [TREE_MIN_ROWS]
+        assert tree32 == []
+
+    @pytest.mark.parametrize("n", [TREE_SURPLUS + 3, 50, 327, 2000])
+    def test_tree_route_matches_brute_force_bits(self, n):
+        knn = self.fitted(n)
+        rng = np.random.default_rng(n)
+        pool = knn.training_points
+        x = np.vstack(
+            [
+                pool[rng.integers(0, n, 100)],  # exact hits, ties among duplicates
+                pool[rng.integers(0, n, 100)] + rng.normal(scale=1e-9, size=(100, 2)),
+                rng.uniform(-1e4, 1e4, size=(100, 2)),  # far out of distribution
+            ]
+        )
+        fallback = self.spy(knn, "_kneighbors_brute")
+        got = knn.kneighbors_rows(x)
+        del knn._kneighbors_brute
+        self.assert_same(got, knn._kneighbors_brute(x))
+        assert sum(fallback) < len(x)
+
+    def test_unverifiable_rows_fall_back_to_brute_force(self):
+        # Seven copies of one far point: a query on it has all k + 3
+        # candidates at distance 0, so no candidate set proves its top k.
+        rng = np.random.default_rng(8)
+        pool = rng.normal(size=(327, 2))
+        pool[:7] = 50.0
+        knn = KNeighborsClassifier(k=3).fit(pool, rng.integers(0, 5, 327))
+        x = np.vstack([pool[:3], rng.normal(size=(TREE_MIN_ROWS, 2))])
+        fallback = self.spy(knn, "_kneighbors_brute")
+        got = knn.kneighbors_rows(x)
+        assert fallback == [3]
+        del knn._kneighbors_brute
+        self.assert_same(got, knn._kneighbors_brute(x))
+
+    def test_huge_magnitudes_fall_back_to_brute_force(self):
+        # A pool far from the origin: the expansion's rounding swamps the
+        # gaps between candidates, so every row is searched again.
+        knn = self.fitted()
+        knn.fit(knn.training_points + 1e9, knn.training_labels)
+        x = knn.training_points[:TREE_MIN_ROWS] + 1e-3
+        fallback = self.spy(knn, "_kneighbors_brute")
+        got = knn.kneighbors_rows(x)
+        assert fallback == [TREE_MIN_ROWS]
+        del knn._kneighbors_brute
+        self.assert_same(got, knn._kneighbors_brute(x))
+
+    def test_pools_under_k_plus_surplus_have_no_tree(self):
+        x, y = three_clusters(per=2)
+        enough = 3 + TREE_SURPLUS
+        assert KNeighborsClassifier(k=3).fit(x[:enough], y[:enough])._tree is not None
+        small = KNeighborsClassifier(k=3).fit(x[: enough - 1], y[: enough - 1])
+        assert small._tree is None
+        probes = np.random.default_rng(2).normal(size=(TREE_MIN_ROWS, 2))
+        self.assert_same(small.kneighbors_rows(probes), small._kneighbors_brute(probes))
+
+    def test_refit_float64_to_float32_drops_the_tree(self):
+        knn = self.fitted()
+        assert knn._tree is not None
+        other = self.fitted(dtype=np.float32, seed=3)
+        knn.fit(other.training_points, other.training_labels)
+        assert knn._tree is None
+        x = np.random.default_rng(4).normal(size=(TREE_MIN_ROWS, 2)).astype(np.float32)
+        self.assert_same(knn.kneighbors_rows(x), other.kneighbors_rows(x))
+        knn.fit(knn.training_points.astype(np.float64), knn.training_labels)
+        assert knn._tree is not None
+
+    def test_pickle_round_trip_rebuilds_the_tree(self):
+        knn = self.fitted()
+        x = np.random.default_rng(5).normal(size=(200, 2))
+        before = knn.kneighbors_rows(x)
+        state = knn.__getstate__()
+        assert "_tree" not in state and "_local" not in state
+        clone = pickle.loads(pickle.dumps(knn))
+        assert clone._tree is not None
+        self.assert_same(clone.kneighbors_rows(x), before)
+
+    def test_state_without_a_tree_unpickles_with_one(self):
+        # The state a model pickled before the tree route existed: every
+        # attribute but the workspace, and no ``_tree`` key.
+        knn = self.fitted()
+        x = np.random.default_rng(6).normal(size=(200, 2))
+        state = {key: value for key, value in vars(knn).items() if key not in ("_local", "_tree")}
+        old = KNeighborsClassifier.__new__(KNeighborsClassifier)
+        old.__setstate__(state)
+        assert old._tree is not None
+        self.assert_same(old.kneighbors_rows(x), knn.kneighbors_rows(x))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_queries_raise_the_same_error_on_both_routes(self, bad):
+        knn = self.fitted()
+        x = np.random.default_rng(7).normal(size=(TREE_MIN_ROWS, 2))
+        x[TREE_MIN_ROWS // 2, 1] = bad
+        messages = []
+        for rows in (x[TREE_MIN_ROWS // 2 : TREE_MIN_ROWS // 2 + 1], x):
+            with pytest.raises(ValueError) as info:
+                knn.kneighbors_rows(rows)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == "matrix contains non-finite values"
 
 
 class TestCancellationClamp:

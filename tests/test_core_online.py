@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.labels import SnapshotClass
+from repro.errors import NotTrainedError
 from repro.core.online import NodeClassificationState, OnlineClassifier
 from repro.core.pipeline import ApplicationClassifier
 from repro.monitoring.multicast import MetricAnnouncement, MulticastChannel
@@ -215,23 +216,27 @@ class TestAttachDetachLifecycle:
             online.state("VM1")
 
     def test_metric_indices_hoisted_to_attach(self, trained, monkeypatch):
-        """The announcement path never recomputes catalog lookups."""
-        import repro.core.online as online_mod
+        """Attach reads the classifier's train-time index; nothing recomputes it."""
+        import repro.core.pipeline as pipeline_mod
 
-        calls = []
-        real = online_mod.metric_indices
+        def forbidden(_names):
+            raise AssertionError("metric_indices called after training")
 
-        def counting(names):
-            calls.append(tuple(names))
-            return real(names)
-
-        monkeypatch.setattr(online_mod, "metric_indices", counting)
+        monkeypatch.setattr(pipeline_mod, "metric_indices", forbidden)
         channel = MulticastChannel()
         online = OnlineClassifier(trained, channel)
-        assert len(calls) == 1  # once, at construction-time attach
+        assert online._metric_idx is trained._metric_idx
         for t in range(5):
             announce_kind(channel, "VM1", float(t), "cpu")
-        assert len(calls) == 1  # streaming adds no lookups
         online.detach()
         online.attach()
-        assert len(calls) == 2  # re-attach recomputes exactly once
+        assert online._metric_idx is trained._metric_idx
+        assert online.state("VM1").snapshots_seen == 5
+
+    def test_attach_requires_a_trained_classifier(self, trained):
+        online = OnlineClassifier(trained, MulticastChannel())
+        online.detach()
+        online.classifier = ApplicationClassifier()
+        with pytest.raises(NotTrainedError):
+            online.attach()
+        assert not online.attached

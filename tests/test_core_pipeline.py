@@ -8,6 +8,7 @@ from repro.core.pipeline import ApplicationClassifier, StageTimings
 from repro.core.preprocessing import MetricSelector
 from repro.metrics.catalog import NUM_METRICS, metric_index
 from repro.metrics.series import SnapshotSeries
+from repro.serve.batch import BatchClassifier
 
 
 def synthetic_series(kind: str, m=40, seed=0, node="VM1") -> SnapshotSeries:
@@ -133,6 +134,23 @@ class TestClassification:
         raw = series.feature_matrix(trained.preprocessor.selector.names)
         preds = trained.classify_rows(raw)
         assert (preds == int(SnapshotClass.CPU)).mean() > 0.9
+
+    def test_classify_does_not_walk_the_catalog(self, trained, monkeypatch):
+        # The selected-metric index is fixed at train time; classify
+        # calls read it, and the results are the classify_rows bits.
+        series = [synthetic_series(kind, seed=30 + i) for i, kind in enumerate(("cpu", "io", "net"))]
+        names = trained.preprocessor.selector.names
+        raw = [s.feature_matrix(names) for s in series]
+
+        def forbidden(_names):
+            raise AssertionError("metric_indices called on the classify path")
+
+        monkeypatch.setattr("repro.core.pipeline.metric_indices", forbidden)
+        results = [trained.classify_series(series[0])] + BatchClassifier(trained).classify_batch(series)
+        for result, x in zip(results, raw[:1] + raw):
+            scores = trained.project_rows(trained.normalize_rows(x))
+            assert np.array_equal(result.scores.view(np.uint64), scores.view(np.uint64))
+            assert np.array_equal(result.class_vector, trained.classify_rows(x))
 
     def test_custom_selector(self):
         clf = ApplicationClassifier(
