@@ -51,6 +51,12 @@ scores' float dtype (float64 reference mode or float32 tolerance mode)
 and queries, distance buffers, and vote accumulators all follow it.
 Tie-breaking is deterministic: among tied vote counts, the class with
 the smaller summed neighbor distance wins, then the smaller class code.
+For the paper's unweighted ``k = 3`` the vote takes the closed form of
+that rule — three equal labels win, else the pair, else the least
+(distance, class code) — in a handful of whole-column operations; the
+counting vote (a ``bincount``, an ``np.add.at`` and a loop over the
+classes) stays the reference, and still serves other *k*, the weighted
+ablation, and three-way ties with a NaN distance.
 """
 
 from __future__ import annotations
@@ -570,32 +576,79 @@ class KNeighborsClassifier:
 
         This is the voting half of :meth:`predict_rows`, public so that
         tracing and cost accounting can time it apart from the neighbor
-        search.  Every voting rule — unweighted majority, the weighted
-        ablation, and the deterministic tie-breaks — operates
-        row-independently, so voting on stacked rows is bit-identical
-        to voting per run.
+        search.  The rule: most votes win; among tied vote counts the
+        class with the smaller summed neighbor distance wins, then the
+        smaller class code.  The paper's unweighted ``k = 3`` takes the
+        closed form of that rule (:meth:`_vote3`); ``k != 3`` and the
+        weighted ablation count votes per class
+        (:meth:`_vote_counting`, :meth:`_predict_weighted`).  Every
+        form operates row-independently, so voting on stacked rows is
+        bit-identical to voting per run.  The returned array is freshly
+        allocated.
         """
         if self._y is None:
             raise RuntimeError("classifier not fitted")
+        if self.weighted:
+            return self._predict_weighted(self._y[indices], distances, int(self._y.max()) + 1)
+        if self.k == 3:
+            return self._vote3(indices, distances)
+        return self._vote_counting(indices, distances)
+
+    def _vote3(self, indices: np.ndarray, distances: np.ndarray) -> np.ndarray:
+        """The unweighted ``k = 3`` vote in closed form.
+
+        With three neighbors the counting rule of :meth:`vote` reduces
+        to: three equal labels win; otherwise a pair wins (two votes
+        beat one); otherwise each class has one vote and a summed
+        distance that is its one neighbor's, so the least (distance,
+        class code) wins.  Nothing here assumes the distances are
+        sorted.  Three distinct labels are rare on real traffic (0.2% of
+        the out-of-distribution rows of a synthetic fleet), so only
+        those rows are gathered for the distance comparison.  Of them,
+        a row holding a NaN distance goes to :meth:`_vote_counting`: the
+        counting loop's comparisons are false against NaN, so its answer
+        there depends on the order it visits the classes in.  (Where a
+        pair or three agree, votes alone decide, NaN or not.)
+        """
+        labels = self._y[indices]
+        l0, l1, l2 = labels[:, 0], labels[:, 1], labels[:, 2]
+        # Three equal, or any pair: l1 == l2 alone leaves l0 the odd one
+        # out, and otherwise l0 is in the pair if there is one.
+        best = np.where(l1 == l2, l1, l0)
+        distinct = np.flatnonzero((l1 != l2) & (l0 != l1) & (l0 != l2))
+        if distinct.size:
+            lab, dist = labels[distinct], distances[distinct]
+            near, near_d = lab[:, 0], dist[:, 0]
+            for j in (1, 2):
+                take = (dist[:, j] < near_d) | ((dist[:, j] == near_d) & (lab[:, j] < near))
+                near = np.where(take, lab[:, j], near)
+                near_d = np.where(take, dist[:, j], near_d)
+            best[distinct] = near
+            redo = distinct[np.isnan(dist).any(axis=1)]
+            if redo.size:
+                best[redo] = self._vote_counting(indices[redo], distances[redo])
+        return best
+
+    def _vote_counting(self, indices: np.ndarray, distances: np.ndarray) -> np.ndarray:
+        """The unweighted vote for any *k*, by counting votes per class.
+
+        One ``bincount`` of (row, class) keys counts the votes, one
+        ``np.add.at`` sums each class's neighbor distances at the
+        distances' dtype, and a loop over the classes keeps the best of
+        (most votes, smallest distance sum), the first class winning
+        exact ties.
+        """
         neighbor_labels = self._y[indices]  # (m, k)
         m = neighbor_labels.shape[0]
         n_classes = int(self._y.max()) + 1
-        if self.weighted:
-            return self._predict_weighted(neighbor_labels, distances, n_classes)
-        # Vote counts per class, vectorized with a bincount over flattened
-        # (row, class) keys.
         keys = (np.arange(m)[:, None] * n_classes + neighbor_labels).ravel()
         votes = np.bincount(keys, minlength=m * n_classes).reshape(m, n_classes)
-        # Distance sums per class (tie-break 1: smaller total distance),
-        # accumulated at the model's compute dtype (float64 path unchanged).
         dist_sums = np.zeros((m, n_classes), dtype=distances.dtype)
         np.add.at(
             dist_sums,
             (np.repeat(np.arange(m), self.k), neighbor_labels.ravel()),
             distances.ravel(),
         )
-        # Rank: most votes, then smallest distance sum, then smallest code.
-        # Compose a sortable score; votes dominate, then negative distance.
         best = np.full(m, -1, dtype=np.int64)
         best_votes = np.full(m, -1, dtype=np.int64)
         best_dist = np.full(m, np.inf, dtype=distances.dtype)

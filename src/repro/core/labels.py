@@ -140,6 +140,25 @@ def majority_vote(classes: np.ndarray) -> SnapshotClass:
     return ClassComposition.from_class_vector(classes).dominant()
 
 
+#: Idle share bounds of the paper's interactive category: a composition
+#: with ``IDLE_MIX_LOW <= idle < IDLE_MIX_HIGH`` is "Idle + Others".
+IDLE_MIX_LOW: float = 0.15
+IDLE_MIX_HIGH: float = 0.9
+
+#: The application category of a composition outside the interactive
+#: band, by dominant class code.
+DOMINANT_CATEGORIES: tuple[str, ...] = (
+    "Idle",
+    "IO & Paging Intensive",
+    "CPU Intensive",
+    "Network Intensive",
+    "IO & Paging Intensive",
+)
+
+#: The interactive category: substantial idle mixed with real activity.
+INTERACTIVE_CATEGORY: str = "Idle + Others"
+
+
 def application_category(
     composition: ClassComposition, dominant: SnapshotClass | None = None
 ) -> str:
@@ -148,19 +167,14 @@ def application_category(
     IO and MEM merge into "IO & Paging Intensive"; applications with a
     substantial idle share and a mix of other activity are the paper's
     "Idle + Others" interactive category.  Callers that already computed
-    the composition's dominant class (the batched serving kernel does,
-    for a whole fleet at once) may pass it to skip the re-derivation; it
-    must equal ``composition.dominant()``.
+    the composition's dominant class may pass it to skip the
+    re-derivation; it must equal ``composition.dominant()``.  The
+    stacked classify kernel applies the same two tables
+    (:data:`IDLE_MIX_LOW`/:data:`IDLE_MIX_HIGH` and
+    :data:`DOMINANT_CATEGORIES`) to a whole fleet at once.
     """
-    # Interactive: substantial idle mixed with real activity.
-    if composition.idle >= 0.15 and composition.idle < 0.9:
-        return "Idle + Others"
+    if IDLE_MIX_LOW <= composition.idle < IDLE_MIX_HIGH:
+        return INTERACTIVE_CATEGORY
     if dominant is None:
         dominant = composition.dominant()
-    if dominant is SnapshotClass.CPU:
-        return "CPU Intensive"
-    if dominant in (SnapshotClass.IO, SnapshotClass.MEM):
-        return "IO & Paging Intensive"
-    if dominant is SnapshotClass.NET:
-        return "Network Intensive"
-    return "Idle"
+    return DOMINANT_CATEGORIES[dominant]

@@ -32,7 +32,15 @@ from ..obs import (
 from ..obs.context import PIPELINE_STAGE_NAMES
 from .config import ClassifierConfig
 from .knn import KNeighborsClassifier
-from .labels import ALL_CLASSES, ClassComposition, SnapshotClass, application_category
+from .labels import (
+    ALL_CLASSES,
+    DOMINANT_CATEGORIES,
+    IDLE_MIX_HIGH,
+    IDLE_MIX_LOW,
+    INTERACTIVE_CATEGORY,
+    ClassComposition,
+    SnapshotClass,
+)
 from .pca import PCA
 from .preprocessing import MetricSelector, Normalizer, Preprocessor
 
@@ -478,9 +486,13 @@ def _package_results(
     Compositions are fractions of integer counts — exact bookkeeping
     shared by both numeric modes, always at float64 — via one stacked
     bincount (identical by construction to per-run
-    ``ClassComposition.from_class_vector``) and one row-wise argmax
-    (identical to each composition's ``dominant()``).  Timings are left
-    for the kernel to fill in.
+    ``ClassComposition.from_class_vector``), one row-wise argmax
+    (identical to each composition's ``dominant()``), and the idle band
+    and dominant-class table of ``application_category`` applied to the
+    whole fleet.  Each result's ``class_vector`` and ``scores`` are its
+    rows of *class_vector_all* and *scores_all*: disjoint slices, not
+    copies, so those two arrays must be the call's own.  Timings are
+    left for the kernel to fill in.
     """
     n_classes = len(ALL_CLASSES)
     run_ids = np.repeat(np.arange(len(lengths)), lengths)
@@ -488,21 +500,19 @@ def _package_results(
         run_ids * n_classes + class_vector_all, minlength=len(lengths) * n_classes
     ).reshape(len(lengths), n_classes)
     fractions = counts / np.asarray(lengths, dtype=np.float64)[:, None]
-    dominant_codes = np.argmax(fractions, axis=1)
-    results: list[ClassificationResult] = []
-    for i, series in enumerate(series_list):
-        o, m = offsets[i], lengths[i]
-        composition = ClassComposition(fractions=tuple(fractions[i].tolist()))
-        app_class = SnapshotClass(int(dominant_codes[i]))
-        results.append(
-            ClassificationResult(
-                node=series.node,
-                num_samples=m,
-                class_vector=class_vector_all[o : o + m].copy(),
-                composition=composition,
-                application_class=app_class,
-                category=application_category(composition, dominant=app_class),
-                scores=scores_all[o : o + m].copy(),
-            )
+    idle = fractions[:, SnapshotClass.IDLE]
+    mixed = ((idle >= IDLE_MIX_LOW) & (idle < IDLE_MIX_HIGH)).tolist()
+    codes = np.argmax(fractions, axis=1).tolist()
+    rows = fractions.tolist()
+    return [
+        ClassificationResult(
+            node=series.node,
+            num_samples=m,
+            class_vector=class_vector_all[o : o + m],
+            composition=ClassComposition(fractions=tuple(rows[i])),
+            application_class=ALL_CLASSES[codes[i]],
+            category=INTERACTIVE_CATEGORY if mixed[i] else DOMINANT_CATEGORIES[codes[i]],
+            scores=scores_all[o : o + m],
         )
-    return results
+        for i, (series, o, m) in enumerate(zip(series_list, offsets, lengths))
+    ]

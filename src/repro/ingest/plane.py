@@ -257,8 +257,8 @@ class IngestPlane:
         late/duplicate checks, and two array-row writes — no Python
         object is created for the announcement.  An announcement with a
         NaN or infinite timestamp, or a *values* vector of any other
-        length, is dropped as ``invalid`` (counted in
-        :attr:`IngestStats.invalid` and under
+        length (a scalar included), is dropped as ``invalid`` (counted
+        in :attr:`IngestStats.invalid` and under
         ``ingest.announcements.dropped{reason="invalid"}``) and leaves
         the plane's timeline untouched.  While observability is
         on, each accepted announcement also mints a request-trace id and
@@ -307,6 +307,14 @@ class IngestPlane:
                     reason="late",
                 ).inc()
             return False
+        try:
+            sized = len(values) == NUM_METRICS
+        except TypeError:  # a scalar has no length
+            sized = False
+        if not sized:
+            # The ring's row write would broadcast a scalar or a
+            # length-1 vector over the row.
+            return self._drop_invalid(observed)
         trace_id = 0
         enqueued_s = 0.0
         if observed:
@@ -316,8 +324,8 @@ class IngestPlane:
         try:
             kept = ring.push(timestamp, values, trace_id, enqueued_s)
         except ValueError:
-            # A wrong-length vector fails the ring's row write before
-            # anything is buffered.
+            # Any other shape fails the ring's row write before anything
+            # is buffered.
             return self._drop_invalid(observed)
         if not kept and observed:
             obs_counter(

@@ -91,7 +91,9 @@ class AnnouncementRing:
         ``ValueError`` before anything else is written, so a failed push
         leaves the ring's entries, counters and newest timestamp as they
         were.  (A scalar or a length-1 vector broadcasts over the row
-        and is not caught: there is no shape check on this hot path.)
+        and is not caught: there is no shape check on this hot path.
+        :meth:`IngestPlane.push <repro.ingest.plane.IngestPlane.push>`
+        drops both before they get here.)
         A timestamp older than
         the newest buffered one is accepted — the ring re-sorts lazily
         on the next ordered read — so bounded network reordering never

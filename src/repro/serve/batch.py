@@ -32,7 +32,7 @@ from typing import Sequence
 from ..core.pipeline import ApplicationClassifier, ClassificationResult
 from ..errors import EmptySeriesError, NotTrainedError
 from ..metrics.series import SnapshotSeries
-from ..obs import counter as obs_counter, enabled as obs_enabled, span as obs_span
+from ..obs import enabled as obs_enabled, get_registry as obs_get_registry, span as obs_span
 
 __all__ = ["BatchClassifier"]
 
@@ -58,6 +58,30 @@ class BatchClassifier:
         if not classifier.trained:
             raise NotTrainedError("batch classification requires a trained classifier")
         self.classifier = classifier
+        # Cached counter handles, keyed by (registry, generation); see
+        # _obs_counters().
+        self._obs_cache: tuple | None = None
+
+    def _obs_counters(self) -> tuple:
+        """The ``serve.batch.runs``/``serve.batch.snapshots`` counters, cached per registry epoch.
+
+        Resolving a counter through the registry's get-or-create costs
+        more than incrementing it; the handles stay valid until the
+        registry is swapped or reset, both of which change the
+        ``(registry, generation)`` cache key, as in
+        :meth:`ApplicationClassifier._obs_instruments
+        <repro.core.pipeline.ApplicationClassifier._obs_instruments>`.
+        """
+        registry = obs_get_registry()
+        cache = self._obs_cache
+        if cache is not None and cache[0] is registry and cache[1] == registry.generation:
+            return cache[2]
+        counters = (
+            registry.counter("serve.batch.runs", help="Runs classified by classify_batch."),
+            registry.counter("serve.batch.snapshots", help="Snapshots classified by classify_batch."),
+        )
+        self._obs_cache = (registry, registry.generation, counters)
+        return counters
 
     def classify_batch(
         self, series_list: Sequence[SnapshotSeries]
@@ -113,10 +137,7 @@ class BatchClassifier:
         with obs_span("serve.batch.classify", clock=clf.clock):
             results, _, stage_seconds = clf._classify_stacked(series_list)
         if obs_enabled():
-            obs_counter("serve.batch.runs", help="Runs classified by classify_batch.").inc(
-                len(results)
-            )
-            obs_counter(
-                "serve.batch.snapshots", help="Snapshots classified by classify_batch."
-            ).inc(sum(r.num_samples for r in results))
+            runs_c, snapshots_c = self._obs_counters()
+            runs_c.inc(len(results))
+            snapshots_c.inc(sum(r.num_samples for r in results))
         return results, stage_seconds

@@ -261,6 +261,18 @@ class TestInvalidInput:
         assert batch.timestamps.tolist() == [1.0, 2.0]
         assert batch.values[:, 0].tolist() == [1.0, 2.0]
 
+    @pytest.mark.parametrize("bad", [7.0, np.float64(7.0), np.array(7.0), np.ones(1)])
+    def test_scalar_or_length_one_vector_dropped_not_broadcast(self, bad):
+        plane = IngestPlane()
+        plane.push("a", 1.0, np.full(NUM_METRICS, 1.0))
+        assert plane.push("a", 2.0, bad) is False
+        stats = plane.stats()
+        assert stats.invalid == 1
+        assert stats.received == 2
+        batch = plane.drain(flush=True)
+        assert batch.timestamps.tolist() == [1.0]
+        assert batch.values[0].tolist() == [1.0] * NUM_METRICS
+
     def test_invalid_drops_are_counted_under_their_reason(self):
         registry = obs.enable()
         try:

@@ -11,12 +11,15 @@ and the batch and per-run paths bitwise-equal scores, in both dtypes.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import ApplicationClassifier
+from repro.core.labels import ALL_CLASSES, ClassComposition, SnapshotClass, application_category
+from repro.core.pipeline import ApplicationClassifier, _package_results
 from repro.metrics.series import SnapshotSeries
 from repro.serve.batch import BatchClassifier
 
@@ -105,3 +108,55 @@ def test_four_paths_agree_bitwise(models, raw_pool, dtype, specs):
         assert np.array_equal(got.scores, want.scores)
         assert got.composition == want.composition
         assert got.application_class is want.application_class
+
+
+@st.composite
+def class_vector_fleets(draw):
+    """Per run, a class vector; some runs sit exactly on the idle band's edges.
+
+    A run of ``20·j`` snapshots with ``3·j`` or ``18·j`` of them IDLE has
+    an idle fraction of exactly 0.15 or 0.9, the two bounds of the
+    "Idle + Others" category.
+    """
+    vectors = []
+    for _ in range(draw(st.integers(1, 12))):
+        edge = draw(st.sampled_from([None, None, 0.15, 0.9]))
+        if edge is None:
+            codes = draw(st.lists(st.integers(0, len(ALL_CLASSES) - 1), min_size=1, max_size=60))
+        else:
+            j = draw(st.integers(1, 4))
+            idle = round(edge * 20) * j
+            busy = st.integers(1, len(ALL_CLASSES) - 1)
+            codes = [int(SnapshotClass.IDLE)] * idle + draw(
+                st.lists(busy, min_size=20 * j - idle, max_size=20 * j - idle)
+            )
+            codes = draw(st.permutations(codes))
+        vectors.append(np.asarray(codes, dtype=np.int64))
+    return vectors
+
+
+@given(vectors=class_vector_fleets())
+@settings(max_examples=100, deadline=None)
+def test_packaged_results_match_the_per_run_definitions(vectors):
+    """Fleet-wide packaging ≡ from_class_vector, dominant() and application_category per run."""
+    lengths = [len(v) for v in vectors]
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).tolist()
+    class_vector_all = np.concatenate(vectors)
+    scores_all = np.random.default_rng(len(class_vector_all)).normal(size=(len(class_vector_all), 2))
+    series_list = [SimpleNamespace(node=f"node{i}") for i in range(len(vectors))]
+    results = _package_results(series_list, lengths, offsets, class_vector_all.copy(), scores_all.copy())
+
+    assert len(results) == len(vectors)
+    for i, (result, vector) in enumerate(zip(results, vectors)):
+        composition = ClassComposition.from_class_vector(vector)
+        assert result.node == f"node{i}"
+        assert result.num_samples == len(vector)
+        assert result.composition == composition
+        assert result.application_class is composition.dominant()
+        assert result.category == application_category(composition)
+        assert np.array_equal(result.class_vector, vector)
+        assert np.array_equal(result.scores, scores_all[offsets[i] : offsets[i + 1]])
+    arrays_of = [array for r in results for array in (r.class_vector, r.scores)]
+    for a in range(len(arrays_of)):
+        for b in range(a + 1, len(arrays_of)):
+            assert not np.shares_memory(arrays_of[a], arrays_of[b])

@@ -164,3 +164,47 @@ def test_block_boundaries_keep_bits(dtype, data):
         one_idx, one_dist = knn.kneighbors_rows(queries[i : i + 1])
         assert np.array_equal(one_idx[0], idx[i])
         assert np.array_equal(one_dist[0], dist[i])
+
+
+@st.composite
+def vote_cases(draw):
+    """Neighbor rows for ``vote``: labels, indices and distances from a small palette.
+
+    Distances come from a palette of one to five values (among them
+    ``0``, ``+inf`` and NaN), so equal distances, infinite rows and NaN
+    rows are common; rows are sorted or not.  The bulk of each case is
+    drawn from a seeded generator, so a case can hold up to 500 rows.
+    """
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    n_pool = draw(st.integers(3, 20))
+    n_classes = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 500))
+    palette = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, np.inf, np.nan]),
+                st.floats(0, 1e6, allow_nan=False, allow_infinity=False, width=32),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(0, n_classes, n_pool)
+    indices = rng.integers(0, n_pool, (rows, 3))
+    distances = rng.choice(np.array(palette, dtype=dtype), size=(rows, 3))
+    if draw(st.booleans()):
+        distances.sort(axis=1)
+    return labels, indices, distances
+
+
+@given(case=vote_cases())
+@settings(max_examples=200, deadline=None)
+def test_vote_equals_the_counting_vote(case):
+    """The closed-form k = 3 vote is the counting vote: ties, +inf, NaN, any row order."""
+    labels, indices, distances = case
+    knn = KNeighborsClassifier(k=3).fit(np.zeros((len(labels), 2)), labels)
+    got = knn.vote(indices, distances)
+    want = knn._vote_counting(indices, distances)
+    assert got.dtype == want.dtype == np.dtype(np.int64)
+    assert np.array_equal(got, want)

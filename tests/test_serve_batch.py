@@ -61,6 +61,9 @@ class TestParity:
         results = batch.classify_batch(fleet[:2])
         results[0].class_vector[:] = -1
         results[0].scores[:] = 0.0
+        # Results of one call are disjoint slices of the call's own arrays.
+        assert results[1].class_vector.min() >= 0
+        assert not np.shares_memory(results[0].scores, results[1].scores)
         again = batch.classify_batch(fleet[:2])
         assert again[1].class_vector.min() >= 0
         assert not np.shares_memory(results[1].class_vector, again[1].class_vector)
