@@ -69,7 +69,6 @@ DEFAULT_DTYPE_POLICY: dict[str, str] = {
     "repro.core.stages": "float64",
     "repro.core.pipeline": "preserve",
     "repro.serve.batch": "preserve",
-    "repro.ingest.ring": "float64",
     "repro.ingest.plane": "float64",
     "repro.ingest.timeline": "float64",
 }
