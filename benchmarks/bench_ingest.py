@@ -3,9 +3,9 @@
 Times the per-announcement push path (an ``OnlineClassifier`` on a
 ``MulticastChannel``: every announcement classified on delivery)
 against the ingest plane (an ``OnlineClassifier`` on an
-``IngestPlane``: announcements land in per-node ring buffers and the
-consumer pumps merged, watermarked windows of up to 4096 rows through
-one vectorized pass) on a synthetic 64-node fleet.  Both arms share the
+``IngestPlane``: announcements land in the plane's columnar per-node
+ring store and the consumer pumps merged, watermarked windows of up to
+4096 rows through one vectorized pass) on a synthetic 64-node fleet.  Both arms share the
 batch-size-invariant ``classify_rows`` kernel, so the untimed warm-up
 pass asserts bit-identical class codes per announcement and identical
 per-node fan-back state before any timing happens.  The arms are timed

@@ -39,7 +39,7 @@ Subpackages
   (``except ReproError`` catches every caller-facing error).
 """
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 from . import (
     analysis,
