@@ -32,14 +32,18 @@ import numpy as np
 
 from ..errors import NotTrainedError
 from ..monitoring.multicast import MetricAnnouncement, MulticastChannel
-from ..obs import (
-    counter as obs_counter,
-    enabled as obs_enabled,
-    event as obs_event,
-    histogram as obs_histogram,
-)
+from ..obs import InstrumentSpec, enabled as obs_enabled, event as obs_event, get as obs_get
 from .labels import ALL_CLASSES, ClassComposition, SnapshotClass
 from .pipeline import ApplicationClassifier
+
+_DROPPED = InstrumentSpec.counter("online.announcements.dropped", "Announcements ignored.")
+_CLASSIFIED = InstrumentSpec.counter("online.announcements.classified", "Announcements classified.")
+_ANNOUNCEMENT_SECONDS = InstrumentSpec.histogram(
+    "online.announcement.seconds", "Per-announcement online classification latency."
+)
+_BATCH_SECONDS = InstrumentSpec.histogram(
+    "online.batch.seconds", "Drained-batch online classification latency."
+)
 
 
 @dataclass
@@ -239,10 +243,10 @@ class OnlineClassifier:
         if not self._attached:
             # Late delivery after detach (e.g. detach from inside another
             # listener during the same fan-out) — drop, never classify.
-            obs_counter("online.announcements.dropped", help="Announcements ignored.").inc()
+            obs_get(_DROPPED).inc()
             return
         if self._allow is not None and announcement.node not in self._allow:
-            obs_counter("online.announcements.dropped", help="Announcements ignored.").inc()
+            obs_get(_DROPPED).inc()
             return
         timed = obs_enabled()
         clock = self.classifier.clock
@@ -254,11 +258,8 @@ class OnlineClassifier:
             self._states[announcement.node] = state
         state.record(cls, announcement.timestamp)
         if timed:
-            obs_histogram(
-                "online.announcement.seconds",
-                help="Per-announcement online classification latency.",
-            ).observe(clock() - t)
-            obs_counter("online.announcements.classified", help="Announcements classified.").inc()
+            obs_get(_ANNOUNCEMENT_SECONDS).observe(clock() - t)
+            obs_get(_CLASSIFIED).inc()
 
     def _require_attached(self) -> None:
         """Guard for the classify paths (hoisted state is attach-scoped).
@@ -331,9 +332,7 @@ class OnlineClassifier:
             keep = allowed[node_ids]
             dropped = node_ids.shape[0] - int(np.count_nonzero(keep))
             if dropped:
-                obs_counter("online.announcements.dropped", help="Announcements ignored.").inc(
-                    float(dropped)
-                )
+                obs_get(_DROPPED).inc(float(dropped))
                 node_ids = node_ids[keep]
                 timestamps = timestamps[keep]
                 values = values[keep]
@@ -351,13 +350,8 @@ class OnlineClassifier:
         codes = self.classifier.classify_rows(values[:, self._metric_idx])
         self._record_codes(batch.nodes, node_ids, timestamps, codes)
         if timed:
-            obs_histogram(
-                "online.batch.seconds",
-                help="Drained-batch online classification latency.",
-            ).observe(clock() - t)
-            obs_counter("online.announcements.classified", help="Announcements classified.").inc(
-                float(codes.shape[0])
-            )
+            obs_get(_BATCH_SECONDS).observe(clock() - t)
+            obs_get(_CLASSIFIED).inc(float(codes.shape[0]))
         return DrainClassification(
             nodes=batch.nodes,
             node_ids=node_ids.copy(),

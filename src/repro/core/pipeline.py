@@ -24,11 +24,7 @@ import numpy as np
 from ..errors import EmptySeriesError, NotTrainedError
 from ..metrics.catalog import metric_indices
 from ..metrics.series import SnapshotSeries
-from ..obs import (
-    enabled as obs_enabled,
-    get_registry as obs_get_registry,
-    span as obs_span,
-)
+from ..obs import InstrumentSpec, get_registry as obs_get_registry
 from ..obs.context import PIPELINE_STAGE_NAMES
 from .config import ClassifierConfig
 from .knn import KNeighborsClassifier
@@ -55,6 +51,16 @@ Clock = Callable[[], float]
 #: single sanctioned wall-clock touchpoint in ``repro.core`` — everything
 #: else must receive time through an injected ``Clock``.
 DEFAULT_CLOCK: Clock = time.perf_counter
+
+#: ``classify_series`` instruments; the stage family resolves to one
+#: histogram per stage, in :data:`PIPELINE_STAGE_NAMES` order.
+_STAGE_SECONDS = InstrumentSpec.histogram(
+    "pipeline.stage.seconds",
+    "Latency of one classification pipeline stage.",
+    family=("stage", PIPELINE_STAGE_NAMES),
+)
+_SNAPSHOTS = InstrumentSpec.counter("pipeline.snapshots", "Snapshots classified by classify_series.")
+_RUNS = InstrumentSpec.counter("pipeline.runs", "Series classified end to end.")
 
 
 @dataclass
@@ -159,9 +165,6 @@ class ApplicationClassifier:
         # The selected metrics' catalog rows, fixed at train time, so a
         # classify call never walks the catalog.
         self._metric_idx: np.ndarray | None = None
-        # Cached observability instrument handles, keyed by
-        # (registry, generation); see _obs_instruments().
-        self._obs_cache: tuple | None = None
 
     @classmethod
     def from_config(cls, config: ClassifierConfig) -> "ApplicationClassifier":
@@ -268,36 +271,6 @@ class ApplicationClassifier:
     # ------------------------------------------------------------------
     # classification
     # ------------------------------------------------------------------
-    def _obs_instruments(self) -> tuple[tuple, object, object]:
-        """Instrument handles for the hot path, cached per registry epoch.
-
-        ``classify_series`` observes five stage latencies (handles in
-        :data:`~repro.obs.context.PIPELINE_STAGE_NAMES` order) and two
-        counters per call; resolving each through the registry's
-        get-or-create (label normalization, dict keys) would dominate
-        the instrumentation budget.  Handles stay valid until the
-        registry is swapped (disable/enable) or reset, both of which
-        change the ``(registry, generation)`` cache key.
-        """
-        registry = obs_get_registry()
-        cache = self._obs_cache
-        if cache is not None and cache[0] is registry and cache[1] == registry.generation:
-            return cache[2], cache[3], cache[4]
-        stage_hists = tuple(
-            registry.histogram(
-                "pipeline.stage.seconds",
-                help="Latency of one classification pipeline stage.",
-                stage=stage,
-            )
-            for stage in PIPELINE_STAGE_NAMES
-        )
-        snapshots_c = registry.counter(
-            "pipeline.snapshots", help="Snapshots classified by classify_series."
-        )
-        runs_c = registry.counter("pipeline.runs", help="Series classified end to end.")
-        self._obs_cache = (registry, registry.generation, stage_hists, snapshots_c, runs_c)
-        return stage_hists, snapshots_c, runs_c
-
     def classify_series(self, series: SnapshotSeries) -> ClassificationResult:
         """Classify every snapshot of *series* and aggregate.
 
@@ -324,27 +297,24 @@ class ApplicationClassifier:
         # into the ``pipeline.stage.seconds`` histogram family.  While
         # obs is disabled (the default) the span is a shared no-op, so
         # the clock reads are the kernel's six either way.
-        timed = obs_enabled()
-        with obs_span("pipeline.classify", clock=self.clock):
+        registry = obs_get_registry()
+        with registry.span("pipeline.classify", clock=self.clock):
             (result,), start, stage_seconds = self._classify_stacked([series])
             # Under a request trace (an enclosing span carrying a
             # nonzero trace id) the stages also become child spans,
             # laid end to end from the kernel's first clock read, so
             # tracing adds no clock read.
-            if timed:
-                registry = obs_get_registry()
-                if registry.current_trace_id():
-                    spans = []
-                    for stage, duration in zip(PIPELINE_STAGE_NAMES, stage_seconds):
-                        spans.append((f"pipeline.stage.{stage}", start, duration))
-                        start += duration
-                    registry.emit_spans(spans)
-        if timed:
-            stage_hists, snapshots_c, runs_c = self._obs_instruments()
-            for hist, duration in zip(stage_hists, stage_seconds):
+            if registry.current_trace_id():
+                spans = []
+                for stage, duration in zip(PIPELINE_STAGE_NAMES, stage_seconds):
+                    spans.append((f"pipeline.stage.{stage}", start, duration))
+                    start += duration
+                registry.emit_spans(spans)
+        if registry.enabled:
+            for hist, duration in zip(registry.get(_STAGE_SECONDS), stage_seconds):
                 hist.observe(duration)
-            snapshots_c.inc(len(series))
-            runs_c.inc()
+            registry.get(_SNAPSHOTS).inc(len(series))
+            registry.get(_RUNS).inc()
         return result
 
     def _classify_stacked(

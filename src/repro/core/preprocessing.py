@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..errors import NonFiniteInputError
 from ..metrics.catalog import EXPERT_METRIC_NAMES, validate_metric_names
 from ..metrics.series import SnapshotSeries
 
@@ -194,5 +195,5 @@ def _check_matrix(x: np.ndarray, dtype: np.dtype | None = np.float64) -> np.ndar
     if x.shape[0] == 0:
         raise ValueError("matrix has no samples")
     if not np.all(np.isfinite(x)):
-        raise ValueError("matrix contains non-finite values")
+        raise NonFiniteInputError("matrix contains non-finite values")
     return x

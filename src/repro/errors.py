@@ -14,6 +14,7 @@ Hierarchy::
     ReproError (Exception)
     ├── NotTrainedError        (also RuntimeError)
     ├── EmptySeriesError       (also ValueError)
+    ├── NonFiniteInputError    (also ValueError)
     ├── UnknownApplicationError (also KeyError)
     ├── UnknownPolicyError     (also ValueError)
     └── ServiceOverloadedError (also RuntimeError)
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 __all__ = [
     "EmptySeriesError",
+    "NonFiniteInputError",
     "NotTrainedError",
     "ReproError",
     "ServiceOverloadedError",
@@ -53,6 +55,17 @@ class EmptySeriesError(ReproError, ValueError):
 
     The Figure-2 pipeline is defined over ``m >= 1`` snapshots; there is
     no majority vote over nothing.
+    """
+
+
+class NonFiniteInputError(ReproError, ValueError):
+    """A matrix with a NaN or infinite value reached the classify kernel.
+
+    Raised by the preprocessing input check behind
+    :meth:`~repro.core.pipeline.ApplicationClassifier.classify_series`,
+    :meth:`~repro.core.pipeline.ApplicationClassifier.classify_rows`,
+    :meth:`~repro.serve.batch.BatchClassifier.classify_batch` and
+    training, in either compute dtype.
     """
 
 

@@ -57,9 +57,12 @@ import numpy as np
 from ..metrics.catalog import NUM_METRICS
 from ..monitoring.multicast import MetricAnnouncement, MulticastChannel
 from ..obs import (
+    InstrumentSpec,
+    LabelledSpecs,
     SloRule,
     enabled as obs_enabled,
     event as obs_event,
+    get as obs_get,
     get_registry as obs_get_registry,
 )
 from .timeline import stable_merge_order
@@ -74,27 +77,25 @@ LATE_POLICIES = ("accept", "drop")
 #: Drain-size histogram buckets (rows per drain).
 DRAIN_ROWS_BUCKETS = (1.0, 8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0)
 
-#: How to resolve each instrument handle the plane caches.
-_INSTRUMENTS = {
-    "received": lambda r: r.counter(
-        "ingest.announcements.received", help="Announcements offered to the ingest plane."
-    ),
-    "late": lambda r: r.counter(
-        "ingest.announcements.late", help="Late announcements accepted behind the frontier."
-    ),
-    "drain.rows": lambda r: r.histogram(
-        "ingest.drain.rows", help="Announcements gathered per drain.", buckets=DRAIN_ROWS_BUCKETS
-    ),
-    "drain.seconds": lambda r: r.histogram("ingest.drain.seconds", help="Drain gather+merge latency."),
-    **{
-        f"dropped.{reason}": (
-            lambda r, reason=reason: r.counter(
-                "ingest.announcements.dropped", help="Announcements the ingest plane discarded.", reason=reason
-            )
-        )
-        for reason in ("filtered", "invalid", "duplicate", "late", "overflow")
-    },
+_RECEIVED = InstrumentSpec.counter(
+    "ingest.announcements.received", "Announcements offered to the ingest plane."
+)
+_LATE = InstrumentSpec.counter(
+    "ingest.announcements.late", "Late announcements accepted behind the frontier."
+)
+_DROPPED = {
+    reason: InstrumentSpec.counter(
+        "ingest.announcements.dropped", "Announcements the ingest plane discarded.", reason=reason
+    )
+    for reason in ("filtered", "invalid", "duplicate", "late", "overflow")
 }
+_DRAIN_ROWS = InstrumentSpec.histogram(
+    "ingest.drain.rows", "Announcements gathered per drain.", buckets=DRAIN_ROWS_BUCKETS
+)
+_DRAIN_SECONDS = InstrumentSpec.histogram("ingest.drain.seconds", "Drain gather+merge latency.")
+_OCCUPANCY = LabelledSpecs(
+    InstrumentSpec.gauge("ingest.ring.occupancy", "Per-node ring fill fraction."), "node"
+)
 
 __all__ = [
     "DEFAULT_RING_CAPACITY",
@@ -222,10 +223,6 @@ class IngestPlane:
         self._overflowed = 0
         self._drains = 0
         self._drained_rows = 0
-        # Instrument handles, valid for one (registry, generation).
-        self._obs_key: tuple = (None, -1)
-        self._obs_handles: dict = {}
-        self._obs_gauges: list = []
         self._callback = self._on_announcement
         self._attached = False
         if channel is not None:
@@ -270,24 +267,6 @@ class IngestPlane:
 
     def _on_announcement(self, announcement: MetricAnnouncement) -> None:
         self.push(announcement.node, announcement.timestamp, announcement.values)
-
-    def _instrument(self, key: str):
-        """The cached handle of instrument *key* (see ``_INSTRUMENTS``).
-
-        Resolving an instrument through the registry's get-or-create
-        costs more than updating it; the handles stay valid until the
-        registry is swapped or reset, both of which change the
-        ``(registry, generation)`` cache key.
-        """
-        registry = obs_get_registry()
-        if self._obs_key[0] is not registry or self._obs_key[1] != registry.generation:
-            self._obs_key = (registry, registry.generation)
-            self._obs_handles = {}
-            self._obs_gauges = []
-        handle = self._obs_handles.get(key)
-        if handle is None:
-            handle = self._obs_handles[key] = _INSTRUMENTS[key](registry)
-        return handle
 
     # ------------------------------------------------------------------
     # producer side
@@ -355,7 +334,7 @@ class IngestPlane:
         self._received += 1
         observed = obs_enabled()
         if observed:
-            self._instrument("received").inc()
+            obs_get(_RECEIVED).inc()
         timestamp = float(timestamp)
         if self._allow is not None and node not in self._allow:
             self._filtered += 1
@@ -407,7 +386,7 @@ class IngestPlane:
             self._head[node_id] = (head + 1) % self.capacity
             self._overflowed += 1
             if observed:
-                self._instrument("dropped.overflow").inc()
+                obs_get(_DROPPED["overflow"]).inc()
         else:
             self._count[node_id] = count + 1
         if timestamp < newest:
@@ -417,7 +396,7 @@ class IngestPlane:
         if late:
             self._late_accepted += 1
             if observed:
-                self._instrument("late").inc()
+                obs_get(_LATE).inc()
         if timestamp > self._max_seen:
             self._max_seen = timestamp
         return True
@@ -425,7 +404,7 @@ class IngestPlane:
     def _dropped(self, reason: str, observed: bool) -> bool:
         """Count one drop under *reason* while obs is on; returns False for push."""
         if observed:
-            self._instrument("dropped." + reason).inc()
+            obs_get(_DROPPED[reason]).inc()
         return False
 
     def _drop_invalid(self, observed: bool) -> bool:
@@ -580,22 +559,19 @@ class IngestPlane:
         if kept < rows:
             self._invalid += rows - kept
             if observed:
-                self._instrument("dropped.invalid").inc(float(rows - kept))
+                obs_get(_DROPPED["invalid"]).inc(float(rows - kept))
             for out in (self._out_ts, self._out_nodes, self._out_vals, self._out_tid, self._out_enq):
                 out[:kept] = out[:rows][finite]
         return kept
 
     def _observe_drain(self, rows: int, t0: float) -> None:
         """Record drain telemetry (only called while obs is enabled)."""
-        self._instrument("drain.rows").observe(float(rows))
-        self._instrument("drain.seconds").observe(time.perf_counter() - t0)
-        gauges = self._obs_gauges
         registry = obs_get_registry()
-        for node in list(self._node_id)[len(gauges) :]:
-            gauges.append(registry.gauge("ingest.ring.occupancy", help="Per-node ring fill fraction.", node=node))
+        registry.get(_DRAIN_ROWS).observe(float(rows))
+        registry.get(_DRAIN_SECONDS).observe(time.perf_counter() - t0)
         occupancy = np.array(self._count) / self.capacity
-        for gauge, value in zip(gauges, occupancy.tolist()):
-            gauge.set(value)
+        for node, value in zip(self._node_id, occupancy.tolist()):
+            registry.get(_OCCUPANCY[node]).set(value)
 
 
 def ingest_slo_rules() -> tuple[SloRule, ...]:

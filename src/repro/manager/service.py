@@ -33,7 +33,7 @@ from ..db.records import RunRecord
 from ..db.store import ApplicationDB
 from ..errors import NotTrainedError, UnknownApplicationError, UnknownPolicyError
 from ..experiments.training import build_trained_classifier
-from ..obs import counter as obs_counter, span as obs_span
+from ..obs import InstrumentSpec, get as obs_get, span as obs_span
 from ..scheduler.class_aware import ClassAwareScheduler, Placement
 from ..scheduler.composition_aware import CompositionAwareScheduler
 from ..scheduler.reservation import ResourceReservation, recommend_reservation
@@ -41,6 +41,9 @@ from ..serve.batch import BatchClassifier
 from ..serve.cache import ModelCache
 from ..sim.execution import RunResult, profiled_run
 from ..workloads.base import Workload
+
+
+_LEARNED = InstrumentSpec.counter("manager.runs.learned", "Profiling runs learned into the DB.")
 
 
 def _cache_trainer(config: ClassifierConfig, seed: int) -> ApplicationClassifier:
@@ -176,9 +179,7 @@ class ResourceManager:
                 self._record(application, run, result, vm_mem_mb)
                 for (application, _), run, result in zip(named_workloads, runs, results)
             ]
-            obs_counter("manager.runs.learned", help="Profiling runs learned into the DB.").inc(
-                len(outcomes)
-            )
+            obs_get(_LEARNED).inc(len(outcomes))
             return outcomes
 
     def profile_and_learn(
@@ -195,7 +196,7 @@ class ResourceManager:
             with obs_span("manager.classify"):
                 result = classifier.classify_series(run.series)
             outcome = self._record(application, run, result, vm_mem_mb)
-            obs_counter("manager.runs.learned", help="Profiling runs learned into the DB.").inc()
+            obs_get(_LEARNED).inc()
             return outcome
 
     def _profile(self, workload: Workload, vm_mem_mb: float) -> RunResult:

@@ -14,8 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..metrics.catalog import metric_index
-from ..obs import counter as obs_counter
+from ..obs import InstrumentSpec, get as obs_get
 from .multicast import MetricAnnouncement, MulticastChannel
+
+_INGESTED = InstrumentSpec.counter(
+    "monitoring.aggregator.ingested", "Announcements folded into cluster state."
+)
 
 
 @dataclass
@@ -48,9 +52,7 @@ class GmetadAggregator:
             state.history = deque(maxlen=self._history_len)
             self._nodes[announcement.node] = state
         state.record(announcement)
-        obs_counter(
-            "monitoring.aggregator.ingested", help="Announcements folded into cluster state."
-        ).inc()
+        obs_get(_INGESTED).inc()
 
     # ------------------------------------------------------------------
     # queries

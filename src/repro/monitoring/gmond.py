@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..metrics.catalog import ALL_METRIC_NAMES, NUM_METRICS, metric_index
-from ..obs import counter as obs_counter
+from ..obs import InstrumentSpec, LabelledSpecs, get as obs_get
 from ..vm.machine import VirtualMachine
 from .multicast import MetricAnnouncement, MulticastChannel
 from .procfs import SimulatedProcFS
@@ -29,6 +29,10 @@ CPU_NOISE_STD: float = 0.35
 
 _RATE_METRICS = ("bytes_in", "bytes_out", "pkts_in", "pkts_out", "io_bi", "io_bo", "swap_in", "swap_out")
 _CPU_PCT_METRICS = ("cpu_user", "cpu_system", "cpu_idle", "cpu_nice", "cpu_wio")
+
+_ANNOUNCEMENTS = LabelledSpecs(
+    InstrumentSpec.counter("monitoring.gmond.announcements", "Heartbeats announced per gmond."), "node"
+)
 
 
 class Gmond:
@@ -180,11 +184,7 @@ class Gmond:
         announcement = MetricAnnouncement(node=self.vm.name, timestamp=now, values=self.collect(now))
         self.channel.announce(announcement)
         self.announcement_count += 1
-        obs_counter(
-            "monitoring.gmond.announcements",
-            help="Heartbeats announced per gmond.",
-            node=self.vm.name,
-        ).inc()
+        obs_get(_ANNOUNCEMENTS[self.vm.name]).inc()
         return announcement
 
 

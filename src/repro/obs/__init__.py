@@ -7,7 +7,9 @@ and error behaviour.  This package is the telemetry subsystem the rest
 of the tree instruments itself with:
 
 * a process-local :class:`~repro.obs.registry.MetricsRegistry` of
-  counters, gauges, and fixed-bucket latency histograms;
+  counters, gauges, and fixed-bucket latency histograms, each declared
+  once as an :class:`~repro.obs.spec.InstrumentSpec` and resolved with
+  :func:`get`;
 * hierarchical tracing :func:`span`\\ s driven by an injectable clock,
   so traces are deterministic under test;
 * Prometheus-text and JSON exporters plus the ``repro obs`` CLI;
@@ -64,6 +66,7 @@ from .registry import (
 )
 from .slo import SloResult, SloRule, Verdict, default_rules, evaluate
 from .spans import SpanRecord, render_trace
+from .spec import InstrumentSpec, LabelledSpecs
 from .timeseries import MetricsRecorder, render_top
 
 _SWITCH_LOCK = threading.Lock()
@@ -136,6 +139,17 @@ def get_registry() -> MetricsRegistry | NullRegistry:
 def reset() -> None:
     """Drop all collected instruments and spans (no-op while disabled)."""
     _registry.reset()
+
+
+def get(spec: InstrumentSpec) -> Counter | Gauge | Histogram | tuple:
+    """The handle of *spec* on the active registry (a shared no-op when disabled).
+
+    A family spec resolves to a tuple of handles.  The registry keeps
+    the handle until :func:`reset`, and a :func:`disable`/:func:`enable`
+    swap brings a registry that resolves afresh, so call sites hold the
+    spec, never the handle.
+    """
+    return _registry.get(spec)
 
 
 def counter(name: str, help: str = "", **labels: str) -> Counter:
@@ -229,6 +243,8 @@ __all__ = [
     "EventRecord",
     "Gauge",
     "Histogram",
+    "InstrumentSpec",
+    "LabelledSpecs",
     "MetricsRecorder",
     "MetricsRegistry",
     "NULL_TRACE",
@@ -255,6 +271,7 @@ __all__ = [
     "events",
     "finish_trace",
     "gauge",
+    "get",
     "get_registry",
     "histogram",
     "histogram_quantile",

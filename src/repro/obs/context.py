@@ -32,6 +32,7 @@ import random
 import threading
 
 from .spans import SpanRecord
+from .spec import InstrumentSpec
 
 #: Environment knob: install a :class:`TailSampler` with this keep ratio
 #: at ``obs.enable()`` time (``0.0`` drops every boring trace, ``1.0``
@@ -56,6 +57,16 @@ SEGMENT_SPAN_NAMES: dict[tuple[str, str], str] = {
 #: the per-stage spans synthesized under a trace (mirroring the
 #: ``pipeline.stage.seconds`` histogram's ``stage`` label values).
 PIPELINE_STAGE_NAMES = ("filter", "normalize", "pca", "knn", "postprocess")
+
+_QUEUE_WAIT = InstrumentSpec.histogram(
+    "serve.queue_wait.seconds", "Submit-to-dequeue wait in the service queue."
+)
+_BATCH_WAIT = InstrumentSpec.histogram(
+    "serve.batch_wait.seconds", "Dequeue-to-compute wait while a micro-batch forms."
+)
+_DRAIN_TO_CLASSIFY = InstrumentSpec.histogram(
+    "ingest.drain_to_classify.seconds", "Ingest-drain to batch-compute hand-off latency."
+)
 
 
 class TraceContext:
@@ -280,20 +291,11 @@ def observe_attribution(registry, ctx: TraceContext) -> None:
     t_cmp = ctx.mark_time("serve.compute")
     t_drain = ctx.mark_time("ingest.drain")
     if t_enq is not None and t_deq is not None:
-        registry.histogram(
-            "serve.queue_wait.seconds",
-            help="Submit-to-dequeue wait in the service queue.",
-        ).observe(t_deq - t_enq, trace_id=ctx.trace_id)
+        registry.get(_QUEUE_WAIT).observe(t_deq - t_enq, trace_id=ctx.trace_id)
     if t_deq is not None and t_cmp is not None:
-        registry.histogram(
-            "serve.batch_wait.seconds",
-            help="Dequeue-to-compute wait while a micro-batch forms.",
-        ).observe(t_cmp - t_deq, trace_id=ctx.trace_id)
+        registry.get(_BATCH_WAIT).observe(t_cmp - t_deq, trace_id=ctx.trace_id)
     if t_drain is not None and t_cmp is not None:
-        registry.histogram(
-            "ingest.drain_to_classify.seconds",
-            help="Ingest-drain to batch-compute hand-off latency.",
-        ).observe(t_cmp - t_drain, trace_id=ctx.trace_id)
+        registry.get(_DRAIN_TO_CLASSIFY).observe(t_cmp - t_drain, trace_id=ctx.trace_id)
 
 
 __all__ = [

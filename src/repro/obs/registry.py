@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Iterator
 from .context import NULL_TRACE, TailSampler, TraceContext, sampler_from_env
 from .events import DEFAULT_EVENT_CAPACITY, EventJournal, EventRecord
 from .spans import SpanRecord, null_span
+from .spec import DEFAULT_LATENCY_BUCKETS_S, InstrumentSpec, LabelledSpecs, LabelSet, label_set
 
 #: A clock is any zero-argument callable returning seconds as a float —
 #: the same injectable-clock contract as ``repro.core.pipeline.Clock``.
@@ -45,27 +46,6 @@ Clock = Callable[[], float]
 #: Production clock, held as a reference (the injected-clock pattern):
 #: spans call whatever clock the registry or the caller supplies.
 DEFAULT_CLOCK: Clock = time.perf_counter
-
-#: Default latency buckets in seconds (upper bounds; +Inf is implicit).
-#: Spaced to resolve both per-snapshot costs (~µs) and whole profiling
-#: runs (~s).
-DEFAULT_LATENCY_BUCKETS_S: tuple[float, ...] = (
-    1e-6,
-    5e-6,
-    1e-5,
-    5e-5,
-    1e-4,
-    5e-4,
-    1e-3,
-    5e-3,
-    1e-2,
-    5e-2,
-    0.1,
-    0.5,
-    1.0,
-    5.0,
-    10.0,
-)
 
 #: Name of the histogram every finished span observes its duration into
 #: (labelled with ``span=<span name>``).
@@ -78,6 +58,20 @@ DEFAULT_TRACE_CAPACITY = 4096
 #: tail sampler awaits their completion; the oldest trace is evicted
 #: (spans discarded, ``obs.traces.evicted`` incremented) beyond this.
 MAX_PENDING_TRACES = 512
+
+#: The registry's own instruments.  Span and event counts take one spec
+#: per span or event name.
+_SPAN_SECONDS = LabelledSpecs(
+    InstrumentSpec.histogram(SPAN_HISTOGRAM_NAME, "Duration of tracing spans."), "span"
+)
+_EVENTS = LabelledSpecs(InstrumentSpec.counter("obs.events", "Structured events recorded."), "event")
+_TRACES_KEPT = LabelledSpecs(
+    InstrumentSpec.counter("obs.traces.kept", "Traces kept by the tail sampler."), "reason"
+)
+_TRACES_DROPPED = InstrumentSpec.counter("obs.traces.dropped", "Traces dropped by the tail sampler.")
+_TRACES_EVICTED = InstrumentSpec.counter(
+    "obs.traces.evicted", "In-flight traces evicted from the pending buffer."
+)
 
 #: Environment fallbacks for the ring capacities: consulted when
 #: :class:`MetricsRegistry` (or ``obs.enable``) is not given an explicit
@@ -96,15 +90,6 @@ def _capacity_from_env(var: str, default: int) -> int:
     except ValueError:
         return default
     return value if value >= 1 else default
-
-#: Label key/value pairs, sorted — the identity of one instrument.
-LabelSet = tuple[tuple[str, str], ...]
-
-
-def _label_set(labels: dict[str, str]) -> LabelSet:
-    """Normalize a label dict to the sorted-tuple identity form."""
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
 
 def histogram_quantile(
     bounds: tuple[float, ...], cumulative: tuple[int, ...], q: float
@@ -366,14 +351,14 @@ class MetricsRegistry:
             event_capacity = _capacity_from_env(EVENT_CAPACITY_ENV, DEFAULT_EVENT_CAPACITY)
         if trace_capacity < 1:
             raise ValueError("trace_capacity must be positive")
-        #: Bumped by :meth:`reset`.  Hot call sites that cache instrument
-        #: handles key the cache on ``(registry, generation)`` so a reset
-        #: invalidates them (the old handles no longer feed exports).
-        self.generation = 0
         self.clock: Clock = clock if clock is not None else DEFAULT_CLOCK
         self.trace_capacity = trace_capacity
         self._lock = threading.Lock()
         self._instruments: dict[tuple[str, LabelSet], Instrument] = {}
+        # Spec → resolved handle (a tuple of handles for a family spec);
+        # written under the lock together with _instruments and cleared
+        # with it by reset(), so no handle outlives the instrument map.
+        self._handles: dict[InstrumentSpec, Instrument | tuple[Instrument, ...]] = {}
         self._spans: deque[SpanRecord] = deque(maxlen=trace_capacity)
         self._events = EventJournal(event_capacity)
         self._span_ids = itertools.count(1)
@@ -391,14 +376,6 @@ class MetricsRegistry:
         # trace's completion (insertion-ordered: oldest trace evicted
         # first when MAX_PENDING_TRACES in-flight traces pile up).
         self._pending: dict[int, list[SpanRecord]] = {}
-        # Per-name cache of the span-duration histograms: record_span is
-        # the hottest registry path, and the get-or-create label-set
-        # normalization is measurable there.
-        self._span_hist: dict[str, Histogram] = {}
-        # (name, reason) cache of the sampler-outcome counters:
-        # finish_trace runs once per request, so the get-or-create
-        # lookup is measurable on the traced hot path too.
-        self._trace_counters: dict[tuple[str, str | None], Counter] = {}
 
     @property
     def event_capacity(self) -> int:
@@ -408,20 +385,66 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # instruments
     # ------------------------------------------------------------------
-    def _get_or_create(
-        self, name: str, labels: dict[str, str], factory: Callable[[str, LabelSet], Instrument]
-    ) -> Instrument:
-        key = (name, _label_set(labels))
+    def get(self, spec: InstrumentSpec) -> Instrument | tuple[Instrument, ...]:
+        """The handle of *spec*: its instrument, or a tuple of them for a family spec.
+
+        The first ``get`` of a spec creates or finds its instruments;
+        later ones are one dict lookup until :meth:`reset` drops every
+        handle.
+
+        Raises
+        ------
+        TypeError
+            If the spec's name/labels pair is already registered as
+            another kind.
+        """
         # Deliberate double-checked locking: the lock-free read is a GIL-
         # atomic dict lookup, and a miss re-checks under the lock before
-        # creating, so the worst case is taking the slow path needlessly.
-        instrument = self._instruments.get(key)  # qa: ignore[unguarded-shared-state]
+        # resolving, so the worst case is taking the slow path needlessly.
+        try:
+            return self._handles[spec]  # qa: ignore[unguarded-shared-state]
+        except KeyError:
+            pass
+        with self._lock:
+            handle = self._handles.get(spec)
+            if handle is None:
+                handles = tuple(
+                    self._find_locked(spec.kind, spec.name, labels, spec.help, spec.buckets)
+                    for labels in spec.label_sets()
+                )
+                handle = handles if spec.family is not None else handles[0]
+                self._handles[spec] = handle
+        return handle
+
+    def _find_locked(
+        self, kind: str, name: str, labels: LabelSet, help: str, buckets: tuple[float, ...]
+    ) -> Instrument:
+        instrument = self._instruments.get((name, labels))
         if instrument is None:
+            if kind == "histogram":
+                instrument = Histogram(name, labels, help, buckets)
+            else:
+                instrument = (Counter if kind == "counter" else Gauge)(name, labels, help)
+            self._instruments[(name, labels)] = instrument
+        elif instrument.kind != kind:
+            raise TypeError(f"{name!r} is registered as a {instrument.kind}, not a {kind}")
+        return instrument
+
+    def _get_or_create(
+        self,
+        kind: str,
+        name: str,
+        labels: dict[str, str],
+        help: str,
+        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_S,
+    ) -> Instrument:
+        key = (name, label_set(labels))
+        # Double-checked as in get(); a kind mismatch takes the locked
+        # path, which raises.
+        instrument = self._instruments.get(key)  # qa: ignore[unguarded-shared-state]
+        if instrument is None or instrument.kind != kind:
             with self._lock:
-                instrument = self._instruments.get(key)
-                if instrument is None:
-                    instrument = factory(name, key[1])
-                    self._instruments[key] = instrument
+                instrument = self._find_locked(kind, name, key[1], help, buckets)
         return instrument
 
     def counter(self, name: str, help: str = "", **labels: str) -> Counter:
@@ -432,10 +455,7 @@ class MetricsRegistry:
         TypeError
             If the name/labels pair is already registered as another kind.
         """
-        instrument = self._get_or_create(name, labels, lambda n, l: Counter(n, l, help))
-        if not isinstance(instrument, Counter):
-            raise TypeError(f"{name!r} is registered as a {instrument.kind}, not a counter")
-        return instrument
+        return self._get_or_create("counter", name, labels, help)
 
     def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
         """Get or create the gauge *name* with the given labels.
@@ -445,10 +465,7 @@ class MetricsRegistry:
         TypeError
             If the name/labels pair is already registered as another kind.
         """
-        instrument = self._get_or_create(name, labels, lambda n, l: Gauge(n, l, help))
-        if not isinstance(instrument, Gauge):
-            raise TypeError(f"{name!r} is registered as a {instrument.kind}, not a gauge")
-        return instrument
+        return self._get_or_create("gauge", name, labels, help)
 
     def histogram(
         self,
@@ -464,10 +481,7 @@ class MetricsRegistry:
         TypeError
             If the name/labels pair is already registered as another kind.
         """
-        instrument = self._get_or_create(name, labels, lambda n, l: Histogram(n, l, help, buckets))
-        if not isinstance(instrument, Histogram):
-            raise TypeError(f"{name!r} is registered as a {instrument.kind}, not a histogram")
-        return instrument
+        return self._get_or_create("histogram", name, labels, help, buckets)
 
     def instruments(self) -> list[Instrument]:
         """All registered instruments, sorted by (name, labels)."""
@@ -607,54 +621,21 @@ class MetricsRegistry:
                     ctx.span_id, ctx.parent_span_id, ctx.trace_id,
                 )
             )
-            self._trace_counter(
-                "obs.traces.kept", "Traces kept by the tail sampler.", reason
-            ).inc()
+            self.get(_TRACES_KEPT[reason]).inc()
         else:
-            self._trace_counter(
-                "obs.traces.dropped", "Traces dropped by the tail sampler."
-            ).inc()
+            self.get(_TRACES_DROPPED).inc()
         return keep
-
-    def _trace_counter(self, name: str, help: str, reason: str | None = None) -> Counter:
-        key = (name, reason)
-        counter = self._trace_counters.get(key)
-        if counter is None:
-            labels = {"reason": reason} if reason is not None else {}
-            counter = self.counter(name, help=help, **labels)
-            self._trace_counters[key] = counter
-        return counter
-
-    def emit_span(self, name: str, start_s: float, duration_s: float) -> None:
-        """Record a synthesized span under this thread's open span.
-
-        No context manager, no clock reads: callers that already hold
-        the boundary timestamps (the pipeline's ``StageTimings``
-        accounting) turn them into child spans at tuple-construction
-        cost, which is what keeps per-stage trace spans inside the <5%
-        overhead gate.
-        """
-        stack = self._stack()
-        if stack:
-            top = stack[-1]
-            parent, parent_id, trace_id, depth = top[0], top[1], top[2], top[3] + 1
-        else:
-            parent, parent_id, trace_id, depth = None, None, 0, 0
-        self.record_span(
-            SpanRecord(
-                name, parent, depth, start_s, duration_s,
-                next(self._span_ids), parent_id, trace_id,
-            )
-        )
 
     def emit_spans(self, spans: Iterable[tuple[str, float, float]]) -> None:
         """Record synthesized sibling spans under this thread's open span.
 
-        Bulk variant of :meth:`emit_span` for span families produced by
-        one measurement pass (the pipeline's five stage timings): one
-        stack read and — when the family is buffered for a pending
-        trace — one lock acquisition for all of them, which is what
-        keeps per-stage trace spans affordable on the traced hot path.
+        No context manager, no clock reads: callers that already hold
+        the boundary timestamps of one measurement pass (the pipeline's
+        five stage timings) turn them into child spans at
+        tuple-construction cost — one stack read and, when the family is
+        buffered for a pending trace, one lock acquisition for all of
+        them — which keeps per-stage trace spans affordable on the
+        traced hot path.
         """
         stack = self._stack()
         if stack:
@@ -699,21 +680,14 @@ class MetricsRegistry:
                 pending = self._pending[trace_id] = []
             pending.extend(records)
         if evicted:
-            self.counter(
-                "obs.traces.evicted",
-                help="In-flight traces evicted from the pending buffer.",
-            ).inc(evicted)
+            self.get(_TRACES_EVICTED).inc(evicted)
 
     def _commit_span(self, record: SpanRecord) -> None:
         # deque.append with maxlen is atomic under the GIL; no lock here.
         self._spans.append(record)
-        hist = self._span_hist.get(record.name)
-        if hist is None:
-            hist = self.histogram(
-                SPAN_HISTOGRAM_NAME, help="Duration of tracing spans.", span=record.name
-            )
-            self._span_hist[record.name] = hist
-        hist.observe(record.duration_s, trace_id=record.trace_id or None)
+        self.get(_SPAN_SECONDS[record.name]).observe(
+            record.duration_s, trace_id=record.trace_id or None
+        )
 
     def spans(self) -> list[SpanRecord]:
         """Finished spans, oldest first (bounded by the trace capacity)."""
@@ -739,7 +713,7 @@ class MetricsRegistry:
             tuple(sorted((str(k), str(v)) for k, v in fields.items())),
         )
         self._events.append(record)
-        self.counter("obs.events", help="Structured events recorded.", event=name).inc()
+        self.get(_EVENTS[name]).inc()
 
     def events(self) -> list[EventRecord]:
         """Retained journal events, oldest first."""
@@ -775,11 +749,9 @@ class MetricsRegistry:
         """
         with self._lock:
             self._instruments.clear()
+            self._handles.clear()
             self._spans.clear()
-            self._span_hist.clear()
-            self._trace_counters.clear()
             self._pending.clear()
-            self.generation += 1
         self._events.clear()
 
 
@@ -918,6 +890,7 @@ class _NullHistogram:
 _NULL_COUNTER = _NullCounter()
 _NULL_GAUGE = _NullGauge()
 _NULL_HISTOGRAM = _NullHistogram()
+_NULL_INSTRUMENTS = {"counter": _NULL_COUNTER, "gauge": _NULL_GAUGE, "histogram": _NULL_HISTOGRAM}
 
 
 class NullRegistry:
@@ -930,8 +903,12 @@ class NullRegistry:
 
     enabled = False
     clock: Clock = DEFAULT_CLOCK
-    generation = 0
     sampler: TailSampler | None = None
+
+    def get(self, spec: InstrumentSpec) -> object:
+        """The shared no-op instrument of the spec's kind (a tuple of them for a family)."""
+        null = _NULL_INSTRUMENTS[spec.kind]
+        return null if spec.family is None else (null,) * len(spec.family[1])
 
     def counter(self, name: str, help: str = "", **labels: str) -> _NullCounter:
         """Shared no-op counter."""
@@ -997,9 +974,6 @@ class NullRegistry:
         """Discard the trace."""
         return False
 
-    def emit_span(self, name: str, start_s: float, duration_s: float) -> None:
-        """Discard the span."""
-
     def emit_spans(self, spans: Iterable[tuple[str, float, float]]) -> None:
         """Discard the spans."""
 
@@ -1034,6 +1008,8 @@ __all__ = [
     "EVENT_CAPACITY_ENV",
     "Gauge",
     "Histogram",
+    "InstrumentSpec",
+    "LabelledSpecs",
     "MAX_PENDING_TRACES",
     "MetricsRegistry",
     "NullRegistry",

@@ -32,9 +32,13 @@ from typing import Sequence
 from ..core.pipeline import ApplicationClassifier, ClassificationResult
 from ..errors import EmptySeriesError, NotTrainedError
 from ..metrics.series import SnapshotSeries
-from ..obs import enabled as obs_enabled, get_registry as obs_get_registry, span as obs_span
+from ..obs import InstrumentSpec, get_registry as obs_get_registry
 
 __all__ = ["BatchClassifier"]
+
+#: ``classify_batch`` instruments.
+_RUNS = InstrumentSpec.counter("serve.batch.runs", "Runs classified by classify_batch.")
+_SNAPSHOTS = InstrumentSpec.counter("serve.batch.snapshots", "Snapshots classified by classify_batch.")
 
 
 class BatchClassifier:
@@ -58,30 +62,6 @@ class BatchClassifier:
         if not classifier.trained:
             raise NotTrainedError("batch classification requires a trained classifier")
         self.classifier = classifier
-        # Cached counter handles, keyed by (registry, generation); see
-        # _obs_counters().
-        self._obs_cache: tuple | None = None
-
-    def _obs_counters(self) -> tuple:
-        """The ``serve.batch.runs``/``serve.batch.snapshots`` counters, cached per registry epoch.
-
-        Resolving a counter through the registry's get-or-create costs
-        more than incrementing it; the handles stay valid until the
-        registry is swapped or reset, both of which change the
-        ``(registry, generation)`` cache key, as in
-        :meth:`ApplicationClassifier._obs_instruments
-        <repro.core.pipeline.ApplicationClassifier._obs_instruments>`.
-        """
-        registry = obs_get_registry()
-        cache = self._obs_cache
-        if cache is not None and cache[0] is registry and cache[1] == registry.generation:
-            return cache[2]
-        counters = (
-            registry.counter("serve.batch.runs", help="Runs classified by classify_batch."),
-            registry.counter("serve.batch.snapshots", help="Snapshots classified by classify_batch."),
-        )
-        self._obs_cache = (registry, registry.generation, counters)
-        return counters
 
     def classify_batch(
         self, series_list: Sequence[SnapshotSeries]
@@ -134,10 +114,10 @@ class BatchClassifier:
                 raise EmptySeriesError("cannot classify an empty series")
         if not series_list:
             return [], (0.0, 0.0, 0.0, 0.0, 0.0)
-        with obs_span("serve.batch.classify", clock=clf.clock):
+        registry = obs_get_registry()
+        with registry.span("serve.batch.classify", clock=clf.clock):
             results, _, stage_seconds = clf._classify_stacked(series_list)
-        if obs_enabled():
-            runs_c, snapshots_c = self._obs_counters()
-            runs_c.inc(len(results))
-            snapshots_c.inc(sum(r.num_samples for r in results))
+        if registry.enabled:
+            registry.get(_RUNS).inc(len(results))
+            registry.get(_SNAPSHOTS).inc(sum(r.num_samples for r in results))
         return results, stage_seconds

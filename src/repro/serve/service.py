@@ -31,18 +31,30 @@ from ..core.pipeline import ApplicationClassifier, ClassificationResult
 from ..errors import EmptySeriesError, ServiceOverloadedError
 from ..metrics.series import SnapshotSeries
 from ..obs import (
-    counter as obs_counter,
+    InstrumentSpec,
     enabled as obs_enabled,
     event as obs_event,
-    gauge as obs_gauge,
+    get as obs_get,
     get_registry as obs_get_registry,
-    histogram as obs_histogram,
 )
 from ..obs.context import TraceContext, build_request_records, observe_attribution
 from ..obs.http import TelemetryServer
 from .batch import BatchClassifier
 
 __all__ = ["ClassificationService", "ServiceStats"]
+
+_REJECTED = InstrumentSpec.counter("serve.requests.rejected", "Submissions shed by backpressure.")
+_FAILED = InstrumentSpec.counter("serve.requests.failed", "Requests failed by a batch error.")
+_COMPLETED = InstrumentSpec.counter("serve.requests.completed", "Requests served.")
+_QUEUE_DEPTH = InstrumentSpec.gauge("serve.queue.depth", "Requests waiting in the queue.")
+_BATCH_SIZE = InstrumentSpec.histogram(
+    "serve.batch.size",
+    "Requests per flushed micro-batch.",
+    buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
+)
+_REQUEST_SECONDS = InstrumentSpec.histogram(
+    "serve.request.seconds", "Submit-to-result latency of one served request."
+)
 
 
 @dataclass(frozen=True)
@@ -305,17 +317,13 @@ class ClassificationService:
                 full = False
         if full:
             if obs_enabled():
-                obs_counter(
-                    "serve.requests.rejected", help="Submissions shed by backpressure."
-                ).inc()
+                obs_get(_REJECTED).inc()
                 obs_event("serve.overloaded", max_queue=str(self.max_queue))
             raise ServiceOverloadedError(
                 f"request queue full ({self.max_queue} pending); retry later"
             ) from None
         if obs_enabled():
-            obs_gauge("serve.queue.depth", help="Requests waiting in the queue.").set(
-                self._queue.qsize()
-            )
+            obs_get(_QUEUE_DEPTH).set(self._queue.qsize())
         return request.future
 
     def classify(
@@ -409,18 +417,12 @@ class ClassificationService:
         return batch, False
 
     def _process_batch(self, batch: list[_Request]) -> None:
-        timed = obs_enabled()
         registry = obs_get_registry()
+        timed = registry.enabled
         traced = [r for r in batch if r.trace]
         if timed:
-            obs_gauge("serve.queue.depth", help="Requests waiting in the queue.").set(
-                self._queue.qsize()
-            )
-            obs_histogram(
-                "serve.batch.size",
-                help="Requests per flushed micro-batch.",
-                buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
-            ).observe(len(batch))
+            registry.get(_QUEUE_DEPTH).set(self._queue.qsize())
+            registry.get(_BATCH_SIZE).observe(len(batch))
         if traced:
             # One shared compute mark: the whole micro-batch enters the
             # kernel together, so every trace's batch-wait ends here.
@@ -447,9 +449,7 @@ class ClassificationService:
                 self._failed += len(batch)
                 self._batches += 1
             if timed:
-                obs_counter(
-                    "serve.requests.failed", help="Requests failed by a batch error."
-                ).inc(len(batch))
+                registry.get(_FAILED).inc(len(batch))
             return
         if traced:
             # Finish every trace *before* resolving any future, so a
@@ -469,12 +469,9 @@ class ClassificationService:
         for request, result in zip(batch, results):
             request.future.set_result(result)
             if timed:
-                obs_histogram(
-                    "serve.request.seconds",
-                    help="Submit-to-result latency of one served request.",
-                ).observe(done - request.enqueued_at)
+                registry.get(_REQUEST_SECONDS).observe(done - request.enqueued_at)
         with self._lock:
             self._completed += len(batch)
             self._batches += 1
         if timed:
-            obs_counter("serve.requests.completed", help="Requests served.").inc(len(batch))
+            registry.get(_COMPLETED).inc(len(batch))

@@ -19,13 +19,17 @@ import numpy as np
 
 from ..ingest import DrainBatch
 from ..metrics.series import SnapshotSeries
-from ..obs import counter as obs_counter, get_registry as obs_get_registry
+from ..obs import InstrumentSpec, get_registry as obs_get_registry
 from ..obs.context import TraceContext
 
 __all__ = [
     "drain_to_series",
     "drain_trace_contexts",
 ]
+
+_COALESCED = InstrumentSpec.counter(
+    "obs.traces.coalesced", "Traced announcements folded into another row's window trace."
+)
 
 
 def drain_to_series(batch: DrainBatch) -> list[SnapshotSeries]:
@@ -100,8 +104,5 @@ def drain_trace_contexts(batch: DrainBatch) -> list[TraceContext]:
                 ctx.mark("ingest.drain", batch.drained_s)
         contexts.append(ctx)
     if coalesced:
-        obs_counter(
-            "obs.traces.coalesced",
-            help="Traced announcements folded into another row's window trace.",
-        ).inc(coalesced)
+        registry.get(_COALESCED).inc(coalesced)
     return contexts

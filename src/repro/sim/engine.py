@@ -24,12 +24,17 @@ from typing import Callable
 
 import numpy as np
 
-from ..obs import counter as obs_counter, gauge as obs_gauge
+from ..obs import InstrumentSpec, get as obs_get
 from ..vm.cluster import Cluster
 from ..vm.machine import VirtualMachine
 from ..vm.resources import BLOCKS_PER_SWAP_KB, ResourceGrant
 from ..workloads.base import WorkloadInstance
 from .contention import InstanceDemand, allocate
+
+_MIGRATIONS = InstrumentSpec.counter("sim.migrations", "Live migrations performed.")
+_COMPLETIONS = InstrumentSpec.counter("sim.completions", "Workload passes completed.")
+_TICKS = InstrumentSpec.counter("sim.ticks", "Simulation ticks advanced.")
+_ACTIVE = InstrumentSpec.gauge("sim.active_instances", "Instances active in the last tick.")
 
 #: Hard cap on simulation length, to catch runaway loops in tests.
 DEFAULT_MAX_TICKS: int = 500_000
@@ -197,7 +202,7 @@ class SimulationEngine:
         inst.vm_name = target_vm
         inst.paused_until = self.now + downtime_s
         self.migrations.append(event)
-        obs_counter("sim.migrations", help="Live migrations performed.").inc()
+        obs_get(_MIGRATIONS).inc()
         return event
 
     def kill_instance(self, key: int) -> None:
@@ -335,13 +340,11 @@ class SimulationEngine:
                         elapsed=elapsed,
                     )
                 )
-                obs_counter("sim.completions", help="Workload passes completed.").inc()
+                obs_get(_COMPLETIONS).inc()
         for listener in self._listeners:
             listener(self.now)
-        obs_counter("sim.ticks", help="Simulation ticks advanced.").inc()
-        obs_gauge("sim.active_instances", help="Instances active in the last tick.").set(
-            float(len(active))
-        )
+        obs_get(_TICKS).inc()
+        obs_get(_ACTIVE).set(float(len(active)))
 
     # ------------------------------------------------------------------
     # counter plumbing

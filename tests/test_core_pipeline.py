@@ -1,8 +1,14 @@
 """Tests for the end-to-end classifier pipeline (paper Figure 2)."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.errors import NonFiniteInputError
 from repro.core.labels import SnapshotClass
 from repro.core.pipeline import ApplicationClassifier, StageTimings
 from repro.core.preprocessing import MetricSelector
@@ -170,3 +176,76 @@ class TestStageTimings:
     def test_per_sample_validation(self):
         with pytest.raises(ValueError):
             StageTimings().per_sample_ms(0)
+
+
+def _zero_clock() -> float:
+    """A picklable stand-in clock: every timing is 0.0, so copies time alike."""
+    return 0.0
+
+
+def assert_same_results(got, want):
+    """Every result field equal; arrays to the bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes(), f.name
+            else:
+                assert x == y, f.name
+
+
+class TestCopying:
+    """A trained classifier and its batch front end survive pickle and deepcopy once obs has run."""
+
+    COPIES = {
+        "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+        "deepcopy": copy.deepcopy,
+    }
+
+    @pytest.fixture(params=["float64", "float32"])
+    def clf(self, request):
+        clf = ApplicationClassifier(compute_dtype=request.param, clock=_zero_clock)
+        return clf.train(synthetic_training())
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    @pytest.mark.parametrize("obs_after", ["on", "disabled"])
+    def test_copies_classify_to_the_same_bits(self, clf, how, obs_after):
+        copier = self.COPIES[how]
+        series = [synthetic_series(kind, seed=30 + i) for i, kind in enumerate(("cpu", "io", "net"))]
+        batch = BatchClassifier(clf)
+        obs.enable()
+        try:
+            want_series = [clf.classify_series(s) for s in series]
+            want_batch = batch.classify_batch(series)
+            if obs_after == "disabled":
+                obs.disable()
+            clf_copy, batch_copy = copier(clf), copier(batch)
+        finally:
+            obs.disable()
+        assert_same_results([clf_copy.classify_series(s) for s in series], want_series)
+        assert_same_results(batch_copy.classify_batch(series), want_batch)
+
+
+class TestNonFiniteInput:
+    """A NaN or inf in the input raises NonFiniteInputError, still a ValueError."""
+
+    @pytest.fixture(params=["float64", "float32"])
+    def clf(self, request):
+        return ApplicationClassifier(compute_dtype=request.param).train(synthetic_training())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_every_classify_call_raises_it(self, clf, bad):
+        series = synthetic_series("cpu", seed=40)
+        series.matrix[metric_index("cpu_user"), 3] = bad
+        rows = series.feature_matrix(clf.preprocessor.selector.names)
+        calls = [
+            lambda: clf.classify_series(series),
+            lambda: BatchClassifier(clf).classify_batch([series]),
+            lambda: clf.classify_rows(rows),
+        ]
+        for call in calls:
+            with pytest.raises(NonFiniteInputError, match="non-finite") as caught:
+                call()
+            assert isinstance(caught.value, ValueError)

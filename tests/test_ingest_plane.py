@@ -420,7 +420,7 @@ class TestCachedInstruments:
             counted = {key: registry.counter(key[0], **dict(key[1])).value for key in self.EXPECTED}
             assert counted == self.EXPECTED
             assert registry.gauge("ingest.ring.occupancy", node="a").value == 0.0
-            obs.reset()  # same registry, next generation: handles re-resolve
+            obs.reset()  # same registry, every handle dropped: they re-resolve
             plane.push("a", 10.0, np.ones(NUM_METRICS))
             plane.push("b", 11.0, np.ones(NUM_METRICS))
             assert plane.drain(max_rows=1, flush=True).timestamps.tolist() == [10.0]
