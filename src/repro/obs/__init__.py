@@ -85,7 +85,7 @@ def enable(
     Idempotent: if already enabled, the existing registry (and its
     collected data) is kept; a non-``None`` *clock* replaces its default
     span clock, non-``None`` capacities resize the span ring / event
-    journal (keeping the newest records), and a non-``None`` *sampler*
+    ring (keeping the newest records), and a non-``None`` *sampler*
     replaces the tail-sampling policy either way.  Capacities left
     ``None`` fall back to the ``REPRO_OBS_TRACE_CAPACITY`` /
     ``REPRO_OBS_EVENT_CAPACITY`` environment variables; a fresh registry
@@ -152,26 +152,6 @@ def get(spec: InstrumentSpec) -> Counter | Gauge | Histogram | tuple:
     return _registry.get(spec)
 
 
-def counter(name: str, help: str = "", **labels: str) -> Counter:
-    """Counter *name* from the active registry (no-op when disabled)."""
-    return _registry.counter(name, help=help, **labels)
-
-
-def gauge(name: str, help: str = "", **labels: str) -> Gauge:
-    """Gauge *name* from the active registry (no-op when disabled)."""
-    return _registry.gauge(name, help=help, **labels)
-
-
-def histogram(
-    name: str,
-    help: str = "",
-    buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_S,
-    **labels: str,
-) -> Histogram:
-    """Histogram *name* from the active registry (no-op when disabled)."""
-    return _registry.histogram(name, help=help, buckets=buckets, **labels)
-
-
 def span(name: str, clock: Clock | None = None, parent: TraceContext | None = None) -> object:
     """Open a tracing span on the active registry.
 
@@ -184,56 +164,15 @@ def span(name: str, clock: Clock | None = None, parent: TraceContext | None = No
     return _registry.span(name, clock=clock, parent=parent)
 
 
-def start_trace(name: str = "serve.request", mark: str | None = None) -> TraceContext:
-    """Mint a request trace on the active registry.
-
-    Returns the shared falsy :data:`NULL_TRACE` while disabled (which
-    never reads any clock), so call sites can mint unconditionally and
-    gate all further tracing work on the context's truthiness.
-    """
-    return _registry.start_trace(name, mark=mark)
-
-
-def finish_trace(
-    ctx: TraceContext,
-    end_s: float,
-    records: list[SpanRecord] | tuple[SpanRecord, ...] = (),
-    error: bool = False,
-) -> bool:
-    """Complete *ctx* on the active registry (see
-    :meth:`~repro.obs.registry.MetricsRegistry.finish_trace`)."""
-    return _registry.finish_trace(ctx, end_s, records=records, error=error)
-
-
-def current_trace_id() -> int:
-    """Trace id of the span open on this thread (0 when untraced)."""
-    return _registry.current_trace_id()
-
-
-def set_sampler(sampler: TailSampler | None) -> None:
-    """Install (or clear, with ``None``) the tail-sampling policy.
-
-    No-op while disabled: the null registry never records traces, so
-    there is nothing to sample.
-    """
-    registry = _registry
-    if registry.enabled:
-        registry.sampler = sampler
-
-
 def event(name: str, **fields: str) -> None:
     """Record a structured event on the active registry.
 
     While disabled this is a no-op that never reads any clock; while
-    enabled the record lands in the bounded event journal carrying the
-    id of the span enclosing the call (see :mod:`repro.obs.events`).
+    enabled the record lands in the registry's bounded event ring,
+    carrying the id of the span enclosing the call (see
+    :mod:`repro.obs.events`).
     """
     _registry.event(name, **fields)
-
-
-def events() -> list[EventRecord]:
-    """Retained journal events of the active registry (empty when disabled)."""
-    return _registry.events()
 
 
 __all__ = [
@@ -260,20 +199,14 @@ __all__ = [
     "TelemetryServer",
     "TraceContext",
     "Verdict",
-    "counter",
-    "current_trace_id",
     "default_rules",
     "disable",
     "enable",
     "enabled",
     "evaluate",
     "event",
-    "events",
-    "finish_trace",
-    "gauge",
     "get",
     "get_registry",
-    "histogram",
     "histogram_quantile",
     "registry_to_dict",
     "render_events_jsonl",
@@ -283,7 +216,5 @@ __all__ = [
     "render_trace",
     "reset",
     "sampler_from_env",
-    "set_sampler",
     "span",
-    "start_trace",
 ]

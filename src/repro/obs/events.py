@@ -13,17 +13,17 @@ Each record carries the id of the span enclosing the ``event()`` call
 journal joins against a trace dump on ``span_id`` and every event lands
 inside the operation that produced it.
 
-The journal is a fixed-capacity ring (like the span buffer): old events
-fall off the back, memory stays bounded no matter how long the process
-runs, and capacity is configurable per registry
-(``obs.enable(event_capacity=...)`` or ``REPRO_OBS_EVENT_CAPACITY``).
+The registry keeps the journal in a fixed-capacity ring, exactly like
+its span buffer: old events fall off the back, memory stays bounded no
+matter how long the process runs, and capacity is configurable per
+registry (``obs.enable(event_capacity=...)`` or
+``REPRO_OBS_EVENT_CAPACITY``).  This module holds the record type and
+its JSONL renderer.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from collections import deque
 from typing import Iterable, NamedTuple
 
 #: Default events retained in the journal ring.
@@ -53,70 +53,6 @@ class EventRecord(NamedTuple):
         }
 
 
-class EventJournal:
-    """Thread-safe fixed-capacity ring of :class:`EventRecord`."""
-
-    __slots__ = ("_lock", "_ring", "_dropped")
-
-    def __init__(self, capacity: int = DEFAULT_EVENT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError("event capacity must be positive")
-        self._lock = threading.Lock()
-        self._ring: deque[EventRecord] = deque(maxlen=capacity)
-        self._dropped = 0
-
-    @property
-    def capacity(self) -> int:
-        """Maximum records retained before the oldest are dropped."""
-        # Under the lock: resize() rebinds the ring, so a lock-free
-        # read here could see a deque mid-swap.
-        with self._lock:
-            maxlen = self._ring.maxlen
-        assert maxlen is not None
-        return maxlen
-
-    @property
-    def dropped(self) -> int:
-        """Events evicted from the ring so far (journal overflow)."""
-        with self._lock:
-            return self._dropped
-
-    def append(self, record: EventRecord) -> None:
-        """Record one event (evicting the oldest when full)."""
-        with self._lock:
-            if len(self._ring) == self._ring.maxlen:
-                self._dropped += 1
-            self._ring.append(record)
-
-    def records(self) -> list[EventRecord]:
-        """All retained events, oldest first."""
-        with self._lock:
-            return list(self._ring)
-
-    def clear(self) -> None:
-        """Drop every retained event; capacity is unchanged."""
-        with self._lock:
-            self._ring.clear()
-            self._dropped = 0
-
-    def resize(self, capacity: int) -> None:
-        """Change the ring capacity, keeping the newest records.
-
-        Raises
-        ------
-        ValueError
-            If *capacity* is not positive.
-        """
-        if capacity < 1:
-            raise ValueError("event capacity must be positive")
-        with self._lock:
-            self._ring = deque(self._ring, maxlen=capacity)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._ring)
-
-
 def render_events_jsonl(records: Iterable[EventRecord]) -> str:
     """Render events as JSON Lines (one compact object per line).
 
@@ -131,7 +67,6 @@ def render_events_jsonl(records: Iterable[EventRecord]) -> str:
 
 __all__ = [
     "DEFAULT_EVENT_CAPACITY",
-    "EventJournal",
     "EventRecord",
     "render_events_jsonl",
 ]

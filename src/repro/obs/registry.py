@@ -13,7 +13,7 @@ needs:
   span durations), exportable in the Prometheus cumulative-bucket form.
 
 All updates are thread-safe (one lock per instrument, one registry lock
-for get-or-create).  Time never enters the registry implicitly: spans
+for resolving specs).  Time never enters the registry implicitly: spans
 read an injectable ``Clock`` (see :mod:`repro.obs.spans`), so traces
 collected under a fake clock are bit-reproducible.
 
@@ -35,9 +35,9 @@ from collections import deque
 from typing import Callable, Iterable, Iterator
 
 from .context import NULL_TRACE, TailSampler, TraceContext, sampler_from_env
-from .events import DEFAULT_EVENT_CAPACITY, EventJournal, EventRecord
+from .events import DEFAULT_EVENT_CAPACITY, EventRecord
 from .spans import SpanRecord, null_span
-from .spec import DEFAULT_LATENCY_BUCKETS_S, InstrumentSpec, LabelledSpecs, LabelSet, label_set
+from .spec import DEFAULT_LATENCY_BUCKETS_S, InstrumentSpec, LabelledSpecs, LabelSet
 
 #: A clock is any zero-argument callable returning seconds as a float —
 #: the same injectable-clock contract as ``repro.core.pipeline.Clock``.
@@ -314,7 +314,7 @@ Instrument = Counter | Gauge | Histogram
 
 
 class MetricsRegistry:
-    """Live registry: get-or-create instruments, record spans, snapshot.
+    """Live registry: resolve instrument specs, record spans and events, snapshot.
 
     Parameters
     ----------
@@ -325,7 +325,7 @@ class MetricsRegistry:
         Finished spans retained in the ring buffer; ``None`` falls back
         to :data:`TRACE_CAPACITY_ENV` then :data:`DEFAULT_TRACE_CAPACITY`.
     event_capacity:
-        Event-journal records retained; ``None`` falls back to
+        Events retained in the ring buffer; ``None`` falls back to
         :data:`EVENT_CAPACITY_ENV` then
         :data:`~repro.obs.events.DEFAULT_EVENT_CAPACITY`.
     sampler:
@@ -351,8 +351,11 @@ class MetricsRegistry:
             event_capacity = _capacity_from_env(EVENT_CAPACITY_ENV, DEFAULT_EVENT_CAPACITY)
         if trace_capacity < 1:
             raise ValueError("trace_capacity must be positive")
+        if event_capacity < 1:
+            raise ValueError("event capacity must be positive")
         self.clock: Clock = clock if clock is not None else DEFAULT_CLOCK
         self.trace_capacity = trace_capacity
+        self.event_capacity = event_capacity
         self._lock = threading.Lock()
         self._instruments: dict[tuple[str, LabelSet], Instrument] = {}
         # Spec → resolved handle (a tuple of handles for a family spec);
@@ -360,7 +363,7 @@ class MetricsRegistry:
         # with it by reset(), so no handle outlives the instrument map.
         self._handles: dict[InstrumentSpec, Instrument | tuple[Instrument, ...]] = {}
         self._spans: deque[SpanRecord] = deque(maxlen=trace_capacity)
-        self._events = EventJournal(event_capacity)
+        self._events: deque[EventRecord] = deque(maxlen=event_capacity)
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
         self._span_stacks = threading.local()
@@ -376,11 +379,6 @@ class MetricsRegistry:
         # trace's completion (insertion-ordered: oldest trace evicted
         # first when MAX_PENDING_TRACES in-flight traces pile up).
         self._pending: dict[int, list[SpanRecord]] = {}
-
-    @property
-    def event_capacity(self) -> int:
-        """Configured event-journal ring capacity."""
-        return self._events.capacity
 
     # ------------------------------------------------------------------
     # instruments
@@ -429,59 +427,6 @@ class MetricsRegistry:
         elif instrument.kind != kind:
             raise TypeError(f"{name!r} is registered as a {instrument.kind}, not a {kind}")
         return instrument
-
-    def _get_or_create(
-        self,
-        kind: str,
-        name: str,
-        labels: dict[str, str],
-        help: str,
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_S,
-    ) -> Instrument:
-        key = (name, label_set(labels))
-        # Double-checked as in get(); a kind mismatch takes the locked
-        # path, which raises.
-        instrument = self._instruments.get(key)  # qa: ignore[unguarded-shared-state]
-        if instrument is None or instrument.kind != kind:
-            with self._lock:
-                instrument = self._find_locked(kind, name, key[1], help, buckets)
-        return instrument
-
-    def counter(self, name: str, help: str = "", **labels: str) -> Counter:
-        """Get or create the counter *name* with the given labels.
-
-        Raises
-        ------
-        TypeError
-            If the name/labels pair is already registered as another kind.
-        """
-        return self._get_or_create("counter", name, labels, help)
-
-    def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
-        """Get or create the gauge *name* with the given labels.
-
-        Raises
-        ------
-        TypeError
-            If the name/labels pair is already registered as another kind.
-        """
-        return self._get_or_create("gauge", name, labels, help)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_S,
-        **labels: str,
-    ) -> Histogram:
-        """Get or create the histogram *name* with the given labels.
-
-        Raises
-        ------
-        TypeError
-            If the name/labels pair is already registered as another kind.
-        """
-        return self._get_or_create("histogram", name, labels, help, buckets)
 
     def instruments(self) -> list[Instrument]:
         """All registered instruments, sorted by (name, labels)."""
@@ -712,12 +657,14 @@ class MetricsRegistry:
             self.current_span_id(),
             tuple(sorted((str(k), str(v)) for k, v in fields.items())),
         )
+        # deque.append with maxlen is atomic under the GIL, as in _commit_span.
         self._events.append(record)
         self.get(_EVENTS[name]).inc()
 
     def events(self) -> list[EventRecord]:
-        """Retained journal events, oldest first."""
-        return self._events.records()
+        """Retained events, oldest first (bounded by the event capacity)."""
+        with self._lock:
+            return list(self._events)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -737,22 +684,32 @@ class MetricsRegistry:
             self.trace_capacity = capacity
 
     def set_event_capacity(self, capacity: int) -> None:
-        """Resize the event journal, keeping the newest records."""
-        self._events.resize(capacity)
+        """Resize the event ring, keeping the newest records.
+
+        Raises
+        ------
+        ValueError
+            If *capacity* is not positive.
+        """
+        if capacity < 1:
+            raise ValueError("event capacity must be positive")
+        with self._lock:
+            self._events = deque(self._events, maxlen=capacity)
+            self.event_capacity = capacity
 
     def reset(self) -> None:
         """Drop every instrument, span, and event (keep clock and capacities).
 
-        The span ring and event journal are cleared in place, so the
-        capacities configured at construction (or via the ``set_*``
-        methods) survive a reset.
+        The span and event rings are cleared in place, so the capacities
+        configured at construction (or via the ``set_*`` methods)
+        survive a reset.
         """
         with self._lock:
             self._instruments.clear()
             self._handles.clear()
             self._spans.clear()
+            self._events.clear()
             self._pending.clear()
-        self._events.clear()
 
 
 class _SpanContext:
@@ -887,10 +844,7 @@ class _NullHistogram:
         return (), (0,), 0.0, 0
 
 
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-_NULL_INSTRUMENTS = {"counter": _NULL_COUNTER, "gauge": _NULL_GAUGE, "histogram": _NULL_HISTOGRAM}
+_NULL_INSTRUMENTS = {"counter": _NullCounter(), "gauge": _NullGauge(), "histogram": _NullHistogram()}
 
 
 class NullRegistry:
@@ -909,24 +863,6 @@ class NullRegistry:
         """The shared no-op instrument of the spec's kind (a tuple of them for a family)."""
         null = _NULL_INSTRUMENTS[spec.kind]
         return null if spec.family is None else (null,) * len(spec.family[1])
-
-    def counter(self, name: str, help: str = "", **labels: str) -> _NullCounter:
-        """Shared no-op counter."""
-        return _NULL_COUNTER
-
-    def gauge(self, name: str, help: str = "", **labels: str) -> _NullGauge:
-        """Shared no-op gauge."""
-        return _NULL_GAUGE
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_S,
-        **labels: str,
-    ) -> _NullHistogram:
-        """Shared no-op histogram."""
-        return _NULL_HISTOGRAM
 
     def span(
         self, name: str, clock: Clock | None = None, parent: TraceContext | None = None

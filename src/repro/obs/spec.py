@@ -46,8 +46,7 @@ class InstrumentSpec:
     Specs compare and hash by identity: a registry keys its handles on
     the spec object, so declare each spec once and reuse it.  Two specs
     naming the same instrument still resolve to the one instrument (the
-    first creation's help text and buckets win, as with the
-    ``obs.counter`` facade).
+    first creation's help text and buckets win).
     """
 
     kind: str

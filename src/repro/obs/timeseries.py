@@ -314,6 +314,30 @@ def _fmt(value: float | None) -> str:
     return f"{value:.4g}"
 
 
+def _window_stats(
+    recorder: MetricsRecorder, window_s: float
+) -> list[tuple[InstrumentSeries, tuple[float | None, ...]]]:
+    """Each series with its (last, min, max, rate, p50, p99) over *window_s*.
+
+    The one computation behind :func:`render_top` and
+    :func:`recorder_windows_dict`, so the table and the JSON agree.
+    """
+    return [
+        (
+            s,
+            (
+                s.last(),
+                s.minimum(window_s),
+                s.maximum(window_s),
+                s.rate(window_s),
+                s.quantile(0.5, window_s),
+                s.quantile(0.99, window_s),
+            ),
+        )
+        for s in recorder.all_series()
+    ]
+
+
 def render_top(recorder: MetricsRecorder, window_s: float = 60.0) -> str:
     """Render a ``top``-style snapshot table of every recorded series.
 
@@ -321,21 +345,10 @@ def render_top(recorder: MetricsRecorder, window_s: float = 60.0) -> str:
     per-second rate, and (for histograms) the windowed p50/p99.
     """
     rows = [["METRIC", "KIND", "LAST", "MIN", "MAX", "RATE/s", "P50", "P99"]]
-    for s in recorder.all_series():
+    for s, stats in _window_stats(recorder, window_s):
         label_text = ",".join(f"{k}={v}" for k, v in s.labels)
         name = f"{s.name}{{{label_text}}}" if label_text else s.name
-        rows.append(
-            [
-                name,
-                s.kind,
-                _fmt(s.last()),
-                _fmt(s.minimum(window_s)),
-                _fmt(s.maximum(window_s)),
-                _fmt(s.rate(window_s)),
-                _fmt(s.quantile(0.5, window_s)),
-                _fmt(s.quantile(0.99, window_s)),
-            ]
-        )
+        rows.append([name, s.kind, *(_fmt(value) for value in stats)])
     if len(rows) == 1:
         return "(no series recorded)"
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
@@ -355,6 +368,10 @@ def _window_cell(value: float | None) -> float | None:
     return value
 
 
+#: ``recorder_windows_dict`` keys, in :func:`_window_stats` order.
+_WINDOW_KEYS = ("last", "min", "max", "rate_per_s", "p50", "p99")
+
+
 def recorder_windows_dict(recorder: MetricsRecorder, window_s: float = 60.0) -> list[dict]:
     """Windowed statistics per recorded series, as JSON-ready dicts.
 
@@ -366,23 +383,16 @@ def recorder_windows_dict(recorder: MetricsRecorder, window_s: float = 60.0) -> 
     cumulative snapshot from the newest).  This is what ``/metrics.json``
     embeds so scrapes agree with ``repro obs top``.
     """
-    out = []
-    for s in recorder.all_series():
-        out.append(
-            {
-                "metric": s.name,
-                "labels": dict(s.labels),
-                "kind": s.kind,
-                "window_s": window_s,
-                "last": _window_cell(s.last()),
-                "min": _window_cell(s.minimum(window_s)),
-                "max": _window_cell(s.maximum(window_s)),
-                "rate_per_s": _window_cell(s.rate(window_s)),
-                "p50": _window_cell(s.quantile(0.5, window_s)),
-                "p99": _window_cell(s.quantile(0.99, window_s)),
-            }
-        )
-    return out
+    return [
+        {
+            "metric": s.name,
+            "labels": dict(s.labels),
+            "kind": s.kind,
+            "window_s": window_s,
+            **{key: _window_cell(value) for key, value in zip(_WINDOW_KEYS, stats)},
+        }
+        for s, stats in _window_stats(recorder, window_s)
+    ]
 
 
 __all__ = [

@@ -254,14 +254,6 @@ class ClassificationService:
                 with self._lock:
                     self._failed += 1
 
-    def stop(self) -> None:
-        """Shut down without draining (pending requests fail fast)."""
-        self.shutdown(drain=False)
-
-    def drain(self) -> None:
-        """Shut down after serving every already-accepted request."""
-        self.shutdown(drain=True)
-
     def __enter__(self) -> "ClassificationService":
         self.start()
         return self
@@ -326,12 +318,6 @@ class ClassificationService:
             obs_get(_QUEUE_DEPTH).set(self._queue.qsize())
         return request.future
 
-    def classify(
-        self, series: SnapshotSeries, timeout: float | None = None
-    ) -> ClassificationResult:
-        """Blocking convenience: :meth:`submit` and wait for the result."""
-        return self.submit(series).result(timeout=timeout)
-
     def submit_drain(self, batch) -> list[Future[ClassificationResult]]:
         """Enqueue an ingest-plane drain as per-node series requests.
 
@@ -353,10 +339,9 @@ class ClassificationService:
         RuntimeError
             After shutdown.
         """
-        from .stream import drain_to_series, drain_trace_contexts
+        from .stream import _drain_requests
 
-        series_list = drain_to_series(batch)
-        traces = drain_trace_contexts(batch)
+        series_list, traces = _drain_requests(batch)
         return [
             self.submit(series, trace=trace)
             for series, trace in zip(series_list, traces)

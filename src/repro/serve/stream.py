@@ -11,9 +11,15 @@ serving layer:
   through the micro-batcher" route;
 * :func:`drain_trace_contexts` adopts one request trace per regrouped
   series, so a drained window is traced as one request.
+
+Both group the drain's rows by node once, with one stable argsort;
+``ClassificationService.submit_drain`` shares that grouping between
+them.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +36,28 @@ __all__ = [
 _COALESCED = InstrumentSpec.counter(
     "obs.traces.coalesced", "Traced announcements folded into another row's window trace."
 )
+
+
+class _NodeGroups(NamedTuple):
+    """A drain's rows grouped by node, computed once per drain."""
+
+    #: Row indices sorted by node id, timeline order kept within a node.
+    order: np.ndarray
+    #: Ids of the nodes with rows, ascending.
+    present: np.ndarray
+    #: ``order[bounds[i]:bounds[i + 1]]`` are the rows of ``present[i]``.
+    bounds: np.ndarray
+
+
+def _group_by_node(batch: DrainBatch) -> _NodeGroups:
+    # One stable argsort plus bincount offsets replaces a full-length
+    # ``node_ids == k`` mask per registered node.
+    node_ids = batch.node_ids
+    counts = np.bincount(node_ids, minlength=len(batch.nodes))
+    present = np.flatnonzero(counts)
+    bounds = np.zeros(present.shape[0] + 1, dtype=np.intp)
+    np.cumsum(counts[present], out=bounds[1:])
+    return _NodeGroups(np.argsort(node_ids, kind="stable"), present, bounds)
 
 
 def drain_to_series(batch: DrainBatch) -> list[SnapshotSeries]:
@@ -50,19 +78,7 @@ def drain_to_series(batch: DrainBatch) -> list[SnapshotSeries]:
         times; the plane's duplicate drop only covers consecutive
         pushes).
     """
-    series: list[SnapshotSeries] = []
-    for node_id, node in enumerate(batch.nodes):
-        sel = batch.node_ids == node_id
-        if not np.any(sel):
-            continue
-        series.append(
-            SnapshotSeries(
-                node=node,
-                timestamps=batch.timestamps[sel].copy(),
-                matrix=batch.values[sel].T.copy(),
-            )
-        )
-    return series
+    return _series(batch, _group_by_node(batch))
 
 
 def drain_trace_contexts(batch: DrainBatch) -> list[TraceContext]:
@@ -84,22 +100,49 @@ def drain_trace_contexts(batch: DrainBatch) -> list[TraceContext]:
     (tracing off at push time) — callers can pass them straight to
     ``submit(..., trace=...)`` unconditionally.
     """
+    return _trace_contexts(batch, _group_by_node(batch))
+
+
+def _drain_requests(batch: DrainBatch) -> tuple[list[SnapshotSeries], list[TraceContext]]:
+    """Both :func:`drain_to_series` and :func:`drain_trace_contexts` from one grouping."""
+    groups = _group_by_node(batch)
+    return _series(batch, groups), _trace_contexts(batch, groups)
+
+
+def _series(batch: DrainBatch, groups: _NodeGroups) -> list[SnapshotSeries]:
+    # Fancy indexing copies, so the series never alias the plane's buffers.
+    timestamps = batch.timestamps[groups.order]
+    values = batch.values[groups.order]
+    bounds = groups.bounds.tolist()
+    return [
+        SnapshotSeries(
+            node=batch.nodes[node_id],
+            timestamps=timestamps[bounds[i] : bounds[i + 1]],
+            matrix=values[bounds[i] : bounds[i + 1]].T.copy(),
+        )
+        for i, node_id in enumerate(groups.present.tolist())
+    ]
+
+
+def _trace_contexts(batch: DrainBatch, groups: _NodeGroups) -> list[TraceContext]:
     registry = obs_get_registry()
+    firsts = groups.order[groups.bounds[:-1]]
+    rows = np.diff(groups.bounds).tolist()
+    count = len(rows)
+    trace_ids = [0] * count
+    if batch.trace_ids is not None and batch.trace_ids.shape[0]:
+        trace_ids = batch.trace_ids[firsts].tolist()
+    enqueued = None
+    if batch.enqueued_s is not None and batch.enqueued_s.shape[0]:
+        enqueued = batch.enqueued_s[firsts].tolist()
     contexts: list[TraceContext] = []
     coalesced = 0
-    for node_id in range(len(batch.nodes)):
-        sel = batch.node_ids == node_id
-        rows = int(np.count_nonzero(sel))
-        if rows == 0:
-            continue
-        trace_id = 0
-        if batch.trace_ids is not None and batch.trace_ids.shape[0]:
-            trace_id = int(batch.trace_ids[sel][0])
-        ctx = registry.adopt_trace("serve.request", trace_id)
+    for i in range(count):
+        ctx = registry.adopt_trace("serve.request", trace_ids[i])
         if ctx:
-            coalesced += rows - 1
-            if batch.enqueued_s is not None and batch.enqueued_s.shape[0]:
-                ctx.mark("ingest.push", float(batch.enqueued_s[sel][0]))
+            coalesced += rows[i] - 1
+            if enqueued is not None:
+                ctx.mark("ingest.push", enqueued[i])
             if batch.drained_s:
                 ctx.mark("ingest.drain", batch.drained_s)
         contexts.append(ctx)

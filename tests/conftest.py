@@ -13,6 +13,7 @@ import pytest
 from repro.core.config import ClassifierConfig
 from repro.core.pipeline import ApplicationClassifier
 from repro.experiments.training import TrainingOutcome, build_trained_classifier
+from repro.obs.spec import label_set
 from repro.sim.execution import RunResult, profiled_run
 from repro.vm.resources import ResourceDemand
 from repro.workloads.base import Workload, constant_workload
@@ -45,6 +46,19 @@ def classifier_f32(training_outcome):
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+def instrument(registry, name: str, **labels: str):
+    """The instrument *name* with exactly *labels* already in *registry*.
+
+    Reads ``registry.instruments()``, so unlike ``registry.get(spec)`` a
+    read never creates the instrument; fails the test when it is absent.
+    """
+    want = label_set(labels)
+    for inst in registry.instruments():
+        if inst.name == name and inst.labels == want:
+            return inst
+    pytest.fail(f"no instrument {name}{dict(want)} in the registry")
 
 
 def short_cpu_workload(duration: float = 60.0) -> Workload:

@@ -157,25 +157,28 @@ def test_module_entry_point():
 
 
 def test_qa_check_clean_file_exits_zero(tmp_path, capsys):
+    cache = str(tmp_path / "qa-cache.json")
     clean = tmp_path / "clean.py"
     clean.write_text('"""A clean module."""\n\nVALUE = 1\n')
-    assert qa_main(["check", str(clean), "--no-baseline", "--strict"]) == 0
+    assert qa_main(["check", str(clean), "--no-baseline", "--strict", "--cache", cache]) == 0
     assert "0 errors, 0 warnings" in capsys.readouterr().out
 
 
 def test_qa_check_seeded_violation_exits_one(tmp_path, capsys):
+    cache = str(tmp_path / "qa-cache.json")
     bad = tmp_path / "bad.py"
     bad.write_text('"""doc."""\n\n\ndef f(x=[]):\n    return x\n')
-    assert qa_main(["check", str(bad), "--no-baseline"]) == 1
+    assert qa_main(["check", str(bad), "--no-baseline", "--cache", cache]) == 1
     out = capsys.readouterr().out
     assert "mutable-default" in out
     assert "bad.py:4" in out
 
 
 def test_qa_check_json_output_parses(tmp_path, capsys):
+    cache = str(tmp_path / "qa-cache.json")
     bad = tmp_path / "bad.py"
     bad.write_text('"""doc."""\n\n__all__ = ["f"]\n\n\ndef f(x=[]):\n    return x\n')
-    assert qa_main(["check", str(bad), "--no-baseline", "--format", "json"]) == 1
+    assert qa_main(["check", str(bad), "--no-baseline", "--format", "json", "--cache", cache]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["counts"]["error"] == 1
     (finding,) = payload["findings"]
@@ -185,12 +188,17 @@ def test_qa_check_json_output_parses(tmp_path, capsys):
 
 
 def test_qa_check_baseline_grandfathers_finding(tmp_path, capsys):
+    cache = str(tmp_path / "qa-cache.json")
     bad = tmp_path / "bad.py"
     bad.write_text('"""doc."""\n\n__all__ = ["f"]\n\n\ndef f(x=[]):\n    return x\n')
     baseline = tmp_path / "baseline.txt"
-    assert qa_main(["check", str(bad), "--baseline", str(baseline), "--write-baseline"]) == 0
+    assert qa_main(
+        ["check", str(bad), "--baseline", str(baseline), "--write-baseline", "--cache", cache]
+    ) == 0
     capsys.readouterr()
-    assert qa_main(["check", str(bad), "--baseline", str(baseline), "--strict"]) == 0
+    assert qa_main(
+        ["check", str(bad), "--baseline", str(baseline), "--strict", "--cache", cache]
+    ) == 0
     assert "1 baselined" in capsys.readouterr().out
 
 
@@ -202,4 +210,5 @@ def test_qa_rules_lists_every_rule(capsys):
 
 
 def test_qa_check_unreadable_path_exits_two(tmp_path, capsys):
-    assert qa_main(["check", str(tmp_path / "missing.py"), "--no-baseline"]) == 2
+    cache = str(tmp_path / "qa-cache.json")
+    assert qa_main(["check", str(tmp_path / "missing.py"), "--no-baseline", "--cache", cache]) == 2

@@ -10,6 +10,8 @@ from repro.core.online import OnlineClassifier
 from repro.ingest import IngestPlane, MetricAnnouncement, MulticastChannel, ingest_slo_rules, synthetic_fleet
 from repro.metrics.catalog import NUM_METRICS
 
+from tests.conftest import instrument
+
 
 def ann(node: str, ts: float, fill: float = 1.0) -> MetricAnnouncement:
     return MetricAnnouncement(node=node, timestamp=ts, values=np.full(NUM_METRICS, fill))
@@ -282,7 +284,7 @@ class TestInvalidInput:
             plane = IngestPlane()
             plane.push("a", np.nan, np.ones(NUM_METRICS))
             plane.push("a", 1.0, np.ones(3))
-            dropped = registry.counter("ingest.announcements.dropped", reason="invalid")
+            dropped = instrument(registry, "ingest.announcements.dropped", reason="invalid")
             assert dropped.value == 2.0
         finally:
             obs.disable()
@@ -322,9 +324,9 @@ class TestInvalidInput:
         try:
             plane = IngestPlane(nodes=["a", "b"], capacity=4, late_policy="drop")
             accepted = self.push_mixed_stream(plane)
-            received = registry.counter("ingest.announcements.received").value
+            received = instrument(registry, "ingest.announcements.received").value
             dropped = sum(
-                registry.counter("ingest.announcements.dropped", reason=reason).value
+                instrument(registry, "ingest.announcements.dropped", reason=reason).value
                 for reason in ("filtered", "invalid", "duplicate", "late")
             )
         finally:
@@ -365,7 +367,7 @@ class TestNonFiniteValues:
             assert plane.frontier == -np.inf, "a dropped row does not advance the frontier"
             stats = plane.stats()
             assert (stats.invalid, stats.drains, stats.drained_rows) == (1, 0, 0)
-            assert registry.counter("ingest.announcements.dropped", reason="invalid").value == 1.0
+            assert instrument(registry, "ingest.announcements.dropped", reason="invalid").value == 1.0
             assert plane.drain().timestamps.tolist() == [2.0]
         finally:
             obs.disable()
@@ -417,26 +419,26 @@ class TestCachedInstruments:
         try:
             self.push_stream(plane)
             plane.drain(flush=True)
-            counted = {key: registry.counter(key[0], **dict(key[1])).value for key in self.EXPECTED}
+            counted = {key: instrument(registry, key[0], **dict(key[1])).value for key in self.EXPECTED}
             assert counted == self.EXPECTED
-            assert registry.gauge("ingest.ring.occupancy", node="a").value == 0.0
+            assert instrument(registry, "ingest.ring.occupancy", node="a").value == 0.0
             obs.reset()  # same registry, every handle dropped: they re-resolve
             plane.push("a", 10.0, np.ones(NUM_METRICS))
             plane.push("b", 11.0, np.ones(NUM_METRICS))
             assert plane.drain(max_rows=1, flush=True).timestamps.tolist() == [10.0]
-            assert registry.counter("ingest.announcements.received").value == 2.0
-            assert registry.histogram("ingest.drain.rows").count == 1
-            assert registry.gauge("ingest.ring.occupancy", node="b").value == 1.0
+            assert instrument(registry, "ingest.announcements.received").value == 2.0
+            assert instrument(registry, "ingest.drain.rows").count == 1
+            assert instrument(registry, "ingest.ring.occupancy", node="b").value == 1.0
             obs.disable()
             swapped = obs.enable()  # a new registry: handles re-resolve
             assert swapped is not registry
             plane.push("b", 12.0, np.ones(NUM_METRICS))
             plane.push("b", 13.0, np.ones(NUM_METRICS))
             plane.drain(flush=True)
-            assert swapped.counter("ingest.announcements.received").value == 2.0
-            assert swapped.counter("ingest.announcements.dropped", reason="overflow").value == 2.0
-            assert registry.counter("ingest.announcements.received").value == 2.0
-            assert swapped.gauge("ingest.ring.occupancy", node="b").value == 0.0
+            assert instrument(swapped, "ingest.announcements.received").value == 2.0
+            assert instrument(swapped, "ingest.announcements.dropped", reason="overflow").value == 2.0
+            assert instrument(registry, "ingest.announcements.received").value == 2.0
+            assert instrument(swapped, "ingest.ring.occupancy", node="b").value == 0.0
         finally:
             obs.disable()
 

@@ -29,6 +29,8 @@ from repro import obs
 from repro.ingest import IngestPlane
 from repro.metrics.catalog import NUM_METRICS
 
+from tests.conftest import instrument
+
 NODES = ("a", "b", "c", "z")
 ALLOWED = ("a", "b", "c")
 #: Timestamps on a coarse grid, so duplicates and reordering are common.
@@ -292,7 +294,7 @@ class IngestPlaneMachine(RuleBasedStateMachine):
         if self.registry is None:
             return
         for node in self.order:
-            gauge = self.registry.gauge("ingest.ring.occupancy", node=node)
+            gauge = instrument(self.registry, "ingest.ring.occupancy", node=node)
             assert gauge.value == len(self.buffers[node]) / self.capacity
 
     # ------------------------------------------------------------------
@@ -378,7 +380,11 @@ class IngestPlaneMachine(RuleBasedStateMachine):
         if self.plane is None or self.registry is None:
             return
         for (name, labels), value in self.obs_counts.items():
-            assert self.registry.counter(name, **dict(labels)).value == value, (name, labels)
+            if value:
+                assert instrument(self.registry, name, **dict(labels)).value == value, (name, labels)
+            else:  # lazy creation: an untouched counter is not registered
+                registered = {(i.name, i.labels) for i in self.registry.instruments()}
+                assert (name, labels) not in registered, (name, labels)
 
 
 class DropLateMachine(IngestPlaneMachine):

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.ingest import IngestPlane, MulticastChannel, synthetic_fleet
+from repro import obs
+from repro.ingest import DrainBatch, IngestPlane, MulticastChannel, synthetic_fleet
+from repro.metrics.series import SnapshotSeries
 from repro.serve.batch import BatchClassifier
 from repro.serve.service import ClassificationService
-from repro.serve.stream import drain_to_series
+from repro.serve.stream import _drain_requests, drain_to_series, drain_trace_contexts
 from repro.core.online import OnlineClassifier
 from repro.metrics.catalog import NUM_METRICS
 
@@ -212,3 +214,127 @@ class TestDrainToSeries:
         for a, b in zip(direct, via_service):
             assert a.application_class == b.application_class
             assert np.array_equal(a.class_vector, b.class_vector)
+
+
+# ----------------------------------------------------------------------
+# Grouping a drain by node: the per-node-mask definition
+# ----------------------------------------------------------------------
+
+
+def masked_series(batch):
+    """``drain_to_series`` by definition: one ``node_ids == k`` mask per node."""
+    out = []
+    for node_id, node in enumerate(batch.nodes):
+        sel = batch.node_ids == node_id
+        if np.any(sel):
+            out.append(
+                SnapshotSeries(
+                    node=node,
+                    timestamps=batch.timestamps[sel].copy(),
+                    matrix=batch.values[sel].T.copy(),
+                )
+            )
+    return out
+
+
+def masked_contexts(batch):
+    """``drain_trace_contexts`` by definition; returns the contexts and the coalesced count."""
+    registry = obs.get_registry()
+    contexts, coalesced = [], 0
+    for node_id in range(len(batch.nodes)):
+        sel = batch.node_ids == node_id
+        rows = int(np.count_nonzero(sel))
+        if rows == 0:
+            continue
+        trace_id = 0
+        if batch.trace_ids is not None and batch.trace_ids.shape[0]:
+            trace_id = int(batch.trace_ids[sel][0])
+        ctx = registry.adopt_trace("serve.request", trace_id)
+        if ctx:
+            coalesced += rows - 1
+            if batch.enqueued_s is not None and batch.enqueued_s.shape[0]:
+                ctx.mark("ingest.push", float(batch.enqueued_s[sel][0]))
+            if batch.drained_s:
+                ctx.mark("ingest.drain", batch.drained_s)
+        contexts.append(ctx)
+    return contexts, coalesced
+
+
+def context_fields(ctx):
+    return (bool(ctx), ctx.trace_id, ctx.span_id, ctx.name, ctx.parent_span_id, list(ctx.marks))
+
+
+def coalesced_count(registry):
+    return sum(i.value for i in registry.instruments() if i.name == "obs.traces.coalesced")
+
+
+@st.composite
+def drains(draw):
+    """Merged drains over 1-5 registered nodes, some of them absent."""
+    num_nodes = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["any", "one", "every"]))
+    if shape == "one":
+        node = draw(st.integers(0, num_nodes - 1))
+        node_ids = [node] * draw(st.integers(1, 12))
+    else:
+        node_ids = draw(st.lists(st.integers(0, num_nodes - 1), max_size=24))
+        if shape == "every":
+            node_ids += list(range(num_nodes))
+    rows = len(node_ids)
+    # Strictly increasing times keep every node's series valid.
+    steps = draw(st.lists(st.sampled_from([0.5, 1.0, 2.5]), min_size=rows, max_size=rows))
+    timestamps = np.cumsum(np.asarray(steps, dtype=np.float64))
+    values = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(
+        0.0, 100.0, size=(rows, NUM_METRICS)
+    )
+    traced = draw(st.sampled_from(["none", "off", "mixed"]))
+    trace_ids = enqueued_s = None
+    if traced != "none":
+        picks = draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows))
+        trace_ids = np.array(
+            [0 if traced == "off" or p == 0 else 100 + i for i, p in enumerate(picks)],
+            dtype=np.int64,
+        )
+        enqueued_s = np.where(trace_ids > 0, timestamps - 0.25, 0.0)
+    return DrainBatch(
+        nodes=tuple(f"n{k}" for k in range(num_nodes)),
+        node_ids=np.asarray(node_ids, dtype=np.intp),
+        timestamps=timestamps,
+        values=values,
+        watermark=float(timestamps[-1]) if rows else 0.0,
+        trace_ids=trace_ids,
+        enqueued_s=enqueued_s,
+        drained_s=draw(st.sampled_from([0.0, 99.0])),
+    )
+
+
+class TestGroupingMatchesPerNodeMasks:
+    @settings(max_examples=150, deadline=None)
+    @given(batch=drains(), observed=st.booleans())
+    def test_series_and_contexts_equal_the_mask_definition(self, batch, observed):
+        obs.disable()
+        try:
+            if observed:
+                obs.enable()
+            expected_series = masked_series(batch)
+            expected_contexts, expected_coalesced = masked_contexts(batch)
+            for route in ("separate", "together"):
+                # A fresh registry per route: span ids restart at 1.
+                obs.disable()
+                registry = obs.enable() if observed else obs.get_registry()
+                if route == "separate":
+                    series = drain_to_series(batch)
+                    contexts = drain_trace_contexts(batch)
+                else:
+                    series, contexts = _drain_requests(batch)
+                assert [s.node for s in series] == [s.node for s in expected_series]
+                for got, want in zip(series, expected_series):
+                    assert np.array_equal(got.timestamps, want.timestamps)
+                    assert np.array_equal(got.matrix, want.matrix)
+                    assert got.matrix.flags.c_contiguous
+                assert [context_fields(c) for c in contexts] == [
+                    context_fields(c) for c in expected_contexts
+                ]
+                assert coalesced_count(registry) == (expected_coalesced if observed else 0)
+        finally:
+            obs.disable()

@@ -17,6 +17,8 @@ from repro.obs.context import (
 )
 from repro.obs.registry import MAX_PENDING_TRACES, MetricsRegistry
 
+from tests.conftest import instrument
+
 
 @pytest.fixture(autouse=True)
 def _obs_off():
@@ -163,9 +165,9 @@ class TestObserveAttribution:
         ctx.mark("serve.dequeue", 5.0)
         ctx.mark("serve.compute", 6.0)
         observe_attribution(registry, ctx)
-        qw = registry.histogram("serve.queue_wait.seconds")
-        bw = registry.histogram("serve.batch_wait.seconds")
-        dc = registry.histogram("ingest.drain_to_classify.seconds")
+        qw = instrument(registry, "serve.queue_wait.seconds")
+        bw = instrument(registry, "serve.batch_wait.seconds")
+        dc = instrument(registry, "ingest.drain_to_classify.seconds")
         assert (qw.count, bw.count, dc.count) == (1, 1, 1)
         for hist, value in ((qw, 3.0), (bw, 1.0), (dc, 5.0)):
             (ex,) = hist.exemplars()
@@ -252,20 +254,21 @@ class TestRegistryTraceLifecycle:
 
 class TestFacade:
     def test_disabled_facade_returns_null_trace(self):
-        ctx = obs.start_trace("serve.request")
+        registry = obs.get_registry()
+        ctx = registry.start_trace("serve.request")
         assert ctx is NULL_TRACE
-        assert obs.finish_trace(ctx, 1.0) is False
-        assert obs.current_trace_id() == 0
-        obs.set_sampler(TailSampler())  # no-op while disabled
+        assert registry.finish_trace(ctx, 1.0) is False
+        assert registry.current_trace_id() == 0
+        assert registry.sampler is None
 
     def test_enable_installs_and_replaces_sampler(self):
         registry = obs.enable(clock=ManualClock())
         assert registry.sampler is None
         sampler = TailSampler(keep_ratio=0.5)
-        obs.set_sampler(sampler)
+        assert obs.enable(sampler=sampler) is registry
         assert registry.sampler is sampler
         replacement = TailSampler(keep_ratio=0.25)
-        assert obs.enable(sampler=replacement) is registry
+        obs.get_registry().sampler = replacement
         assert registry.sampler is replacement
 
     def test_enable_consults_env_for_fresh_registry(self, monkeypatch):

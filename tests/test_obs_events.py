@@ -5,13 +5,10 @@ import json
 import pytest
 
 from repro import obs
-from repro.obs.events import (
-    DEFAULT_EVENT_CAPACITY,
-    EventJournal,
-    EventRecord,
-    render_events_jsonl,
-)
-from repro.obs.registry import MetricsRegistry
+from repro.obs.events import DEFAULT_EVENT_CAPACITY, EventRecord, render_events_jsonl
+from repro.obs.registry import EVENT_CAPACITY_ENV, MetricsRegistry
+
+from tests.conftest import instrument
 
 
 @pytest.fixture(autouse=True)
@@ -30,34 +27,48 @@ class ManualClock:
 
 
 class TestEventJournal:
+    """The registry's bounded event ring."""
+
     def test_bounded_with_dropped_count(self):
-        journal = EventJournal(capacity=2)
+        reg = MetricsRegistry(clock=ManualClock(), event_capacity=2)
         for i in range(5):
-            journal.append(EventRecord(float(i), f"e{i}", None, ()))
-        assert journal.capacity == 2
-        assert len(journal) == 2
-        assert [r.name for r in journal.records()] == ["e3", "e4"]
-        assert journal.dropped == 3
+            reg.event(f"e{i}")
+        assert reg.event_capacity == 2
+        assert [r.name for r in reg.events()] == ["e3", "e4"]
+        # Every event is counted, retained or not.
+        recorded = sum(i.value for i in reg.instruments() if i.name == "obs.events")
+        assert recorded - len(reg.events()) == 3
 
     def test_resize_keeps_newest(self):
-        journal = EventJournal(capacity=10)
+        reg = MetricsRegistry(clock=ManualClock(), event_capacity=10)
         for i in range(6):
-            journal.append(EventRecord(float(i), f"e{i}", None, ()))
-        journal.resize(3)
-        assert journal.capacity == 3
-        assert [r.name for r in journal.records()] == ["e3", "e4", "e5"]
-        with pytest.raises(ValueError):
-            journal.resize(0)
+            reg.event(f"e{i}")
+        reg.set_event_capacity(3)
+        assert reg.event_capacity == 3
+        assert [r.name for r in reg.events()] == ["e3", "e4", "e5"]
+        reg.event("e6")
+        assert [r.name for r in reg.events()] == ["e4", "e5", "e6"]
+        with pytest.raises(ValueError, match="event capacity must be positive"):
+            reg.set_event_capacity(0)
+        assert reg.event_capacity == 3
 
     def test_clear_keeps_capacity(self):
-        journal = EventJournal(capacity=7)
-        journal.append(EventRecord(0.0, "e", None, ()))
-        journal.clear()
-        assert len(journal) == 0
-        assert journal.capacity == 7
+        reg = MetricsRegistry(clock=ManualClock(), event_capacity=7)
+        reg.event("e")
+        reg.reset()
+        assert reg.events() == []
+        assert reg.event_capacity == 7
 
-    def test_default_capacity(self):
-        assert EventJournal().capacity == DEFAULT_EVENT_CAPACITY
+    def test_default_capacity(self, monkeypatch):
+        monkeypatch.delenv(EVENT_CAPACITY_ENV, raising=False)
+        assert MetricsRegistry().event_capacity == DEFAULT_EVENT_CAPACITY
+
+    def test_events_returns_a_copy(self):
+        reg = MetricsRegistry(clock=ManualClock())
+        reg.event("a")
+        reg.events().clear()
+        reg.event("b")
+        assert [r.name for r in reg.events()] == ["a", "b"]
 
 
 class TestRegistryEvents:
@@ -87,7 +98,7 @@ class TestRegistryEvents:
         reg = MetricsRegistry(clock=ManualClock())
         reg.event("x.happened")
         reg.event("x.happened")
-        assert reg.counter("obs.events", event="x.happened").value == 2.0
+        assert instrument(reg, "obs.events", event="x.happened").value == 2.0
 
     def test_to_dict_and_jsonl(self):
         reg = MetricsRegistry(clock=ManualClock(1.0))
@@ -109,12 +120,12 @@ class TestFacade:
     def test_disabled_facade_discards_events(self):
         obs.disable()
         obs.event("ignored", reason="off")
-        assert obs.events() == []
+        assert obs.get_registry().events() == []
 
     def test_enabled_facade_records(self):
-        obs.enable()
+        reg = obs.enable()
         obs.event("kept")
-        assert [e.name for e in obs.events()] == ["kept"]
+        assert [e.name for e in reg.events()] == ["kept"]
 
 
 class TestWiredCallSites:
@@ -141,7 +152,7 @@ class TestWiredCallSites:
         )
         target = tmp_path / "db.json"
         db.save(target)
-        (event,) = [e for e in obs.events() if e.name == "db.saved"]
+        (event,) = [e for e in obs.get_registry().events() if e.name == "db.saved"]
         fields = dict(event.fields)
         assert fields["path"] == str(target)
         assert fields["applications"] == "1"
@@ -154,7 +165,7 @@ class TestWiredCallSites:
         cache = ModelCache(trainer=lambda config, seed: object(), max_models=1)
         cache.get(seed=0)
         cache.get(seed=1)  # evicts seed 0
-        (event,) = [e for e in obs.events() if e.name == "serve.cache.evicted"]
+        (event,) = [e for e in obs.get_registry().events() if e.name == "serve.cache.evicted"]
         assert dict(event.fields) == {"seed": "0", "retained": "1"}
 
     def test_online_attach_detach_events(self):
@@ -169,7 +180,7 @@ class TestWiredCallSites:
         online = OnlineClassifier(trained, MulticastChannel())
         online.attach()
         online.detach()
-        names = [e.name for e in obs.events()]
+        names = [e.name for e in obs.get_registry().events()]
         assert names.count("online.attach") == 1
         assert names.count("online.detach") == 1
 
@@ -191,7 +202,7 @@ class TestWiredCallSites:
                     service.submit(fleet[0])
         finally:
             service.shutdown(drain=False)
-        names = [e.name for e in obs.events()]
+        names = [e.name for e in obs.get_registry().events()]
         assert "serve.overloaded" in names
         assert "serve.drain.begin" in names
         assert "serve.drain.end" in names

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.obs import InstrumentSpec
 from repro.obs.export import (
     PROMETHEUS_PREFIX,
     prometheus_name,
@@ -41,7 +42,7 @@ class TestPrometheusName:
 class TestRenderPrometheus:
     def test_counter_line_with_header(self):
         reg = MetricsRegistry()
-        reg.counter("pipeline.runs", help="Pipeline invocations.").inc(3)
+        reg.get(InstrumentSpec.counter("pipeline.runs", help="Pipeline invocations.")).inc(3)
         text = render_prometheus(reg)
         assert "# HELP repro_pipeline_runs_total Pipeline invocations." in text
         assert "# TYPE repro_pipeline_runs_total counter" in text
@@ -49,18 +50,18 @@ class TestRenderPrometheus:
 
     def test_gauge_line(self):
         reg = MetricsRegistry()
-        reg.gauge("sim.active_instances").set(4.0)
+        reg.get(InstrumentSpec.gauge("sim.active_instances")).set(4.0)
         assert "repro_sim_active_instances 4" in render_prometheus(reg)
 
     def test_labels_rendered_sorted_and_escaped(self):
         reg = MetricsRegistry()
-        reg.counter("m", node='VM"1"', zone="a").inc()
+        reg.get(InstrumentSpec.counter("m", node='VM"1"', zone="a")).inc()
         text = render_prometheus(reg)
         assert 'repro_m_total{node="VM\\"1\\"",zone="a"} 1' in text
 
     def test_histogram_cumulative_buckets_with_inf(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat", buckets=(0.1, 1.0))
+        h = reg.get(InstrumentSpec.histogram("lat", buckets=(0.1, 1.0)))
         h.observe(0.05)
         h.observe(0.5)
         h.observe(5.0)
@@ -73,15 +74,15 @@ class TestRenderPrometheus:
 
     def test_histogram_keeps_existing_labels_alongside_le(self):
         reg = MetricsRegistry()
-        reg.histogram("span.seconds", span="pipeline.pca").observe(0.01)
+        reg.get(InstrumentSpec.histogram("span.seconds", span="pipeline.pca")).observe(0.01)
         text = render_prometheus(reg)
         assert 'repro_span_seconds_bucket{le="0.01",span="pipeline.pca"} ' in text
         assert 'repro_span_seconds_count{span="pipeline.pca"} 1' in text
 
     def test_families_sorted_and_terminated(self):
         reg = MetricsRegistry()
-        reg.counter("zzz").inc()
-        reg.counter("aaa").inc()
+        reg.get(InstrumentSpec.counter("zzz")).inc()
+        reg.get(InstrumentSpec.counter("aaa")).inc()
         text = render_prometheus(reg)
         assert text.index("repro_aaa_total") < text.index("repro_zzz_total")
         assert text.endswith("\n")
@@ -94,7 +95,8 @@ class TestRenderPrometheus:
         """HELP/TYPE must appear exactly once even with many label sets."""
         reg = MetricsRegistry()
         for node in ("VM1", "VM2", "VM3"):
-            reg.counter("gmond.announcements", help="Announcements.", node=node).inc()
+            spec = InstrumentSpec.counter("gmond.announcements", help="Announcements.", node=node)
+            reg.get(spec).inc()
         text = render_prometheus(reg)
         assert text.count("# HELP repro_gmond_announcements_total") == 1
         assert text.count("# TYPE repro_gmond_announcements_total") == 1
@@ -103,22 +105,22 @@ class TestRenderPrometheus:
 
     def test_first_nonempty_help_wins(self):
         reg = MetricsRegistry()
-        reg.counter("m", node="a").inc()  # registered first, no help
-        reg.counter("m", help="Real help.", node="b").inc()
+        reg.get(InstrumentSpec.counter("m", node="a")).inc()  # registered first, no help
+        reg.get(InstrumentSpec.counter("m", help="Real help.", node="b")).inc()
         text = render_prometheus(reg)
         assert "# HELP repro_m_total Real help." in text
         assert text.count("# HELP repro_m_total") == 1
 
     def test_help_text_escaped(self):
         reg = MetricsRegistry()
-        reg.counter("m", help="line one\nback\\slash").inc()
+        reg.get(InstrumentSpec.counter("m", help="line one\nback\\slash")).inc()
         text = render_prometheus(reg)
         assert "# HELP repro_m_total line one\\nback\\\\slash" in text
 
     def test_every_render_ends_with_newline(self):
         reg = MetricsRegistry()
-        reg.histogram("lat", buckets=(1.0,)).observe(0.5)
-        reg.gauge("g").set(1.0)
+        reg.get(InstrumentSpec.histogram("lat", buckets=(1.0,))).observe(0.5)
+        reg.get(InstrumentSpec.gauge("g")).set(1.0)
         text = render_prometheus(reg)
         assert text.endswith("\n")
         assert not text.endswith("\n\n")
@@ -127,9 +129,9 @@ class TestRenderPrometheus:
 class TestJsonExport:
     def test_round_trips_through_json(self):
         reg = MetricsRegistry(clock=iter(range(100)).__next__)
-        reg.counter("c", node="VM1").inc(2)
-        reg.gauge("g").set(1.5)
-        reg.histogram("h", buckets=(1.0,)).observe(0.5)
+        reg.get(InstrumentSpec.counter("c", node="VM1")).inc(2)
+        reg.get(InstrumentSpec.gauge("g")).set(1.5)
+        reg.get(InstrumentSpec.histogram("h", buckets=(1.0,))).observe(0.5)
         with reg.span("s"):
             pass
         parsed = json.loads(render_json(reg))

@@ -8,6 +8,7 @@ import urllib.request
 import pytest
 
 from repro import obs
+from repro.obs import InstrumentSpec
 from repro.obs.http import PROMETHEUS_CONTENT_TYPE, TelemetryServer
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import SloRule, Verdict
@@ -91,7 +92,7 @@ class TestLifecycle:
 
 class TestMetricsEndpoints:
     def test_metrics_prometheus_text(self, registry, server):
-        registry.counter("pipeline.runs", help="Total runs.").inc(3)
+        registry.get(InstrumentSpec.counter("pipeline.runs", help="Total runs.")).inc(3)
         status, ctype, body = fetch(server, "/metrics")
         assert status == 200
         assert ctype == PROMETHEUS_CONTENT_TYPE
@@ -99,7 +100,7 @@ class TestMetricsEndpoints:
         assert body.endswith("\n")
 
     def test_metrics_json(self, registry, server):
-        registry.gauge("depth").set(4.0)
+        registry.get(InstrumentSpec.gauge("depth")).set(4.0)
         with registry.span("work"):
             registry.event("thing.happened", detail="x")
         status, ctype, body = fetch(server, "/metrics.json")
@@ -174,7 +175,7 @@ class TestTraceAndProfileEndpoints:
             srv.stop()
 
     def test_metrics_json_includes_recorder_windows(self, registry, recorder, server):
-        registry.counter("pipeline.runs").inc(2)
+        registry.get(InstrumentSpec.counter("pipeline.runs")).inc(2)
         recorder.sample()
         status, _, body = fetch(server, "/metrics.json?window=30")
         assert status == 200
@@ -206,7 +207,7 @@ class TestHealthz:
         """Deterministic verdict flips: manual clock + manual samples, no sleeps."""
         srv = self.make_server(registry, recorder).start()
         try:
-            c = registry.counter("dropped")
+            c = registry.get(InstrumentSpec.counter("dropped"))
             # OK: no traffic.
             clock.t = 0.0
             recorder.sample()
@@ -272,7 +273,7 @@ class TestFacadeResolution:
         srv = TelemetryServer().start()  # constructed while disabled
         try:
             obs.enable()
-            obs.counter("late.metric").inc(7)
+            obs.get(InstrumentSpec.counter("late.metric")).inc(7)
             _, _, body = fetch(srv, "/metrics")
             assert "repro_late_metric_total 7" in body
         finally:
@@ -293,7 +294,7 @@ class TestServiceEmbedding:
             assert telemetry.running
             status, _, body = fetch(telemetry, "/readyz")
             assert (status, body) == (200, "ready\n")
-            service.classify(fleet[0], timeout=10.0)
+            service.submit(fleet[0]).result(timeout=10.0)
         finally:
             service.shutdown()
         # Shutdown flipped readiness and then stopped the server.

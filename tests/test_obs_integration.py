@@ -5,11 +5,13 @@ import json
 import pytest
 
 from repro import obs
+from repro.obs import InstrumentSpec
 from repro.cli import main
 from repro.manager.service import ResourceManager
 from repro.obs.export import registry_to_dict
 from repro.workloads.catalog import entry
 
+from tests.conftest import instrument
 from tests.test_core_pipeline import synthetic_series, synthetic_training
 
 
@@ -22,7 +24,7 @@ def _obs_off():
 
 
 def _span_count(registry, name):
-    return registry.histogram("span.seconds", span=name).count
+    return instrument(registry, "span.seconds", span=name).count
 
 
 class TestPipelineInstrumentation:
@@ -32,11 +34,11 @@ class TestPipelineInstrumentation:
         classifier.classify_series(series)
         assert _span_count(registry, "pipeline.classify") == 1
         for stage in ("filter", "normalize", "pca", "knn", "postprocess"):
-            h = registry.histogram("pipeline.stage.seconds", stage=stage)
+            h = instrument(registry, "pipeline.stage.seconds", stage=stage)
             assert h.count == 1, stage
             assert h.sum >= 0.0
-        assert registry.counter("pipeline.runs").value == 1.0
-        assert registry.counter("pipeline.snapshots").value == float(len(series))
+        assert instrument(registry, "pipeline.runs").value == 1.0
+        assert instrument(registry, "pipeline.snapshots").value == float(len(series))
 
     def test_stage_durations_sum_within_classify_span(self, classifier):
         """Stage latencies are consistent with the enclosing span."""
@@ -46,7 +48,7 @@ class TestPipelineInstrumentation:
         assert span_record.name == "pipeline.classify"
         assert span_record.depth == 0
         stage_total = sum(
-            registry.histogram("pipeline.stage.seconds", stage=s).sum
+            instrument(registry, "pipeline.stage.seconds", stage=s).sum
             for s in ("filter", "normalize", "pca", "knn", "postprocess")
         )
         assert stage_total <= span_record.duration_s
@@ -80,8 +82,8 @@ class TestManagerInstrumentation:
             "pipeline.classify",
         ):
             assert _span_count(registry, name) >= 1, name
-        assert registry.histogram("pipeline.stage.seconds", stage="pca").count >= 1
-        assert registry.counter("manager.runs.learned").value == 1.0
+        assert instrument(registry, "pipeline.stage.seconds", stage="pca").count >= 1
+        assert instrument(registry, "manager.runs.learned").value == 1.0
         # Monitoring substrate counted ingest during the profiled run.
         d = registry_to_dict(registry)
         names = {c["name"] for c in d["counters"]}
@@ -119,13 +121,13 @@ class TestCli:
 
     def test_obs_dump_no_run_uses_existing_registry(self, capsys):
         obs.enable()
-        obs.counter("preexisting.events").inc()
+        obs.get(InstrumentSpec.counter("preexisting.events")).inc()
         assert main(["obs", "dump", "--no-run"]) == 0
         assert "repro_preexisting_events_total 1" in capsys.readouterr().out
 
     def test_obs_reset_clears_registry(self, capsys):
         registry = obs.enable()
-        obs.counter("stale").inc()
+        obs.get(InstrumentSpec.counter("stale")).inc()
         assert main(["obs", "reset"]) == 0
         assert "reset" in capsys.readouterr().out
         assert registry.instruments() == []
@@ -145,6 +147,6 @@ def test_online_announcement_metrics():
     online = OnlineClassifier(trained, channel, nodes=["VM1"])
     announce_kind(channel, "VM1", 5.0, "cpu")
     announce_kind(channel, "VM2", 5.0, "cpu")  # filtered by allow-list
-    assert registry.counter("online.announcements.classified").value == 1.0
-    assert registry.counter("online.announcements.dropped").value == 1.0
-    assert registry.histogram("online.announcement.seconds").count == 1
+    assert instrument(registry, "online.announcements.classified").value == 1.0
+    assert instrument(registry, "online.announcements.dropped").value == 1.0
+    assert instrument(registry, "online.announcement.seconds").count == 1

@@ -6,6 +6,8 @@ import threading
 import pytest
 
 from repro import obs
+from repro.obs import InstrumentSpec
+from repro.obs.events import DEFAULT_EVENT_CAPACITY
 from repro.obs.registry import (
     DEFAULT_TRACE_CAPACITY,
     EVENT_CAPACITY_ENV,
@@ -17,6 +19,8 @@ from repro.obs.registry import (
     NullRegistry,
     histogram_quantile,
 )
+
+from tests.conftest import instrument
 
 
 @pytest.fixture(autouse=True)
@@ -113,42 +117,45 @@ class TestHistogramQuantile:
 class TestMetricsRegistry:
     def test_get_or_create_returns_same_instrument(self):
         reg = MetricsRegistry()
-        assert reg.counter("a", x="1") is reg.counter("a", x="1")
+        a = InstrumentSpec.counter("a", x="1")
+        assert reg.get(a) is reg.get(InstrumentSpec.counter("a", x="1"))
 
     def test_label_order_is_irrelevant(self):
         reg = MetricsRegistry()
-        assert reg.counter("a", x="1", y="2") is reg.counter("a", y="2", x="1")
+        assert reg.get(InstrumentSpec.counter("a", x="1", y="2")) is reg.get(
+            InstrumentSpec.counter("a", y="2", x="1")
+        )
 
     def test_distinct_labels_are_distinct_instruments(self):
         reg = MetricsRegistry()
-        a = reg.counter("a", node="VM1")
-        b = reg.counter("a", node="VM2")
+        a = reg.get(InstrumentSpec.counter("a", node="VM1"))
+        b = reg.get(InstrumentSpec.counter("a", node="VM2"))
         assert a is not b
         a.inc()
         assert b.value == 0.0
 
     def test_kind_mismatch_raises_type_error(self):
         reg = MetricsRegistry()
-        reg.counter("x")
+        reg.get(InstrumentSpec.counter("x"))
         with pytest.raises(TypeError):
-            reg.gauge("x")
+            reg.get(InstrumentSpec.gauge("x"))
         with pytest.raises(TypeError):
-            reg.histogram("x")
-        reg.gauge("y")
+            reg.get(InstrumentSpec.histogram("x"))
+        reg.get(InstrumentSpec.gauge("y"))
         with pytest.raises(TypeError):
-            reg.counter("y")
+            reg.get(InstrumentSpec.counter("y"))
 
     def test_instruments_sorted(self):
         reg = MetricsRegistry()
-        reg.counter("b")
-        reg.counter("a", node="VM2")
-        reg.counter("a", node="VM1")
+        reg.get(InstrumentSpec.counter("b"))
+        reg.get(InstrumentSpec.counter("a", node="VM2"))
+        reg.get(InstrumentSpec.counter("a", node="VM1"))
         names = [(i.name, i.labels) for i in reg.instruments()]
         assert names == sorted(names)
 
     def test_reset_drops_everything(self):
         reg = MetricsRegistry(clock=lambda: 0.0)
-        reg.counter("a").inc()
+        reg.get(InstrumentSpec.counter("a")).inc()
         with reg.span("s"):
             pass
         reg.reset()
@@ -158,7 +165,7 @@ class TestMetricsRegistry:
     def test_counter_thread_safety_exact_count(self):
         """Concurrent increments never lose updates."""
         reg = MetricsRegistry()
-        c = reg.counter("threads.events")
+        c = reg.get(InstrumentSpec.counter("threads.events"))
         per_thread, n_threads = 2000, 8
         barrier = threading.Barrier(n_threads)
 
@@ -175,14 +182,15 @@ class TestMetricsRegistry:
         assert c.value == float(per_thread * n_threads)
 
     def test_get_or_create_thread_safety(self):
-        """Racing get-or-create converges on a single instrument."""
+        """Racing first resolves of one instrument converge on it."""
         reg = MetricsRegistry()
         seen = []
         barrier = threading.Barrier(8)
 
         def worker():
+            spec = InstrumentSpec.counter("race")  # one spec per thread
             barrier.wait()
-            seen.append(reg.counter("race"))
+            seen.append(reg.get(spec))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
@@ -193,9 +201,12 @@ class TestMetricsRegistry:
 
 
 class TestCapacities:
-    def test_defaults(self):
+    def test_defaults(self, monkeypatch):
+        monkeypatch.delenv(TRACE_CAPACITY_ENV, raising=False)
+        monkeypatch.delenv(EVENT_CAPACITY_ENV, raising=False)
         reg = MetricsRegistry()
         assert reg.trace_capacity == DEFAULT_TRACE_CAPACITY
+        assert reg.event_capacity == DEFAULT_EVENT_CAPACITY
 
     def test_explicit_capacities_bound_rings(self):
         reg = MetricsRegistry(clock=lambda: 0.0, trace_capacity=2, event_capacity=3)
@@ -209,6 +220,8 @@ class TestCapacities:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             MetricsRegistry(trace_capacity=0)
+        with pytest.raises(ValueError, match="event capacity must be positive"):
+            MetricsRegistry(event_capacity=0)
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv(TRACE_CAPACITY_ENV, "7")
@@ -222,7 +235,7 @@ class TestCapacities:
         monkeypatch.setenv(EVENT_CAPACITY_ENV, "-5")
         reg = MetricsRegistry()
         assert reg.trace_capacity == DEFAULT_TRACE_CAPACITY
-        assert reg.event_capacity > 0
+        assert reg.event_capacity == DEFAULT_EVENT_CAPACITY
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(TRACE_CAPACITY_ENV, "7")
@@ -251,7 +264,9 @@ class TestCapacities:
         for i in range(5):
             with reg.span(f"s{i}"):
                 pass
-        assert len(reg.spans()) == 2  # the ring is still bounded
+            reg.event(f"e{i}")
+        assert len(reg.spans()) == 2  # the rings are still bounded
+        assert [e.name for e in reg.events()] == ["e2", "e3", "e4"]
 
     def test_enable_configures_and_resizes_capacities(self):
         reg = obs.enable(trace_capacity=2)
@@ -300,16 +315,16 @@ class TestSpanIds:
 class TestNullRegistry:
     def test_null_instruments_are_shared_noops(self):
         reg = NullRegistry()
-        c = reg.counter("a")
-        assert c is reg.counter("b", any="label")
+        c = reg.get(InstrumentSpec.counter("a"))
+        assert c is reg.get(InstrumentSpec.counter("b", any="label"))
         c.inc()
         assert c.value == 0.0
-        g = reg.gauge("g")
+        g = reg.get(InstrumentSpec.gauge("g"))
         g.set(5.0)
         g.inc()
         g.dec()
         assert g.value == 0.0
-        h = reg.histogram("h")
+        h = reg.get(InstrumentSpec.histogram("h"))
         h.observe(1.0)
         assert h.count == 0
         assert reg.instruments() == []
@@ -339,15 +354,15 @@ class TestFacade:
         assert obs.enabled()
         assert isinstance(reg, MetricsRegistry)
         assert obs.get_registry() is reg
-        obs.counter("facade.events").inc()
-        assert reg.counter("facade.events").value == 1.0
+        obs.get(InstrumentSpec.counter("facade.events")).inc()
+        assert instrument(reg, "facade.events").value == 1.0
 
     def test_enable_is_idempotent_and_keeps_data(self):
         reg = obs.enable()
-        obs.counter("kept").inc()
+        obs.get(InstrumentSpec.counter("kept")).inc()
         again = obs.enable()
         assert again is reg
-        assert again.counter("kept").value == 1.0
+        assert instrument(again, "kept").value == 1.0
 
     def test_enable_can_replace_clock(self):
         obs.enable()
@@ -356,11 +371,12 @@ class TestFacade:
         assert reg.clock is fake
 
     def test_disable_reverts_to_noop(self):
+        spec = InstrumentSpec.counter("gone")
         obs.enable()
-        obs.counter("gone").inc()
+        obs.get(spec).inc()
         obs.disable()
         assert not obs.enabled()
-        obs.counter("gone").inc()  # no-op, no error
+        obs.get(spec).inc()  # no-op, no error
         assert obs.get_registry().instruments() == []
 
     def test_reset_while_disabled_is_noop(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import obs
+from repro.obs import InstrumentSpec
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import (
     RULE_KINDS,
@@ -71,7 +72,7 @@ class TestRuleValidation:
 
 class TestCounterRate:
     def drive(self, registry, recorder, clock, increments):
-        c = registry.counter("dropped")
+        c = registry.get(InstrumentSpec.counter("dropped"))
         clock.t = 0.0
         recorder.sample()
         c.inc(increments)
@@ -97,7 +98,7 @@ class TestCounterRate:
         assert "page threshold" in result.reason
 
     def test_single_sample_is_no_data(self, registry, recorder):
-        registry.counter("dropped").inc(1000)
+        registry.get(InstrumentSpec.counter("dropped")).inc(1000)
         recorder.sample()  # a rate needs two samples
         result = evaluate_rule(counter_rule(), recorder)
         assert result.verdict is Verdict.OK
@@ -110,7 +111,7 @@ class TestGaugeThreshold:
         return SloRule("depth", "gauge_threshold", "queue", warn=32.0, page=56.0, **kw)
 
     def test_uses_last_sampled_value(self, registry, recorder, clock):
-        g = registry.gauge("queue")
+        g = registry.get(InstrumentSpec.gauge("queue"))
         g.set(40.0)
         recorder.sample()
         g.set(10.0)
@@ -121,12 +122,12 @@ class TestGaugeThreshold:
         assert result.value == 10.0
 
     def test_page_on_high_gauge(self, registry, recorder):
-        registry.gauge("queue").set(60.0)
+        registry.get(InstrumentSpec.gauge("queue")).set(60.0)
         recorder.sample()
         assert evaluate_rule(self.rule(), recorder).verdict is Verdict.PAGE
 
     def test_below_rule_trips_on_low_values(self, registry, recorder):
-        registry.gauge("queue").set(1.0)
+        registry.get(InstrumentSpec.gauge("queue")).set(1.0)
         recorder.sample()
         low = SloRule(
             "starved", "gauge_threshold", "queue", warn=5.0, page=2.0, below=True
@@ -143,7 +144,7 @@ class TestHistogramQuantile:
         )
 
     def test_ok_fast_distribution(self, registry, recorder):
-        h = registry.histogram("lat", buckets=(0.01, 0.1, 1.0))
+        h = registry.get(InstrumentSpec.histogram("lat", buckets=(0.01, 0.1, 1.0)))
         for _ in range(100):
             h.observe(0.005)
         recorder.sample()
@@ -152,7 +153,7 @@ class TestHistogramQuantile:
         assert result.value <= 0.01
 
     def test_page_slow_distribution(self, registry, recorder):
-        h = registry.histogram("lat", buckets=(0.01, 0.1, 1.0))
+        h = registry.get(InstrumentSpec.histogram("lat", buckets=(0.01, 0.1, 1.0)))
         for _ in range(100):
             h.observe(0.9)
         recorder.sample()
@@ -161,8 +162,9 @@ class TestHistogramQuantile:
 
 class TestLabelFanout:
     def test_worst_series_decides(self, registry, recorder):
-        registry.histogram("lat", buckets=(0.01, 0.1, 1.0), stage="pca").observe(0.005)
-        registry.histogram("lat", buckets=(0.01, 0.1, 1.0), stage="knn").observe(0.9)
+        lat = InstrumentSpec.histogram("lat", buckets=(0.01, 0.1, 1.0))
+        registry.get(lat.labelled(stage="pca")).observe(0.005)
+        registry.get(lat.labelled(stage="knn")).observe(0.9)
         recorder.sample()
         rule = SloRule(
             "p99", "histogram_quantile", "lat", warn=0.05, page=0.5, quantile=0.99
@@ -171,8 +173,8 @@ class TestLabelFanout:
         assert result.verdict is Verdict.PAGE  # the slow knn series wins
 
     def test_label_filter_narrows_candidates(self, registry, recorder):
-        registry.gauge("queue", pool="a").set(60.0)
-        registry.gauge("queue", pool="b").set(1.0)
+        registry.get(InstrumentSpec.gauge("queue", pool="a")).set(60.0)
+        registry.get(InstrumentSpec.gauge("queue", pool="b")).set(1.0)
         recorder.sample()
         rule = SloRule(
             "depth", "gauge_threshold", "queue", warn=32.0, page=56.0,
@@ -188,7 +190,7 @@ class TestLabelFanout:
 
 class TestEvaluateAndWorst:
     def test_results_in_rule_order(self, registry, recorder):
-        registry.gauge("queue").set(60.0)
+        registry.get(InstrumentSpec.gauge("queue")).set(60.0)
         recorder.sample()
         rules = [
             counter_rule(),
@@ -228,7 +230,7 @@ class TestRender:
         assert render_results([]) == "(no rules)"
 
     def test_render_table_and_overall(self, registry, recorder):
-        registry.gauge("queue").set(60.0)
+        registry.get(InstrumentSpec.gauge("queue")).set(60.0)
         recorder.sample()
         rules = [SloRule("depth", "gauge_threshold", "queue", warn=32.0, page=56.0)]
         text = render_results(evaluate(rules, recorder))

@@ -6,6 +6,8 @@ from repro import obs
 from repro.obs.registry import SPAN_HISTOGRAM_NAME, MetricsRegistry
 from repro.obs.spans import SpanRecord, null_span, render_trace
 
+from tests.conftest import instrument
+
 
 @pytest.fixture(autouse=True)
 def _obs_off():
@@ -114,7 +116,7 @@ class TestDeterminism:
         reg = MetricsRegistry(clock=FakeClock(step=0.5))
         with reg.span("stage"):
             pass
-        h = reg.histogram(SPAN_HISTOGRAM_NAME, span="stage")
+        h = instrument(reg, SPAN_HISTOGRAM_NAME, span="stage")
         assert h.count == 1
         assert h.sum == 0.5
 

@@ -28,6 +28,7 @@ from repro.obs.spec import InstrumentSpec, LabelledSpecs
 from repro.serve.batch import BatchClassifier
 from repro.serve.service import ClassificationService
 
+from tests.conftest import instrument
 from tests.test_core_pipeline import synthetic_series, synthetic_training
 
 
@@ -81,12 +82,12 @@ class TestInstrumentSpec:
 
 class TestRegistryGet:
     def test_get_shares_the_facade_instrument(self):
-        registry = MetricsRegistry()
+        registry = obs.enable()
         spec = InstrumentSpec.counter("c", "Some count.", reason="x")
         registry.get(spec).inc(2)
-        assert registry.get(spec) is registry.counter("c", reason="x")
-        assert registry.counter("c", reason="x").value == 2.0
-        assert registry.counter("c", reason="x").help == "Some count."
+        assert registry.get(spec) is obs.get(spec) is instrument(registry, "c", reason="x")
+        assert instrument(registry, "c", reason="x").value == 2.0
+        assert instrument(registry, "c", reason="x").help == "Some count."
 
     def test_instruments_appear_only_once_resolved(self):
         registry = MetricsRegistry()
@@ -101,16 +102,16 @@ class TestRegistryGet:
         spec = InstrumentSpec.histogram("h", family=("stage", ("x", "y")))
         x, y = registry.get(spec)
         assert registry.get(spec) == (x, y)
-        assert x is registry.histogram("h", stage="x")
-        assert y is registry.histogram("h", stage="y")
+        assert x is instrument(registry, "h", stage="x")
+        assert y is instrument(registry, "h", stage="y")
 
     def test_kind_mismatch_raises(self):
         registry = MetricsRegistry()
-        registry.counter("m")
+        registry.get(InstrumentSpec.counter("m"))
         with pytest.raises(TypeError, match="registered as a counter, not a gauge"):
             registry.get(InstrumentSpec.gauge("m"))
         with pytest.raises(TypeError, match="registered as a counter, not a histogram"):
-            registry.histogram("m")
+            registry.get(InstrumentSpec.histogram("m"))
 
     def test_reset_drops_every_handle(self):
         registry = MetricsRegistry()
@@ -122,21 +123,24 @@ class TestRegistryGet:
         fresh = registry.get(spec)
         assert fresh is not old
         fresh.inc()
-        assert registry.counter("c").value == 1.0
+        assert instrument(registry, "c").value == 1.0
 
     def test_null_registry_hands_out_the_shared_no_ops(self):
         null = NullRegistry()
-        assert null.get(InstrumentSpec.counter("c")) is null.counter("c")
-        assert null.get(InstrumentSpec.gauge("g")) is null.gauge("g")
+        counter = null.get(InstrumentSpec.counter("c"))
+        assert counter is null.get(InstrumentSpec.counter("other", any="label"))
+        assert counter.kind == "counter"
+        assert null.get(InstrumentSpec.gauge("g")).kind == "gauge"
         family = null.get(InstrumentSpec.histogram("h", family=("s", ("a", "b", "c"))))
-        assert family == (null.histogram("h"),) * 3
+        assert family == (null.get(InstrumentSpec.histogram("h")),) * 3
+        assert family[0].kind == "histogram"
 
     def test_facade_follows_the_active_registry(self):
         spec = InstrumentSpec.counter("facade.c")
         obs.get(spec).inc()  # disabled: a no-op
         registry = obs.enable()
         obs.get(spec).inc()
-        assert registry.counter("facade.c").value == 1.0
+        assert instrument(registry, "facade.c").value == 1.0
 
 
 def exported(registry, names) -> dict:

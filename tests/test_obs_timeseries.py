@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.obs import InstrumentSpec
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeseries import (
     InstrumentSeries,
@@ -49,15 +50,15 @@ def recorder(registry):
 
 class TestSampling:
     def test_timestamps_come_from_registry_clock(self, registry, recorder, clock):
-        registry.counter("c").inc()
+        registry.get(InstrumentSpec.counter("c")).inc()
         clock.t = 5.0
         assert recorder.sample() == 5.0
         (series,) = recorder.all_series()
         assert series.points() == [SeriesPoint(5.0, 1.0)]
 
     def test_counter_and_gauge_values(self, registry, recorder, clock):
-        c = registry.counter("hits")
-        g = registry.gauge("depth")
+        c = registry.get(InstrumentSpec.counter("hits"))
+        g = registry.get(InstrumentSpec.gauge("depth"))
         c.inc(3)
         g.set(7.0)
         recorder.sample()
@@ -69,7 +70,7 @@ class TestSampling:
         assert [p.value for p in recorder.series("depth").points()] == [7.0, 4.0]
 
     def test_histogram_samples_carry_cumulative_buckets(self, registry, recorder):
-        h = registry.histogram("lat", buckets=(0.1, 1.0))
+        h = registry.get(InstrumentSpec.histogram("lat", buckets=(0.1, 1.0)))
         h.observe(0.05)
         h.observe(0.5)
         recorder.sample()
@@ -81,8 +82,8 @@ class TestSampling:
         assert series.bounds == (0.1, 1.0)
 
     def test_labelled_instruments_get_distinct_series(self, registry, recorder):
-        registry.counter("runs", stage="pca").inc()
-        registry.counter("runs", stage="knn").inc(2)
+        registry.get(InstrumentSpec.counter("runs", stage="pca")).inc()
+        registry.get(InstrumentSpec.counter("runs", stage="knn")).inc(2)
         recorder.sample()
         assert recorder.series("runs", stage="pca").last() == 1.0
         assert recorder.series("runs", stage="knn").last() == 2.0
@@ -95,7 +96,7 @@ class TestSampling:
         assert recorder.samples_taken == 2
 
     def test_clear_drops_series(self, registry, recorder):
-        registry.counter("c").inc()
+        registry.get(InstrumentSpec.counter("c")).inc()
         recorder.sample()
         recorder.clear()
         assert recorder.all_series() == []
@@ -109,7 +110,7 @@ class TestSampling:
 class TestRingCapacity:
     def test_ring_evicts_oldest(self, registry, clock):
         recorder = MetricsRecorder(registry, capacity=3)
-        c = registry.counter("c")
+        c = registry.get(InstrumentSpec.counter("c"))
         for i in range(5):
             clock.t = float(i)
             c.inc()
@@ -125,7 +126,7 @@ class TestRingCapacity:
 
 class TestWindowedStats:
     def fill(self, registry, recorder, clock, values):
-        g = registry.gauge("g")
+        g = registry.get(InstrumentSpec.gauge("g"))
         for t, v in values:
             clock.t = t
             g.set(v)
@@ -152,7 +153,7 @@ class TestWindowedStats:
         assert series.rate() is None
 
     def test_rate_is_delta_over_time(self, registry, recorder, clock):
-        c = registry.counter("c")
+        c = registry.get(InstrumentSpec.counter("c"))
         clock.t = 0.0
         recorder.sample()
         clock.t = 10.0
@@ -161,7 +162,7 @@ class TestWindowedStats:
         assert recorder.series("c").rate() == pytest.approx(5.0)
 
     def test_rate_needs_two_points_spanning_time(self, registry, recorder, clock):
-        c = registry.counter("c")
+        c = registry.get(InstrumentSpec.counter("c"))
         c.inc()
         recorder.sample()
         assert recorder.series("c").rate() is None  # single point
@@ -169,7 +170,7 @@ class TestWindowedStats:
         assert recorder.series("c").rate() is None
 
     def test_windowed_quantile_subtracts_old_snapshot(self, registry, recorder, clock):
-        h = registry.histogram("lat", buckets=(0.1, 1.0, 10.0))
+        h = registry.get(InstrumentSpec.histogram("lat", buckets=(0.1, 1.0, 10.0)))
         # Old traffic: slow observations.
         for _ in range(100):
             h.observe(5.0)
@@ -189,8 +190,8 @@ class TestWindowedStats:
         assert series.quantile(0.99, window_s=150.0) <= 0.1
 
     def test_quantile_none_for_non_histogram_or_empty_window(self, registry, recorder, clock):
-        registry.counter("c").inc()
-        h = registry.histogram("lat", buckets=(1.0,))
+        registry.get(InstrumentSpec.counter("c")).inc()
+        h = registry.get(InstrumentSpec.histogram("lat", buckets=(1.0,)))
         recorder.sample()
         assert recorder.series("c").quantile(0.5) is None
         # Histogram with zero in-window observations.
@@ -203,9 +204,9 @@ class TestWindowedStats:
 
 class TestSeriesMatching:
     def test_label_superset_matching(self, registry, recorder):
-        registry.histogram("lat", stage="pca").observe(0.1)
-        registry.histogram("lat", stage="knn").observe(0.2)
-        registry.histogram("other").observe(0.3)
+        registry.get(InstrumentSpec.histogram("lat", stage="pca")).observe(0.1)
+        registry.get(InstrumentSpec.histogram("lat", stage="knn")).observe(0.2)
+        registry.get(InstrumentSpec.histogram("other")).observe(0.3)
         recorder.sample()
         all_lat = recorder.series_matching("lat")
         assert sorted(s.labels for s in all_lat) == [
@@ -231,7 +232,7 @@ class TestBackgroundThread:
         # The only sleep-adjacent test: a tiny interval and a stop() that
         # joins, bounding the wait to the first scrape.
         recorder = MetricsRecorder(registry, interval_s=0.005)
-        registry.counter("c").inc()
+        registry.get(InstrumentSpec.counter("c")).inc()
         recorder.start()
         try:
             deadline = 200
@@ -249,13 +250,13 @@ class TestRenderTop:
         assert render_top(recorder) == "(no series recorded)"
 
     def test_table_has_all_series_and_columns(self, registry, recorder, clock):
-        registry.counter("hits", node="a").inc(4)
-        registry.gauge("depth").set(2.0)
-        h = registry.histogram("lat", buckets=(0.1, 1.0))
+        registry.get(InstrumentSpec.counter("hits", node="a")).inc(4)
+        registry.get(InstrumentSpec.gauge("depth")).set(2.0)
+        h = registry.get(InstrumentSpec.histogram("lat", buckets=(0.1, 1.0)))
         h.observe(0.05)
         recorder.sample()
         clock.t = 2.0
-        registry.counter("hits", node="a").inc(4)
+        registry.get(InstrumentSpec.counter("hits", node="a")).inc(4)
         recorder.sample()
         text = render_top(recorder, window_s=60.0)
         lines = text.splitlines()
@@ -274,7 +275,7 @@ class TestConcurrentStop:
         # the thread without holding it, or this would deadlock against
         # an in-flight scrape.  Bound the whole check with a watchdog.
         recorder = MetricsRecorder(registry, interval_s=0.001)
-        registry.counter("c").inc()
+        registry.get(InstrumentSpec.counter("c")).inc()
         recorder.start()
         done = threading.Event()
 

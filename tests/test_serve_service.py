@@ -76,12 +76,6 @@ class TestMicroBatching:
         assert service.stats.completed == 3
         assert service.stats.batches >= 1
 
-    def test_classify_blocking_convenience(self, classifier, fleet):
-        with ClassificationService(classifier, max_wait_s=0.005) as service:
-            result = service.classify(fleet[0], timeout=10.0)
-        expected = classifier.classify_series(fleet[0])
-        assert np.array_equal(result.class_vector, expected.class_vector)
-
     def test_stats_snapshot(self, classifier, fleet):
         with ClassificationService(classifier, max_wait_s=0.005) as service:
             for s in fleet[:4]:
@@ -250,21 +244,6 @@ class TestConcurrentShutdown:
         assert not any(t.is_alive() for t in threads)
         assert service.stats.completed == len(fleet)
         assert service.stats.pending == 0
-
-    def test_stop_alias_sheds_pending(self, classifier, fleet):
-        service = ClassificationService(classifier, autostart=False)
-        futures = [service.submit(s) for s in fleet[:2]]
-        service.stop()
-        for future in futures:
-            with pytest.raises(ServiceOverloadedError):
-                future.result(timeout=1.0)
-
-    def test_drain_alias_completes_pending(self, classifier, fleet):
-        service = ClassificationService(classifier)
-        futures = [service.submit(s) for s in fleet]
-        service.drain()
-        for future in futures:
-            assert future.result(timeout=1.0) is not None
 
     def test_submit_shutdown_race_strands_no_future(self, classifier, fleet):
         # submit() checks _stopping and enqueues atomically: a request

@@ -20,6 +20,8 @@ from repro.obs.context import PIPELINE_STAGE_NAMES, TailSampler
 from repro.serve.service import ClassificationService
 from repro.serve.stream import drain_trace_contexts
 
+from tests.conftest import instrument
+
 
 @pytest.fixture(autouse=True)
 def _obs_off():
@@ -78,7 +80,7 @@ class TestDirectSubmit:
         registry, classifier = traced
         series = make_series(classifier)
         with ClassificationService(classifier, batch_size=1, workers=1) as service:
-            service.classify(series, timeout=10)
+            service.submit(series).result(timeout=10)
         (root,) = roots(registry)
         assert root.trace_id
         kids = children_of(registry, root)
@@ -110,10 +112,10 @@ class TestDirectSubmit:
         registry, classifier = traced
         series = make_series(classifier)
         with ClassificationService(classifier, batch_size=1, workers=1) as service:
-            service.classify(series, timeout=10)
+            service.submit(series).result(timeout=10)
         (root,) = roots(registry)
-        queue_wait = registry.histogram("serve.queue_wait.seconds")
-        batch_wait = registry.histogram("serve.batch_wait.seconds")
+        queue_wait = instrument(registry, "serve.queue_wait.seconds")
+        batch_wait = instrument(registry, "serve.batch_wait.seconds")
         assert queue_wait.count == 1
         assert batch_wait.count == 1
         compute = next(
@@ -184,7 +186,7 @@ class TestIngestToService:
             assert [s.name for s in stages] == [
                 f"pipeline.stage.{name}" for name in PIPELINE_STAGE_NAMES
             ]
-        drain_hist = registry.histogram("ingest.drain_to_classify.seconds")
+        drain_hist = instrument(registry, "ingest.drain_to_classify.seconds")
         assert drain_hist.count == 2
         assert drain_hist.exemplars()
 
@@ -224,7 +226,7 @@ class TestTailSampling:
         n = 8
         with ClassificationService(classifier, batch_size=1, workers=1) as service:
             for _ in range(n):
-                service.classify(series, timeout=10)  # serial: one draw per trace
+                service.submit(series).result(timeout=10)  # serial: one draw per trace
         rng = random.Random(0)
         expected_kept = [i + 1 for i in range(n) if rng.random() < 0.5]
         assert sorted(r.trace_id for r in roots(registry)) == expected_kept
@@ -241,13 +243,13 @@ class TestTailSampling:
         registry.sampler = TailSampler(keep_ratio=0.0, slow_threshold_s=1e9, seed=0)
         series = make_series(classifier)
         with ClassificationService(classifier, batch_size=1, workers=1) as service:
-            result = service.classify(series, timeout=10)
+            result = service.submit(series).result(timeout=10)
         assert result.num_samples == len(series)
         # No trace-carrying spans survive; the worker's own untraced
         # batch span (trace_id 0) is not part of any request trace.
         assert [s for s in registry.spans() if s.trace_id] == []
         # Attribution histograms are complete even for dropped traces.
-        assert registry.histogram("serve.queue_wait.seconds").count == 1
+        assert instrument(registry, "serve.queue_wait.seconds").count == 1
 
     def test_errored_traces_always_kept(self, traced):
         registry, classifier = traced
@@ -281,7 +283,7 @@ class TestUntracedPathsUnchanged:
     def test_disabled_service_records_nothing(self, classifier):
         series = make_series(classifier)
         with ClassificationService(classifier, batch_size=1, workers=1) as service:
-            result = service.classify(series, timeout=10)
+            result = service.submit(series).result(timeout=10)
         assert result.num_samples == len(series)
         assert obs.get_registry().spans() == []
         assert obs.get_registry().instruments() == []
