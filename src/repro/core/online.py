@@ -20,9 +20,16 @@ Two consumption modes share one kernel:
 Both modes run the batch-size-invariant
 :meth:`~repro.core.pipeline.ApplicationClassifier.classify_rows`
 kernel, so the drained-batch results are bit-identical (per compute
-dtype) to classifying each announcement alone, and the fan-back
-arithmetic reproduces the sequential :meth:`NodeClassificationState.record`
-fold exactly.
+dtype) to classifying each announcement alone.
+
+Per-node state is kept as columns indexed by a local node id — class
+counts ``(nodes, 5)``, snapshots seen, last timestamp, current class
+code (−1 before the first snapshot) and streak — so a drain is folded
+in one vectorised pass with no per-node Python loop, and a push
+delivery is five scalar writes.  Both reproduce the sequential
+:meth:`NodeClassificationState.record` fold exactly;
+:meth:`OnlineClassifier.state` builds a :class:`NodeClassificationState`
+snapshot from the columns when it is queried.
 """
 
 from __future__ import annotations
@@ -44,6 +51,10 @@ _ANNOUNCEMENT_SECONDS = InstrumentSpec.histogram(
 _BATCH_SECONDS = InstrumentSpec.histogram(
     "online.batch.seconds", "Drained-batch online classification latency."
 )
+_NUM_CLASSES = len(ALL_CLASSES)
+#: Largest node count whose ids sort as uint16 keys (numpy's stable
+#: sort is a radix sort at 16 bits, ~10× a 64-bit sort at 4096 rows).
+_SMALL_IDS = 1 << 16
 
 
 @dataclass
@@ -160,7 +171,19 @@ class OnlineClassifier:
         self.classifier = classifier
         self.channel = channel
         self._allow = set(nodes) if nodes is not None else None
-        self._states: dict[str, NodeClassificationState] = {}
+        # Node state as columns by local id (first-seen order); the
+        # arrays are sized to a capacity and grown by doubling.
+        self._local: dict[str, int] = {}
+        self._counts = np.zeros((0, _NUM_CLASSES), dtype=np.int64)
+        self._seen = np.zeros(0, dtype=np.int64)
+        self._last_ts = np.zeros(0, dtype=np.float64)
+        self._current = np.zeros(0, dtype=np.int64)
+        self._streak = np.zeros(0, dtype=np.int64)
+        # The ingest plane's node tuple as last seen, its plane id →
+        # local id map and (with an allow-list) its plane-id allow mask.
+        self._plane_nodes: tuple[str, ...] = ()
+        self._plane_local = np.zeros(0, dtype=np.intp)
+        self._plane_allowed = np.zeros(0, dtype=bool)
         # Bound-method access creates a fresh object each time; keep one
         # reference so unsubscribe can match it by identity.
         self._callback = self._on_announcement
@@ -213,7 +236,7 @@ class OnlineClassifier:
         if push_source:
             self.channel.subscribe(self._callback)
         self._attached = True
-        obs_event("online.attach", nodes=str(len(self._states)))
+        obs_event("online.attach", nodes=str(self._tracked()))
 
     def detach(self) -> None:
         """Unbind from the announcement source (stop consuming).
@@ -226,7 +249,7 @@ class OnlineClassifier:
         if not self._attached:
             return
         self._attached = False
-        obs_event("online.detach", nodes=str(len(self._states)))
+        obs_event("online.detach", nodes=str(self._tracked()))
         if hasattr(self.channel, "subscribe"):
             try:
                 self.channel.unsubscribe(self._callback)
@@ -251,12 +274,17 @@ class OnlineClassifier:
         timed = obs_enabled()
         clock = self.classifier.clock
         t = clock() if timed else 0.0
-        cls = self.classify(announcement)
-        state = self._states.get(announcement.node)
-        if state is None:
-            state = NodeClassificationState(node=announcement.node)
-            self._states[announcement.node] = state
-        state.record(cls, announcement.timestamp)
+        code = int(self.classify(announcement))
+        node = self._local_id(announcement.node)
+        # NodeClassificationState.record, written into the columns.
+        self._counts[node, code] += 1
+        self._seen[node] += 1
+        self._last_ts[node] = announcement.timestamp
+        if self._current[node] == code:
+            self._streak[node] += 1
+        else:
+            self._current[node] = code
+            self._streak[node] = 1
         if timed:
             obs_get(_ANNOUNCEMENT_SECONDS).observe(clock() - t)
             obs_get(_CLASSIFIED).inc()
@@ -327,15 +355,16 @@ class OnlineClassifier:
         node_ids = np.asarray(batch.node_ids)
         timestamps = np.asarray(batch.timestamps)
         values = batch.values
-        if self._allow is not None and node_ids.shape[0]:
-            allowed = np.asarray([name in self._allow for name in batch.nodes], dtype=bool)
-            keep = allowed[node_ids]
-            dropped = node_ids.shape[0] - int(np.count_nonzero(keep))
-            if dropped:
-                obs_get(_DROPPED).inc(float(dropped))
-                node_ids = node_ids[keep]
-                timestamps = timestamps[keep]
-                values = values[keep]
+        if node_ids.shape[0]:
+            self._map_plane_nodes(batch.nodes)
+            if self._allow is not None:
+                keep = self._plane_allowed[node_ids]
+                dropped = node_ids.shape[0] - int(np.count_nonzero(keep))
+                if dropped:
+                    obs_get(_DROPPED).inc(float(dropped))
+                    node_ids = node_ids[keep]
+                    timestamps = timestamps[keep]
+                    values = values[keep]
         if node_ids.shape[0] == 0:
             return DrainClassification(
                 nodes=batch.nodes,
@@ -348,7 +377,7 @@ class OnlineClassifier:
         clock = self.classifier.clock
         t = clock() if timed else 0.0
         codes = self.classifier.classify_rows(values[:, self._metric_idx])
-        self._record_codes(batch.nodes, node_ids, timestamps, codes)
+        self._record_codes(self._plane_local[node_ids], timestamps, codes)
         if timed:
             obs_get(_BATCH_SECONDS).observe(clock() - t)
             obs_get(_CLASSIFIED).inc(float(codes.shape[0]))
@@ -360,75 +389,159 @@ class OnlineClassifier:
             watermark=float(batch.watermark),
         )
 
-    def _record_codes(
-        self,
-        nodes: tuple[str, ...],
-        node_ids: np.ndarray,
-        timestamps: np.ndarray,
-        codes: np.ndarray,
-    ) -> None:
-        """Fold a classified batch into per-node state, record-for-record.
+    def _local_id(self, node: str) -> int:
+        """Local id of *node*, registering it (with empty state) when new."""
+        local = self._local.get(node)
+        if local is not None:
+            return local
+        local = len(self._local)
+        if local == self._seen.shape[0]:
+            self._grow(max(8, 2 * local))
+        self._local[node] = local
+        return local
 
-        Vectorized equivalent of calling
-        :meth:`NodeClassificationState.record` on each row in timeline
-        order: class counts via one bincount per node, and the streak as
-        the trailing constant run — extended by the previous streak when
-        the whole slice is one class and it matches the node's current
-        class (exactly what the sequential fold would have done).
+    def _grow(self, capacity: int) -> None:
+        """Resize every state column to *capacity* nodes, keeping the rows."""
+        size = self._seen.shape[0]
+        for name, fill in (
+            ("_counts", 0), ("_seen", 0), ("_last_ts", np.nan), ("_current", -1), ("_streak", 0)
+        ):
+            old = getattr(self, name)
+            new = np.full((capacity,) + old.shape[1:], fill, dtype=old.dtype)
+            new[:size] = old
+            setattr(self, name, new)
+
+    def _map_plane_nodes(self, nodes: tuple[str, ...]) -> None:
+        """Refresh the plane id → local id map (and allow mask) for *nodes*.
+
+        A plane only appends to its node tuple, so a changed tuple
+        whose prefix is the cached one maps only its new names; any
+        other tuple (a different plane) is mapped afresh.
         """
-        for node_id in np.unique(node_ids):
-            sel = node_ids == node_id
-            node_codes = codes[sel]
-            node_ts = timestamps[sel]
-            node = nodes[int(node_id)]
-            state = self._states.get(node)
-            if state is None:
-                state = NodeClassificationState(node=node)
-                self._states[node] = state
-            state.class_counts += np.bincount(node_codes, minlength=len(ALL_CLASSES))
-            count = int(node_codes.shape[0])
-            state.snapshots_seen += count
-            state.last_timestamp = float(node_ts[-1])
-            last = SnapshotClass(int(node_codes[-1]))
-            changes = np.flatnonzero(node_codes[:-1] != node_codes[1:])
-            if changes.size:
-                streak = count - 1 - int(changes[-1])
-            elif state.current_class is last:
-                streak = state.streak + count
-            else:
-                streak = count
-            state.current_class = last
-            state.streak = streak
+        if nodes == self._plane_nodes:
+            return
+        known = len(self._plane_nodes)
+        if nodes[:known] != self._plane_nodes:
+            known = 0
+        fresh = nodes[known:]
+        self._plane_local = np.concatenate(
+            [self._plane_local[:known], np.fromiter(map(self._local_id, fresh), np.intp, len(fresh))]
+        )
+        if self._allow is not None:
+            allowed = [name in self._allow for name in fresh]
+            self._plane_allowed = np.concatenate(
+                [self._plane_allowed[:known], np.array(allowed, dtype=bool)]
+            )
+        self._plane_nodes = nodes
+
+    def _record_codes(self, local_ids: np.ndarray, timestamps: np.ndarray, codes: np.ndarray) -> None:
+        """Fold a classified batch into the node state columns in one pass.
+
+        Vectorised equivalent of calling
+        :meth:`NodeClassificationState.record` on each row in timeline
+        order.  Class counts are one bincount over
+        ``local_id * 5 + code`` and snapshots seen one bincount over the
+        local ids.  One stable sort by local id lays each node's rows
+        out contiguously in timeline order; its last row gives the
+        current class and last timestamp, and its trailing constant run
+        (run starts from a running maximum over the node and code
+        breaks) gives the streak.  The streak is extended by the
+        previous one only where the node's whole slice is one class
+        equal to its current class, exactly what the sequential fold
+        would have done.
+        """
+        known = len(self._local)
+        self._counts[:known] += np.bincount(
+            local_ids * _NUM_CLASSES + codes, minlength=known * _NUM_CLASSES
+        ).reshape(known, _NUM_CLASSES)
+        self._seen[:known] += np.bincount(local_ids, minlength=known)
+        key = local_ids.astype(np.uint16) if known <= _SMALL_IDS else local_ids
+        order = np.argsort(key, kind="stable")
+        ids = local_ids[order]
+        run_codes = codes[order]
+        rows = ids.shape[0]
+        node_start = np.empty(rows, dtype=bool)
+        node_start[0] = True
+        np.not_equal(ids[1:], ids[:-1], out=node_start[1:])
+        run_start = node_start.copy()
+        run_start[1:] |= run_codes[1:] != run_codes[:-1]
+        run_from = np.maximum.accumulate(np.where(run_start, np.arange(rows), 0))
+        node_end = np.empty(rows, dtype=bool)
+        node_end[:-1] = node_start[1:]
+        node_end[-1] = True
+        ends = np.flatnonzero(node_end)
+        nodes = ids[ends]
+        last = run_codes[ends]
+        run_from = run_from[ends]
+        whole = run_from == np.flatnonzero(node_start)
+        carried = np.where(whole & (self._current[nodes] == last), self._streak[nodes], 0)
+        self._streak[nodes] = ends - run_from + 1 + carried
+        self._current[nodes] = last
+        self._last_ts[nodes] = timestamps[order[ends]]
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def nodes(self) -> list[str]:
-        """Nodes with at least one classified snapshot, sorted."""
-        return sorted(self._states)
+    def _tracked(self) -> int:
+        """Number of nodes with at least one classified snapshot."""
+        return int(np.count_nonzero(self._seen))
 
-    def state(self, node: str) -> NodeClassificationState:
-        """Rolling state of *node*.
+    def _index(self, node: str) -> int:
+        """Local id of a node with at least one classified snapshot.
 
         Raises
         ------
         KeyError
             If the node has produced no classified snapshots.
         """
-        try:
-            return self._states[node]
-        except KeyError:
-            raise KeyError(f"no classified snapshots from node {node!r}") from None
+        local = self._local.get(node)
+        if local is None or not self._seen[local]:
+            raise KeyError(f"no classified snapshots from node {node!r}")
+        return local
+
+    def nodes(self) -> list[str]:
+        """Nodes with at least one classified snapshot, sorted."""
+        seen = self._seen.tolist()
+        return sorted(node for node, local in self._local.items() if seen[local])
+
+    def state(self, node: str) -> NodeClassificationState:
+        """A snapshot of *node*'s rolling state, built when queried.
+
+        The returned object is a copy: later deliveries and drains do
+        not update it, and changing it does not change the classifier.
+        Query again to read newer state.
+
+        Raises
+        ------
+        KeyError
+            If the node has produced no classified snapshots.
+        """
+        local = self._index(node)
+        return NodeClassificationState(
+            node=node,
+            class_counts=self._counts[local].copy(),
+            current_class=SnapshotClass(int(self._current[local])),
+            streak=int(self._streak[local]),
+            snapshots_seen=int(self._seen[local]),
+            last_timestamp=float(self._last_ts[local]),
+        )
 
     def stable_class(self, node: str, min_streak: int = 3) -> SnapshotClass | None:
         """The node's current class, if it has persisted *min_streak* snapshots.
 
         Returns ``None`` during transients — the online analogue of the
         batch majority vote's noise suppression.
+
+        Raises
+        ------
+        ValueError
+            If *min_streak* is not positive.
+        KeyError
+            If the node has produced no classified snapshots.
         """
         if min_streak < 1:
             raise ValueError("min_streak must be positive")
-        state = self.state(node)
-        if state.current_class is not None and state.streak >= min_streak:
-            return state.current_class
+        local = self._index(node)
+        if self._streak[local] >= min_streak:
+            return SnapshotClass(int(self._current[local]))
         return None
