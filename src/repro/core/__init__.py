@@ -30,6 +30,7 @@ from .online import NodeClassificationState, OnlineClassifier
 from .pca import PCA
 from .pipeline import (
     ApplicationClassifier,
+    BatchResult,
     ClassificationResult,
     StageTimings,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "mode_filter",
     "segment_stages",
     "ApplicationClassifier",
+    "BatchResult",
     "ClassificationResult",
     "StageTimings",
     "MetricSelector",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,11 +96,256 @@ class ClassificationResult:
     application_class: SnapshotClass
     category: str
     scores: np.ndarray = field(repr=False)
-    timings: StageTimings = field(default_factory=StageTimings)
+    timings: StageTimings
 
     def percent(self, c: SnapshotClass) -> float:
         """Composition percentage of class *c* (Table 3 format)."""
         return 100.0 * self.composition.fraction(c)
+
+
+#: Application categories by category code: the dominant-class table,
+#: then the interactive category at code ``len(DOMINANT_CATEGORIES)``.
+_CATEGORIES: tuple[str, ...] = DOMINANT_CATEGORIES + (INTERACTIVE_CATEGORY,)
+
+#: The five stage durations of a call that did no work.
+_NO_STAGES = (0.0, 0.0, 0.0, 0.0, 0.0)
+
+#: Mean snapshots per run up to which the gather concatenates whole
+#: matrices: past ~96 copying all 33 catalog rows costs more than a
+#: fancy index per run (64- and 32-run fleets, 2-core Xeon VM).
+_CONCAT_MAX_MEAN_RUN = 96
+
+
+class _CompositionOnRead:
+    """A view's ``composition``, built from its ``fractions`` row on first read.
+
+    A non-data descriptor: the first read stores the validated
+    :class:`ClassComposition` in the view's ``__dict__``, which shadows
+    the descriptor from then on, so later reads (and assignments) cost
+    what a dataclass field does.
+    """
+
+    def __get__(self, view, owner=None):
+        if view is None:
+            return self
+        fractions = view._call[0]
+        value = view.__dict__["composition"] = ClassComposition(tuple(fractions[view._index].tolist()))
+        return value
+
+
+class _TimingsOnRead:
+    """A view's ``timings``: the call's stage costs times the run's share of the rows.
+
+    Built on first read and then stored like :class:`_CompositionOnRead`.
+    """
+
+    def __get__(self, view, owner=None):
+        if view is None:
+            return self
+        _, offsets, (filter_s, normalize_s, pca_s, classify_s, vote_s) = view._call
+        i = view._index
+        share = (offsets[i + 1] - offsets[i]) / offsets[-1]
+        value = view.__dict__["timings"] = StageTimings(
+            (filter_s + normalize_s) * share, pca_s * share, classify_s * share, vote_s * share
+        )
+        return value
+
+
+class _RunView(ClassificationResult):
+    """One run of a :class:`BatchResult`, as a :class:`ClassificationResult`.
+
+    ``composition`` and ``timings`` are built from the call's shared
+    arrays on first read (``ClassComposition`` validates as always);
+    every other field is set when the view is built.  The view refers to
+    the call's arrays, not to the :class:`BatchResult`, so dropping the
+    batch and its views frees them by reference counting.
+    """
+
+    __slots__ = ("_call", "_index")
+
+    composition = _CompositionOnRead()
+    timings = _TimingsOnRead()
+
+
+def _gather_rows(
+    matrices: Sequence[np.ndarray], offsets: Sequence[int], metric_idx: np.ndarray, dtype: np.dtype
+) -> np.ndarray:
+    """The selected metric rows of every ``(n, m_i)`` matrix, stacked as ``(Σ m_i, p)``.
+
+    Run *i* fills rows ``offsets[i]:offsets[i + 1]`` with the same values
+    as its ``matrix[metric_idx].T`` (what ``selector.transform_series``
+    yields), cast into a *dtype* buffer, at float32 with the rounding
+    that cast applies.  Short runs are gathered with one ``concatenate``
+    along the snapshot axis and one ``[metric_idx].T`` assignment, which
+    saves a fancy index per run; runs averaging more than
+    :data:`_CONCAT_MAX_MEAN_RUN` snapshots are copied one by one, since
+    the concatenate copies every catalog row and only ``p`` are kept.
+    """
+    raw = np.empty((offsets[-1], metric_idx.shape[0]), dtype=dtype)
+    if offsets[-1] <= _CONCAT_MAX_MEAN_RUN * len(matrices):
+        raw[...] = np.concatenate(matrices, axis=1)[metric_idx].T
+    else:
+        for matrix, o in zip(matrices, offsets):
+            raw[o : o + matrix.shape[1]] = matrix[metric_idx].T
+    return raw
+
+
+def _pack_compositions(
+    offsets: Sequence[int], class_vector: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-run fractions, class codes and category codes of a stacked class vector.
+
+    dtype: float64
+
+    Compositions are fractions of integer counts — exact bookkeeping
+    shared by both numeric modes, always at float64 — via one stacked
+    bincount (identical by construction to per-run
+    ``ClassComposition.from_class_vector``), one row-wise argmax
+    (identical to each composition's ``dominant()``), and the idle band
+    and dominant-class table of ``application_category`` applied to the
+    whole fleet.  A category code indexes :data:`_CATEGORIES`.
+    """
+    n_classes = len(ALL_CLASSES)
+    lengths = np.diff(offsets)
+    run_ids = np.repeat(np.arange(lengths.shape[0]), lengths)
+    counts = np.bincount(
+        run_ids * n_classes + class_vector, minlength=lengths.shape[0] * n_classes
+    ).reshape(lengths.shape[0], n_classes)
+    fractions = counts / lengths.astype(np.float64)[:, None]
+    class_codes = np.argmax(fractions, axis=1)
+    idle = fractions[:, SnapshotClass.IDLE]
+    mixed = (idle >= IDLE_MIX_LOW) & (idle < IDLE_MIX_HIGH)
+    category_codes = np.where(mixed, len(DOMINANT_CATEGORIES), class_codes)
+    return fractions, class_codes, category_codes
+
+
+class BatchResult(Sequence[ClassificationResult]):
+    """The results of one stacked classify call, one run per item.
+
+    Holds the call's columns: the stacked ``class_vector`` ``(rows,)``
+    and ``scores`` ``(rows, q)``, the run ``offsets`` (run *i* is rows
+    ``offsets[i]:offsets[i + 1]``), the ``fractions`` matrix
+    ``(runs, 5)``, the per-run ``class_codes`` and ``category_codes``
+    (an index into the dominant-class categories, then "Idle + Others"),
+    the five ``stage_seconds`` in
+    :data:`~repro.obs.context.PIPELINE_STAGE_NAMES` order, and the
+    call-level ``timings``.
+
+    As a sequence it yields one :class:`ClassificationResult` per run,
+    in input order.  Run *i*'s result is a view built on first access
+    and then cached, so ``r[i] is r[i]``; its ``class_vector`` and
+    ``scores`` are its rows of the call's arrays (disjoint slices, not
+    copies), and its ``composition`` and ``timings`` (the call's stage
+    costs apportioned by its share of the rows) are built when first
+    read.  Slicing returns a list of views; use ``list(r)`` for list
+    operations such as ``+`` or ``append``.  A batch result equals a
+    list (or batch result) holding the same results.  Views are cached
+    without a lock: two threads first reading the same run at once may
+    each get their own (equal) view.
+    """
+
+    __slots__ = (
+        "nodes",
+        "offsets",
+        "class_vector",
+        "scores",
+        "fractions",
+        "class_codes",
+        "category_codes",
+        "stage_seconds",
+        "timings",
+        "_call",
+        "_classes",
+        "_categories",
+        "_views",
+    )
+
+    def __init__(
+        self,
+        nodes: Sequence[str],
+        offsets: Sequence[int],
+        class_vector: np.ndarray,
+        scores: np.ndarray,
+        fractions: np.ndarray,
+        class_codes: np.ndarray,
+        category_codes: np.ndarray,
+        stage_seconds: tuple[float, float, float, float, float],
+    ) -> None:
+        self.nodes = nodes
+        self.offsets = offsets
+        self.class_vector = class_vector
+        self.scores = scores
+        self.fractions = fractions
+        self.class_codes = class_codes
+        self.category_codes = category_codes
+        self.stage_seconds = stage_seconds
+        filter_s, normalize_s, pca_s, classify_s, vote_s = stage_seconds
+        self.timings = StageTimings(filter_s + normalize_s, pca_s, classify_s, vote_s)
+        self._call = (fractions, offsets, stage_seconds)
+        self._classes = class_codes.tolist()
+        self._categories = category_codes.tolist()
+        self._views: list[_RunView | None] = [None] * len(nodes)
+
+    @classmethod
+    def from_class_vector(
+        cls,
+        nodes: Sequence[str],
+        offsets: Sequence[int],
+        class_vector: np.ndarray,
+        scores: np.ndarray,
+        stage_seconds: tuple[float, float, float, float, float] = _NO_STAGES,
+    ) -> "BatchResult":
+        """Package a stacked class vector and scores, computing the compositions.
+
+        *class_vector* is shape ``(rows,)`` and *scores* ``(rows, q)``,
+        one row per snapshot; *offsets* has one more entry than *nodes*,
+        starting at 0 and ending at ``rows``.  The arrays become the
+        result's own (views slice them, not copies).
+        """
+        offsets = list(offsets)
+        return cls(nodes, offsets, class_vector, scores, *_pack_compositions(offsets, class_vector), stage_seconds)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def __getitem__(self, index):
+        views = self._views
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(views)))]
+        view = views[index]
+        if view is None:
+            if index < 0:
+                index += len(views)
+            view = views[index] = self._view(index)
+        return view
+
+    def __iter__(self):
+        views = self._views
+        for i, view in enumerate(views):
+            if view is None:
+                view = views[i] = self._view(i)
+            yield view
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (BatchResult, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _view(self, i: int) -> _RunView:
+        """Build run *i*'s view; composition and timings wait for a read."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        view = _RunView.__new__(_RunView)
+        view._call = self._call
+        view._index = i
+        view.node = self.nodes[i]
+        view.num_samples = hi - lo
+        view.class_vector = self.class_vector[lo:hi]
+        view.scores = self.scores[lo:hi]
+        view.application_class = ALL_CLASSES[self._classes[i]]
+        view.category = _CATEGORIES[self._categories[i]]
+        return view
 
 
 class ApplicationClassifier:
@@ -278,7 +524,8 @@ class ApplicationClassifier:
         :class:`~repro.serve.batch.BatchClassifier` runs over a fleet,
         so each snapshot's score and class are bit-identical to the
         batched and streaming paths, and the §5.3 stage timings come
-        from the same six clock reads.
+        from the same six clock reads.  Returns the one run's view of
+        the call's :class:`BatchResult`.
 
         Raises
         ------
@@ -299,7 +546,8 @@ class ApplicationClassifier:
         # the clock reads are the kernel's six either way.
         registry = obs_get_registry()
         with registry.span("pipeline.classify", clock=self.clock):
-            (result,), start, stage_seconds = self._classify_stacked([series])
+            results, start = self._classify_stacked([series])
+            stage_seconds = results.stage_seconds
             # Under a request trace (an enclosing span carrying a
             # nonzero trace id) the stages also become child spans,
             # laid end to end from the kernel's first clock read, so
@@ -315,21 +563,19 @@ class ApplicationClassifier:
                 hist.observe(duration)
             registry.get(_SNAPSHOTS).inc(len(series))
             registry.get(_RUNS).inc()
-        return result
+        return results[0]
 
-    def _classify_stacked(
-        self, series_list: Sequence[SnapshotSeries]
-    ) -> tuple[list[ClassificationResult], float, tuple[float, float, float, float, float]]:
+    def _classify_stacked(self, series_list: Sequence[SnapshotSeries]) -> tuple[BatchResult, float]:
         """The staged classify kernel, once over many series' stacked rows.
 
-        Gathers each series' selected metric rows into its slot of one
-        ``(rows, p)`` buffer at the compute dtype, runs the
-        :meth:`classify_rows` steps over the stack, and packages one
-        result per series, reading the clock once before the gather and
-        once after each of the five stages.  Returns the results (in
-        input order), the first clock read, and the five stage
-        durations in :data:`~repro.obs.context.PIPELINE_STAGE_NAMES`
-        order; each result's ``timings`` holds the stage costs
+        Gathers every series' selected metric rows into one ``(rows, p)``
+        buffer at the compute dtype, runs the :meth:`classify_rows`
+        steps over the stack, and packages the compositions of all runs
+        at once, reading the clock once before the gather and once after
+        each of the five stages.  Returns the :class:`BatchResult` (runs
+        in input order, its ``stage_seconds`` the five stage durations
+        in :data:`~repro.obs.context.PIPELINE_STAGE_NAMES` order) and
+        the first clock read.  A run's ``timings`` are the stage costs
         apportioned by its share of the stacked snapshots, so summed
         per-run timings reproduce the totals (§5.3 accounting).
 
@@ -338,20 +584,11 @@ class ApplicationClassifier:
         """
         clock = self.clock
 
-        # --- gather: the same values ``selector.transform_series``
-        # yields per run, and in float32 the same rounding its cast
-        # applies.
         t = clock()
-        idx_cols = self._metric_idx
-        lengths = [s.matrix.shape[1] for s in series_list]
-        offsets = [0]
-        for m in lengths:
-            offsets.append(offsets[-1] + m)
-        total = offsets[-1]
-        raw = np.empty((total, idx_cols.shape[0]), dtype=self.compute_dtype)
-        for i, s in enumerate(series_list):
-            o = offsets[i]
-            raw[o : o + lengths[i]] = s.matrix[idx_cols, :].T
+        nodes = [s.node for s in series_list]
+        matrices = [s.matrix for s in series_list]
+        offsets = [0, *accumulate(m.shape[1] for m in matrices)]
+        raw = _gather_rows(matrices, offsets, self._metric_idx, self._dtype)
         t_gather = clock()
 
         # --- the classify_rows kernel, once over the stacked rows.
@@ -361,21 +598,17 @@ class ApplicationClassifier:
         t_projected = clock()
         class_vector_all = self.knn.predict_rows(scores_all)
         t_searched = clock()
-        results = _package_results(series_list, lengths, offsets, class_vector_all, scores_all)
+        packed = _pack_compositions(offsets, class_vector_all)
         t_done = clock()
 
-        filter_s = t_gather - t
-        normalize_s = t_normalized - t_gather
-        pca_s = t_projected - t_normalized
-        classify_s = t_searched - t_projected
-        vote_s = t_done - t_searched
-        for i, result in enumerate(results):
-            share = lengths[i] / total
-            result.timings.preprocess_s = (filter_s + normalize_s) * share
-            result.timings.pca_s = pca_s * share
-            result.timings.classify_s = classify_s * share
-            result.timings.vote_s = vote_s * share
-        return results, t, (filter_s, normalize_s, pca_s, classify_s, vote_s)
+        stage_seconds = (
+            t_gather - t,
+            t_normalized - t_gather,
+            t_projected - t_normalized,
+            t_searched - t_projected,
+            t_done - t_searched,
+        )
+        return BatchResult(nodes, offsets, class_vector_all, scores_all, *packed, stage_seconds), t
 
     def classify_rows(self, features: np.ndarray) -> np.ndarray:
         """Classify pre-selected raw feature rows: the one classify kernel.
@@ -440,49 +673,3 @@ class ApplicationClassifier:
             terms = self.pca.components_.T[:, :, None] * centered[:, None, :]  # (p, q, m)
         np.add.accumulate(terms, axis=0, out=terms)
         return terms[-1].T.copy()
-
-
-def _package_results(
-    series_list: Sequence[SnapshotSeries],
-    lengths: list[int],
-    offsets: list[int],
-    class_vector_all: np.ndarray,
-    scores_all: np.ndarray,
-) -> list[ClassificationResult]:
-    """Per-run results from the stacked class vector and scores.
-
-    dtype: float64
-
-    Compositions are fractions of integer counts — exact bookkeeping
-    shared by both numeric modes, always at float64 — via one stacked
-    bincount (identical by construction to per-run
-    ``ClassComposition.from_class_vector``), one row-wise argmax
-    (identical to each composition's ``dominant()``), and the idle band
-    and dominant-class table of ``application_category`` applied to the
-    whole fleet.  Each result's ``class_vector`` and ``scores`` are its
-    rows of *class_vector_all* and *scores_all*: disjoint slices, not
-    copies, so those two arrays must be the call's own.  Timings are
-    left for the kernel to fill in.
-    """
-    n_classes = len(ALL_CLASSES)
-    run_ids = np.repeat(np.arange(len(lengths)), lengths)
-    counts = np.bincount(
-        run_ids * n_classes + class_vector_all, minlength=len(lengths) * n_classes
-    ).reshape(len(lengths), n_classes)
-    fractions = counts / np.asarray(lengths, dtype=np.float64)[:, None]
-    idle = fractions[:, SnapshotClass.IDLE]
-    mixed = ((idle >= IDLE_MIX_LOW) & (idle < IDLE_MIX_HIGH)).tolist()
-    codes = np.argmax(fractions, axis=1).tolist()
-    rows = fractions.tolist()
-    return [
-        ClassificationResult(
-            node=series.node,
-            num_samples=m,
-            class_vector=class_vector_all[o : o + m],
-            composition=ClassComposition(fractions=tuple(rows[i])),
-            application_class=ALL_CLASSES[codes[i]],
-            category=INTERACTIVE_CATEGORY if mixed[i] else DOMINANT_CATEGORIES[codes[i]],
-            scores=scores_all[o : o + m],
-        )
-        for i, (series, o, m) in enumerate(zip(series_list, offsets, lengths))
-    ]

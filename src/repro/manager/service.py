@@ -27,7 +27,7 @@ from typing import Sequence
 from ..core.config import ClassifierConfig
 from ..core.cost_model import UnitCostModel
 from ..core.labels import ClassComposition, SnapshotClass
-from ..core.pipeline import ApplicationClassifier, ClassificationResult
+from ..core.pipeline import ApplicationClassifier, BatchResult, ClassificationResult
 from ..db.prediction import KnnRuntimePredictor, MeanPredictor, RuntimePrediction
 from ..db.records import RunRecord
 from ..db.store import ApplicationDB
@@ -144,7 +144,7 @@ class ResourceManager:
 
     def classify_batch(
         self, workloads: Sequence[Workload], *, vm_mem_mb: float = 256.0
-    ) -> list[ClassificationResult]:
+    ) -> BatchResult:
         """Profile and classify a fleet of workloads in one batched pass.
 
         Each workload is profiled in its own VM (distinct seeds, exactly
@@ -152,6 +152,10 @@ class ResourceManager:
         through the vectorized
         :class:`~repro.serve.batch.BatchClassifier` — results are
         bit-identical to per-run classification, nothing is recorded.
+        Returns the call's :class:`~repro.core.pipeline.BatchResult`: one
+        :class:`ClassificationResult` per workload, in order, each built
+        on first access; use ``list(...)`` for list operations such as
+        ``+`` or ``append``.
         """
         with obs_span("manager.classify_batch"):
             classifier = self.ensure_trained()

@@ -8,6 +8,8 @@ that regime:
 - :class:`~repro.serve.batch.BatchClassifier` — vectorized
   ``classify_batch`` over many snapshot series, **bit-identical** to the
   sequential ``classify_series`` path at a multiple of its throughput;
+  it returns a :class:`~repro.core.pipeline.BatchResult`, the call's
+  stacked arrays with per-run views built on access;
 - :class:`~repro.serve.service.ClassificationService` — bounded-queue
   micro-batching front end (flush on size or time) with explicit
   backpressure via :class:`~repro.errors.ServiceOverloadedError`;
@@ -33,13 +35,14 @@ Typical use::
 
 from __future__ import annotations
 
-from .batch import BatchClassifier
+from .batch import BatchClassifier, BatchResult
 from .cache import ModelCache, Trainer
 from .service import ClassificationService, ServiceStats
 from .stream import drain_to_series
 
 __all__ = [
     "BatchClassifier",
+    "BatchResult",
     "ClassificationService",
     "ModelCache",
     "ServiceStats",

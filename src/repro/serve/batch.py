@@ -8,8 +8,11 @@ fleet to the classifier's stacked kernel, which gathers the selected
 metrics of every run into one ``(rows, p)`` buffer, runs the
 :meth:`~repro.core.pipeline.ApplicationClassifier.classify_rows` steps
 (normalize, project, neighbor search, vote) **once** over all of them,
-and splits compositions out with one stacked bincount.
-``classify_series`` is the one-series case of that same kernel.
+and computes every run's composition with one stacked bincount.  The
+call returns one :class:`~repro.core.pipeline.BatchResult` holding those
+stacked arrays; a run's ``ClassificationResult`` is a view built when it
+is first accessed, so a round pays no per-run Python for runs nobody
+reads.  ``classify_series`` is the one-series case of that same kernel.
 
 Every step of that kernel is row-independent — the projection and the
 distances are accumulated column by column in a fixed order rather than
@@ -29,12 +32,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.pipeline import ApplicationClassifier, ClassificationResult
+import numpy as np
+
+from ..core.pipeline import ApplicationClassifier, BatchResult
 from ..errors import EmptySeriesError, NotTrainedError
 from ..metrics.series import SnapshotSeries
 from ..obs import InstrumentSpec, get_registry as obs_get_registry
 
-__all__ = ["BatchClassifier"]
+__all__ = ["BatchClassifier", "BatchResult"]
 
 #: ``classify_batch`` instruments.
 _RUNS = InstrumentSpec.counter("serve.batch.runs", "Runs classified by classify_batch.")
@@ -63,19 +68,21 @@ class BatchClassifier:
             raise NotTrainedError("batch classification requires a trained classifier")
         self.classifier = classifier
 
-    def classify_batch(
-        self, series_list: Sequence[SnapshotSeries]
-    ) -> list[ClassificationResult]:
+    def classify_batch(self, series_list: Sequence[SnapshotSeries]) -> BatchResult:
         """Classify every series; results are bit-identical to the sequential path.
 
-        Returns one :class:`ClassificationResult` per input series, in
-        input order.  ``class_vector``, ``scores``, ``composition``,
+        Returns a :class:`~repro.core.pipeline.BatchResult`: the call's
+        stacked arrays, and as a sequence one
+        :class:`~repro.core.pipeline.ClassificationResult` per input
+        series, in input order, each built when first accessed.
+        ``class_vector``, ``scores``, ``composition``,
         ``application_class``, and ``category`` match
         :meth:`~repro.core.pipeline.ApplicationClassifier.classify_series`
         exactly (same bits); ``timings`` reports the batch's stage costs
         apportioned to each run by its share of the stacked snapshots,
         since per-run wall clocks are not observable inside one fused
-        kernel.
+        kernel.  An empty *series_list* gives an empty result (equal to
+        ``[]``).
 
         Raises
         ------
@@ -89,7 +96,7 @@ class BatchClassifier:
 
     def classify_batch_traced(
         self, series_list: Sequence[SnapshotSeries]
-    ) -> tuple[list[ClassificationResult], tuple[float, float, float, float, float]]:
+    ) -> tuple[BatchResult, tuple[float, float, float, float, float]]:
         """Classify plus the batch's five-stage wall-clock split.
 
         Same results as :meth:`classify_batch` (which is this call
@@ -113,11 +120,13 @@ class BatchClassifier:
             if len(series) == 0:
                 raise EmptySeriesError("cannot classify an empty series")
         if not series_list:
-            return [], (0.0, 0.0, 0.0, 0.0, 0.0)
+            scores = np.empty((0, clf.pca.components_.shape[0]), dtype=clf.compute_dtype)
+            empty = BatchResult.from_class_vector((), (0,), np.empty(0, dtype=np.int64), scores)
+            return empty, empty.stage_seconds
         registry = obs_get_registry()
         with registry.span("serve.batch.classify", clock=clf.clock):
-            results, _, stage_seconds = clf._classify_stacked(series_list)
+            results, _ = clf._classify_stacked(series_list)
         if registry.enabled:
             registry.get(_RUNS).inc(len(results))
-            registry.get(_SNAPSHOTS).inc(sum(r.num_samples for r in results))
-        return results, stage_seconds
+            registry.get(_SNAPSHOTS).inc(len(results.class_vector))
+        return results, results.stage_seconds

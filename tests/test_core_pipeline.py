@@ -152,7 +152,7 @@ class TestClassification:
             raise AssertionError("metric_indices called on the classify path")
 
         monkeypatch.setattr("repro.core.pipeline.metric_indices", forbidden)
-        results = [trained.classify_series(series[0])] + BatchClassifier(trained).classify_batch(series)
+        results = [trained.classify_series(series[0])] + list(BatchClassifier(trained).classify_batch(series))
         for result, x in zip(results, raw[:1] + raw):
             scores = trained.project_rows(trained.normalize_rows(x))
             assert np.array_equal(result.scores.view(np.uint64), scores.view(np.uint64))

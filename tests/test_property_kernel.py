@@ -7,11 +7,14 @@ fleets — random run counts and lengths, duplicated rows, rows scaled
 away from the training pool, runs longer than the kNN chunk — four ways
 of classifying the same snapshots must give bitwise-equal class vectors,
 and the batch and per-run paths bitwise-equal scores, in both dtypes.
+The batch's per-run views must equal ``classify_series`` field by field,
+and its packaging and gather the per-run definitions they replace.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.labels import ALL_CLASSES, ClassComposition, SnapshotClass, application_category
-from repro.core.pipeline import ApplicationClassifier, _package_results
+from repro.core import pipeline
+from repro.core.pipeline import ApplicationClassifier, BatchResult, _gather_rows
 from repro.metrics.series import SnapshotSeries
 from repro.serve.batch import BatchClassifier
 
@@ -135,16 +139,24 @@ def class_vector_fleets(draw):
     return vectors
 
 
+def assert_no_shared_memory(results):
+    """No two results' ``class_vector``/``scores`` arrays overlap."""
+    arrays_of = [array for r in results for array in (r.class_vector, r.scores)]
+    for a in range(len(arrays_of)):
+        for b in range(a + 1, len(arrays_of)):
+            assert not np.shares_memory(arrays_of[a], arrays_of[b])
+
+
 @given(vectors=class_vector_fleets())
 @settings(max_examples=100, deadline=None)
 def test_packaged_results_match_the_per_run_definitions(vectors):
-    """Fleet-wide packaging ≡ from_class_vector, dominant() and application_category per run."""
+    """Each view ≡ from_class_vector, dominant() and application_category per run."""
     lengths = [len(v) for v in vectors]
     offsets = np.concatenate([[0], np.cumsum(lengths)]).tolist()
     class_vector_all = np.concatenate(vectors)
     scores_all = np.random.default_rng(len(class_vector_all)).normal(size=(len(class_vector_all), 2))
-    series_list = [SimpleNamespace(node=f"node{i}") for i in range(len(vectors))]
-    results = _package_results(series_list, lengths, offsets, class_vector_all.copy(), scores_all.copy())
+    nodes = [f"node{i}" for i in range(len(vectors))]
+    results = BatchResult.from_class_vector(nodes, offsets, class_vector_all.copy(), scores_all.copy())
 
     assert len(results) == len(vectors)
     for i, (result, vector) in enumerate(zip(results, vectors)):
@@ -156,7 +168,88 @@ def test_packaged_results_match_the_per_run_definitions(vectors):
         assert result.category == application_category(composition)
         assert np.array_equal(result.class_vector, vector)
         assert np.array_equal(result.scores, scores_all[offsets[i] : offsets[i + 1]])
-    arrays_of = [array for r in results for array in (r.class_vector, r.scores)]
-    for a in range(len(arrays_of)):
-        for b in range(a + 1, len(arrays_of)):
-            assert not np.shares_memory(arrays_of[a], arrays_of[b])
+    assert_no_shared_memory(results)
+
+
+@st.composite
+def small_fleets(draw):
+    """Run specs of 1 to 8 runs, each 1 to 12 snapshots long."""
+    runs = []
+    for _ in range(draw(st.integers(1, 8))):
+        length = draw(st.sampled_from([1, 1, 2, draw(st.integers(1, 12))]))
+        columns = draw(st.lists(st.integers(0, 10**6), min_size=length, max_size=length))
+        runs.append((columns, draw(st.sampled_from([1.0, 0.25, 4.0]))))
+    return runs
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@given(specs=small_fleets())
+@settings(max_examples=40, deadline=None)
+def test_batch_views_equal_classify_series(models, raw_pool, dtype, specs):
+    """Every view ≡ classify_series on its run; per-run timings sum to the call's stages."""
+    clf = models[dtype]
+    fleet = build_series(specs, raw_pool)
+    batch = BatchClassifier(clf).classify_batch(fleet)
+
+    assert len(batch) == len(fleet)
+    for i, series in enumerate(fleet):
+        # A negative index builds the view; the positive one finds it cached.
+        got, want = batch[i - len(fleet)], clf.classify_series(series)
+        assert batch[i] is got
+        assert_same_bits(got.class_vector, want.class_vector)
+        assert_same_bits(got.scores, want.scores)
+        assert got.composition == want.composition
+        assert got.application_class is want.application_class
+        assert got.category == want.category
+        assert got.node == want.node == series.node
+        assert got.num_samples == want.num_samples == len(series)
+    assert list(batch[1:]) == [batch[i] for i in range(1, len(fleet))]
+    assert_no_shared_memory(batch)
+
+    filter_s, normalize_s, pca_s, classify_s, vote_s = batch.stage_seconds
+    totals = {
+        "preprocess_s": filter_s + normalize_s,
+        "pca_s": pca_s,
+        "classify_s": classify_s,
+        "vote_s": vote_s,
+    }
+    for stage, total in totals.items():
+        assert getattr(batch.timings, stage) == total
+        summed = math.fsum(getattr(r.timings, stage) for r in batch)
+        assert math.isclose(summed, total, rel_tol=1e-12, abs_tol=1e-15)
+
+
+@pytest.mark.parametrize("mean_run", [0, pipeline._CONCAT_MAX_MEAN_RUN])
+@pytest.mark.parametrize("dtype", DTYPES)
+@given(specs=small_fleets())
+@settings(max_examples=40, deadline=None)
+def test_gather_equals_the_per_series_fancy_index(models, raw_pool, dtype, mean_run, specs):
+    """Both gathers (one concatenate, or run by run) ≡ each series' own fancy index, to the bit."""
+    clf = models[dtype]
+    fleet = build_series(specs, raw_pool)
+    idx = clf._metric_idx
+    offsets = np.concatenate([[0], np.cumsum([len(s) for s in fleet])]).tolist()
+    with mock.patch.object(pipeline, "_CONCAT_MAX_MEAN_RUN", mean_run):
+        raw = _gather_rows([s.matrix for s in fleet], offsets, idx, np.dtype(dtype))
+
+    want = np.empty((offsets[-1], idx.shape[0]), dtype=dtype)
+    for s, o in zip(fleet, offsets):
+        want[o : o + len(s)] = s.matrix[idx, :].T
+    assert_same_bits(raw, want)
+
+
+def test_empty_batch_is_an_empty_result(models):
+    for clf in models.values():
+        batch = BatchClassifier(clf)
+        results = batch.classify_batch([])
+        assert results == []
+        assert len(results) == 0 and list(results) == [] and results[:] == []
+        with pytest.raises(IndexError):
+            results[0]
+        traced, stage_seconds = batch.classify_batch_traced([])
+        assert traced == [] and stage_seconds == (0.0, 0.0, 0.0, 0.0, 0.0)

@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.pipeline import ApplicationClassifier
+from repro import obs
+from repro.core.pipeline import ApplicationClassifier, ClassificationResult
 from repro.errors import (
     EmptySeriesError,
     NotTrainedError,
@@ -270,3 +271,49 @@ class TestConcurrentShutdown:
         assert not thread.is_alive()
         for future in accepted:
             assert future.result(timeout=10.0) is not None
+
+
+class TestBatchSeam:
+    """The worker classifies through its own ``BatchClassifier``'s public calls.
+
+    Load generators time the service by wrapping ``service.batch``'s
+    methods, so a worker that bypassed them would serve requests no
+    wrapper saw.
+    """
+
+    @staticmethod
+    def record(service, name, calls):
+        original = getattr(service.batch, name)
+
+        def recording(series_list):
+            out = original(series_list)
+            calls.append((name, len(series_list), out))
+            return out
+
+        setattr(service.batch, name, recording)
+
+    def serve(self, classifier, fleet, name):
+        """Serve *fleet*, recording every ``service.batch.<name>`` call."""
+        calls = []
+        with ClassificationService(classifier, batch_size=4, max_wait_s=0.05) as service:
+            self.record(service, name, calls)
+            results = [f.result(timeout=10.0) for f in [service.submit(s) for s in fleet]]
+        assert all(isinstance(r, ClassificationResult) for r in results)
+        assert [r.num_samples for r in results] == [len(s) for s in fleet]
+        assert sum(n for _, n, _ in calls) == len(fleet), f"{name} did not serve every request"
+        return calls
+
+    def test_untraced_batches_go_through_classify_batch(self, classifier, fleet):
+        obs.disable()
+        self.serve(classifier, fleet, "classify_batch")
+
+    def test_traced_batches_go_through_classify_batch_traced(self, classifier, fleet):
+        obs.enable()
+        try:
+            calls = self.serve(classifier, fleet, "classify_batch_traced")
+        finally:
+            obs.disable()
+        for _, n, (results, stage_seconds) in calls:
+            assert len(results) == n
+            assert isinstance(stage_seconds, tuple) and len(stage_seconds) == 5
+            assert all(isinstance(s, float) and s >= 0.0 for s in stage_seconds)
