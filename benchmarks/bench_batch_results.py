@@ -2,7 +2,7 @@
 
 Times ``BatchClassifier.classify_batch``, which gathers the fleet with
 one ``concatenate`` and one ``[metric_idx].T`` assignment and returns a
-``BatchResult`` whose per-run views are built on access, against
+``BatchResult`` whose per-run results are built on access, against
 ``reference_classify_batch`` below: the same call as it stood before
 ``BatchResult``, with its per-series gather (one fancy index and
 transpose per run) and ``_package_results`` (one ``ClassComposition``,
@@ -17,11 +17,14 @@ the reference field for field: ``class_vector`` and ``scores`` to the
 bit, composition, class, category, node, sample count and apportioned
 timings.  The arms are timed in interleaved rounds with a best-of-N
 estimator, so a slow period of the host moves them together.  Two
-ratios are gated, the same in smoke and full mode: the call itself
-(views not built, ≥ 1.25×), and ``list(classify_batch(...))`` with
-every view built (≥ 1×: building views must not cost more than the
-per-run results did).  The result is written to
-``benchmarks/out/BENCH_batch_results.json``.
+ratios are gated, the same in smoke and full mode: the call itself,
+with no run's result built (≥ 1.25×), and the call plus a read of
+every run's ``composition`` and ``timings``, against the reference
+call plus the same reads (≥ 1×: a caller that reads every run, as the
+resource manager and the service do, must not pay more than it did
+for the per-run results).  The first ratio holds only while runs go
+unread; the second is the cost every in-repo caller pays.  The result
+is written to ``benchmarks/out/BENCH_batch_results.json``.
 """
 
 import itertools
@@ -54,7 +57,7 @@ FULL_REPEATS, FULL_CALLS = 40, 10
 SMOKE_REPEATS, SMOKE_CALLS = 15, 5
 #: The gates, the same in both modes.
 MIN_SPEEDUP = 1.25
-MIN_MATERIALISED_SPEEDUP = 1.0
+MIN_READ_ALL_SPEEDUP = 1.0
 
 
 @pytest.fixture(scope="module")
@@ -173,41 +176,50 @@ def test_batch_results_match_the_reference(dtype, classifier, classifier_f32, fl
         assert result_fields(a) == result_fields(b), f"run {i} differs from the reference"
 
 
+def read_every_run(results):
+    """Read each run's composition and timings, as a caller recording every run does."""
+    for result in results:
+        result.composition, result.timings
+    return results
+
+
 def test_batch_results_speedup(classifier, fleet, out_dir, smoke):
     batch = BatchClassifier(classifier)
     repeats, calls = (SMOKE_REPEATS, SMOKE_CALLS) if smoke else (FULL_REPEATS, FULL_CALLS)
-    lazy_s, materialised_s, reference_s = best_of_pairs(
+    call_s, read_all_s, reference_s, reference_read_all_s = best_of_pairs(
         [
             lambda: batch.classify_batch(fleet),
-            lambda: list(batch.classify_batch(fleet)),
+            lambda: read_every_run(batch.classify_batch(fleet)),
             lambda: reference_classify_batch(classifier, fleet),
+            lambda: read_every_run(reference_classify_batch(classifier, fleet)),
         ],
         repeats,
         calls,
     )
-    speedup = reference_s / lazy_s
-    materialised = reference_s / materialised_s
+    speedup = reference_s / call_s
+    read_all = reference_read_all_s / read_all_s
     rows = sum(len(series) for series in fleet)
 
     payload = {
         "mode": "smoke" if smoke else "full",
         "runs": len(fleet),
         "rows": rows,
-        "classify_batch_us": lazy_s * 1e6,
-        "materialised_views_us": materialised_s * 1e6,
+        "classify_batch_us": call_s * 1e6,
+        "read_all_us": read_all_s * 1e6,
         "reference_us": reference_s * 1e6,
+        "reference_read_all_us": reference_read_all_s * 1e6,
         "speedup": speedup,
-        "materialised_speedup": materialised,
+        "read_all_speedup": read_all,
         "floor": MIN_SPEEDUP,
-        "materialised_floor": MIN_MATERIALISED_SPEEDUP,
+        "read_all_floor": MIN_READ_ALL_SPEEDUP,
     }
     emit(out_dir, "BENCH_batch_results.json", json.dumps(payload, indent=2, sort_keys=True))
 
     assert speedup >= MIN_SPEEDUP, (
         f"classify_batch {speedup:.2f}x the per-run packaging, below the {MIN_SPEEDUP:.2f}x floor "
-        f"({lazy_s * 1e6:.0f} vs {reference_s * 1e6:.0f} us per call)"
+        f"({call_s * 1e6:.0f} vs {reference_s * 1e6:.0f} us per call)"
     )
-    assert materialised >= MIN_MATERIALISED_SPEEDUP, (
-        f"list(classify_batch) {materialised:.2f}x the per-run packaging, below the "
-        f"{MIN_MATERIALISED_SPEEDUP:.2f}x floor ({materialised_s * 1e6:.0f} vs {reference_s * 1e6:.0f} us per call)"
+    assert read_all >= MIN_READ_ALL_SPEEDUP, (
+        f"classify_batch with every run read {read_all:.2f}x the per-run packaging, below the "
+        f"{MIN_READ_ALL_SPEEDUP:.2f}x floor ({read_all_s * 1e6:.0f} vs {reference_read_all_s * 1e6:.0f} us per call)"
     )

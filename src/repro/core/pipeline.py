@@ -107,64 +107,10 @@ class ClassificationResult:
 #: then the interactive category at code ``len(DOMINANT_CATEGORIES)``.
 _CATEGORIES: tuple[str, ...] = DOMINANT_CATEGORIES + (INTERACTIVE_CATEGORY,)
 
-#: The five stage durations of a call that did no work.
-_NO_STAGES = (0.0, 0.0, 0.0, 0.0, 0.0)
-
 #: Mean snapshots per run up to which the gather concatenates whole
 #: matrices: past ~96 copying all 33 catalog rows costs more than a
 #: fancy index per run (64- and 32-run fleets, 2-core Xeon VM).
 _CONCAT_MAX_MEAN_RUN = 96
-
-
-class _CompositionOnRead:
-    """A view's ``composition``, built from its ``fractions`` row on first read.
-
-    A non-data descriptor: the first read stores the validated
-    :class:`ClassComposition` in the view's ``__dict__``, which shadows
-    the descriptor from then on, so later reads (and assignments) cost
-    what a dataclass field does.
-    """
-
-    def __get__(self, view, owner=None):
-        if view is None:
-            return self
-        fractions = view._call[0]
-        value = view.__dict__["composition"] = ClassComposition(tuple(fractions[view._index].tolist()))
-        return value
-
-
-class _TimingsOnRead:
-    """A view's ``timings``: the call's stage costs times the run's share of the rows.
-
-    Built on first read and then stored like :class:`_CompositionOnRead`.
-    """
-
-    def __get__(self, view, owner=None):
-        if view is None:
-            return self
-        _, offsets, (filter_s, normalize_s, pca_s, classify_s, vote_s) = view._call
-        i = view._index
-        share = (offsets[i + 1] - offsets[i]) / offsets[-1]
-        value = view.__dict__["timings"] = StageTimings(
-            (filter_s + normalize_s) * share, pca_s * share, classify_s * share, vote_s * share
-        )
-        return value
-
-
-class _RunView(ClassificationResult):
-    """One run of a :class:`BatchResult`, as a :class:`ClassificationResult`.
-
-    ``composition`` and ``timings`` are built from the call's shared
-    arrays on first read (``ClassComposition`` validates as always);
-    every other field is set when the view is built.  The view refers to
-    the call's arrays, not to the :class:`BatchResult`, so dropping the
-    batch and its views frees them by reference counting.
-    """
-
-    __slots__ = ("_call", "_index")
-
-    composition = _CompositionOnRead()
-    timings = _TimingsOnRead()
 
 
 def _gather_rows(
@@ -232,16 +178,17 @@ class BatchResult(Sequence[ClassificationResult]):
     call-level ``timings``.
 
     As a sequence it yields one :class:`ClassificationResult` per run,
-    in input order.  Run *i*'s result is a view built on first access
-    and then cached, so ``r[i] is r[i]``; its ``class_vector`` and
-    ``scores`` are its rows of the call's arrays (disjoint slices, not
-    copies), and its ``composition`` and ``timings`` (the call's stage
-    costs apportioned by its share of the rows) are built when first
-    read.  Slicing returns a list of views; use ``list(r)`` for list
-    operations such as ``+`` or ``append``.  A batch result equals a
-    list (or batch result) holding the same results.  Views are cached
-    without a lock: two threads first reading the same run at once may
-    each get their own (equal) view.
+    in input order.  Run *i*'s result is built on first access and then
+    cached, so ``r[i] is r[i]``; its ``class_vector`` and ``scores`` are
+    its rows of the call's arrays (disjoint slices, not copies), its
+    ``composition`` is its validated ``fractions`` row, and its
+    ``timings`` are the call's stage costs apportioned by its share of
+    the rows.  Runs that are never accessed cost nothing past the
+    call's arrays.  Slicing returns a list of results; use ``list(r)``
+    for list operations such as ``+`` or ``append``.  A batch result
+    equals a list (or batch result) holding the same results.  Results
+    are cached without a lock: two threads first reading the same run
+    at once may each get their own (equal) result.
     """
 
     __slots__ = (
@@ -254,7 +201,6 @@ class BatchResult(Sequence[ClassificationResult]):
         "category_codes",
         "stage_seconds",
         "timings",
-        "_call",
         "_classes",
         "_categories",
         "_views",
@@ -281,29 +227,9 @@ class BatchResult(Sequence[ClassificationResult]):
         self.stage_seconds = stage_seconds
         filter_s, normalize_s, pca_s, classify_s, vote_s = stage_seconds
         self.timings = StageTimings(filter_s + normalize_s, pca_s, classify_s, vote_s)
-        self._call = (fractions, offsets, stage_seconds)
         self._classes = class_codes.tolist()
         self._categories = category_codes.tolist()
-        self._views: list[_RunView | None] = [None] * len(nodes)
-
-    @classmethod
-    def from_class_vector(
-        cls,
-        nodes: Sequence[str],
-        offsets: Sequence[int],
-        class_vector: np.ndarray,
-        scores: np.ndarray,
-        stage_seconds: tuple[float, float, float, float, float] = _NO_STAGES,
-    ) -> "BatchResult":
-        """Package a stacked class vector and scores, computing the compositions.
-
-        *class_vector* is shape ``(rows,)`` and *scores* ``(rows, q)``,
-        one row per snapshot; *offsets* has one more entry than *nodes*,
-        starting at 0 and ending at ``rows``.  The arrays become the
-        result's own (views slice them, not copies).
-        """
-        offsets = list(offsets)
-        return cls(nodes, offsets, class_vector, scores, *_pack_compositions(offsets, class_vector), stage_seconds)
+        self._views: list[ClassificationResult | None] = [None] * len(nodes)
 
     def __len__(self) -> int:
         return len(self._views)
@@ -333,19 +259,21 @@ class BatchResult(Sequence[ClassificationResult]):
 
     __hash__ = None  # type: ignore[assignment]
 
-    def _view(self, i: int) -> _RunView:
-        """Build run *i*'s view; composition and timings wait for a read."""
+    def _view(self, i: int) -> ClassificationResult:
+        """Build run *i*'s result from the call's arrays."""
         lo, hi = self.offsets[i], self.offsets[i + 1]
-        view = _RunView.__new__(_RunView)
-        view._call = self._call
-        view._index = i
-        view.node = self.nodes[i]
-        view.num_samples = hi - lo
-        view.class_vector = self.class_vector[lo:hi]
-        view.scores = self.scores[lo:hi]
-        view.application_class = ALL_CLASSES[self._classes[i]]
-        view.category = _CATEGORIES[self._categories[i]]
-        return view
+        filter_s, normalize_s, pca_s, classify_s, vote_s = self.stage_seconds
+        share = (hi - lo) / self.offsets[-1]
+        return ClassificationResult(
+            self.nodes[i],
+            hi - lo,
+            self.class_vector[lo:hi],
+            ClassComposition(tuple(self.fractions[i].tolist())),
+            ALL_CLASSES[self._classes[i]],
+            _CATEGORIES[self._categories[i]],
+            self.scores[lo:hi],
+            StageTimings((filter_s + normalize_s) * share, pca_s * share, classify_s * share, vote_s * share),
+        )
 
 
 class ApplicationClassifier:

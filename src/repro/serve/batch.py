@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.pipeline import ApplicationClassifier, BatchResult
+from ..core.pipeline import ApplicationClassifier, BatchResult, _pack_compositions
 from ..errors import EmptySeriesError, NotTrainedError
 from ..metrics.series import SnapshotSeries
 from ..obs import InstrumentSpec, get_registry as obs_get_registry
@@ -44,6 +44,9 @@ __all__ = ["BatchClassifier", "BatchResult"]
 #: ``classify_batch`` instruments.
 _RUNS = InstrumentSpec.counter("serve.batch.runs", "Runs classified by classify_batch.")
 _SNAPSHOTS = InstrumentSpec.counter("serve.batch.snapshots", "Snapshots classified by classify_batch.")
+
+#: The five stage durations of an empty batch, which does no work.
+_NO_STAGES = (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class BatchClassifier:
@@ -120,9 +123,10 @@ class BatchClassifier:
             if len(series) == 0:
                 raise EmptySeriesError("cannot classify an empty series")
         if not series_list:
+            class_vector = np.empty(0, dtype=np.int64)
             scores = np.empty((0, clf.pca.components_.shape[0]), dtype=clf.compute_dtype)
-            empty = BatchResult.from_class_vector((), (0,), np.empty(0, dtype=np.int64), scores)
-            return empty, empty.stage_seconds
+            packed = _pack_compositions([0], class_vector)
+            return BatchResult((), [0], class_vector, scores, *packed, _NO_STAGES), _NO_STAGES
         registry = obs_get_registry()
         with registry.span("serve.batch.classify", clock=clf.clock):
             results, _ = clf._classify_stacked(series_list)

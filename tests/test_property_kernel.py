@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.labels import ALL_CLASSES, ClassComposition, SnapshotClass, application_category
 from repro.core import pipeline
-from repro.core.pipeline import ApplicationClassifier, BatchResult, _gather_rows
+from repro.core.pipeline import ApplicationClassifier, BatchResult, _gather_rows, _pack_compositions
 from repro.metrics.series import SnapshotSeries
 from repro.serve.batch import BatchClassifier
 
@@ -150,13 +150,14 @@ def assert_no_shared_memory(results):
 @given(vectors=class_vector_fleets())
 @settings(max_examples=100, deadline=None)
 def test_packaged_results_match_the_per_run_definitions(vectors):
-    """Each view ≡ from_class_vector, dominant() and application_category per run."""
+    """Each view of a packed class vector ≡ from_class_vector, dominant() and application_category per run."""
     lengths = [len(v) for v in vectors]
     offsets = np.concatenate([[0], np.cumsum(lengths)]).tolist()
     class_vector_all = np.concatenate(vectors)
     scores_all = np.random.default_rng(len(class_vector_all)).normal(size=(len(class_vector_all), 2))
     nodes = [f"node{i}" for i in range(len(vectors))]
-    results = BatchResult.from_class_vector(nodes, offsets, class_vector_all.copy(), scores_all.copy())
+    packed = _pack_compositions(offsets, class_vector_all)
+    results = BatchResult(nodes, offsets, class_vector_all, scores_all, *packed, (0.0, 0.0, 0.0, 0.0, 0.0))
 
     assert len(results) == len(vectors)
     for i, (result, vector) in enumerate(zip(results, vectors)):
