@@ -33,7 +33,9 @@ from .symbols import ModuleSymbols
 #: Revision 3: numeric kernel facts (dtype/allocation flow) added to
 #: :class:`ModuleSymbols` — pre-numerics caches lack the array-op,
 #: scalar-loop, and dtype-policy records the numeric rules read.
-ENGINE_REVISION = 3
+#: Revision 4: conditions record the lock they wrap and a condition
+#: wait records the lock it releases — older facts lack both.
+ENGINE_REVISION = 4
 
 #: Default cache file name, looked up in the working directory.
 DEFAULT_CACHE = ".repro-qa-cache.json"

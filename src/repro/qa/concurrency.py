@@ -21,14 +21,20 @@ What is extracted, per function or method:
   lock counts as held only when held on *every* path);
 * **lock acquisitions** — each ``with``-item or ``.acquire()`` on a
   recognized lock, with the locks already held before it (the raw
-  material of the lock-order graph);
+  material of the lock-order graph).  A ``threading.Condition`` built
+  over a lock attribute (``Condition(self._lock)``) canonicalizes to
+  that lock, so ``with self._cond:`` and ``with self._lock:`` hold the
+  same lock for guard inference and lock ordering;
 * **calls** — resolved project calls and ``self.method()`` calls with
   the held set at the call site (one-level interprocedural propagation
   happens at index time);
 * **blocking operations** — ``queue.put/get``, ``Event.wait``,
-  ``Thread.join``, socket I/O, ``open``/``time.sleep``, and direct
-  invocations of constructor-injected callables, found by typing
-  ``self._x`` attributes from their ``__init__`` assignments;
+  ``Condition.wait``, ``Thread.join``, socket I/O,
+  ``open``/``time.sleep``, and direct invocations of
+  constructor-injected callables, found by typing ``self._x``
+  attributes from their ``__init__`` assignments.  A condition's
+  ``wait``/``wait_for`` releases the condition's own lock while it
+  waits, so that lock is not counted as held there;
 * **thread lifecycle operations** — ``threading.Thread`` /
   ``threading.Timer`` creation (target, daemon flag, storage location),
   ``start()`` and ``join()``.
@@ -135,6 +141,12 @@ def _self_attr(expr: ast.expr) -> str | None:
     return None
 
 
+def _wrapped_attr(call: ast.Call) -> str | None:
+    """``x`` for ``Condition(self.x)`` or ``Condition(lock=self.x)``."""
+    lock = call.args[:1] + [k.value for k in call.keywords if k.arg == "lock"]
+    return _self_attr(lock[0]) if lock else None
+
+
 # ----------------------------------------------------------------------
 # fact records
 # ----------------------------------------------------------------------
@@ -206,13 +218,23 @@ class BlockingOp:
     lineno: int
     col: int
     line_text: str = ""
+    #: Locks the op itself releases while it blocks (a condition's
+    #: ``wait`` releases the condition's lock).
+    releases: tuple[str, ...] = ()
+
+    def held_with(self, extra: frozenset[str]) -> frozenset[str]:
+        """Locks held while the op blocks, callers' *extra* included."""
+        return (frozenset(self.held) | extra) - frozenset(self.releases)
 
     def to_dict(self) -> list:
-        return [self.kind, self.detail, list(self.held), self.lineno, self.col, self.line_text]
+        return [
+            self.kind, self.detail, list(self.held), self.lineno, self.col,
+            self.line_text, list(self.releases),
+        ]
 
     @classmethod
     def from_dict(cls, data: list) -> "BlockingOp":
-        return cls(data[0], data[1], tuple(data[2]), data[3], data[4], data[5])
+        return cls(data[0], data[1], tuple(data[2]), data[3], data[4], data[5], tuple(data[6]))
 
 
 @dataclass(frozen=True)
@@ -300,6 +322,13 @@ class ClassConcurrency:
     #: "socket", "condition", or "param" for ctor-injected values).
     attr_kinds: dict[str, str] = field(default_factory=dict)
     methods: tuple[str, ...] = ()  # bare method names defined on the class
+    #: condition attr → the lock attr it was built over
+    #: (``self._cond = threading.Condition(self._lock)``).
+    cond_locks: dict[str, str] = field(default_factory=dict)
+
+    def lock_id(self, attr: str) -> str:
+        """Canonical lock id of lock attribute *attr*."""
+        return f"{self.qualname}.{self.cond_locks.get(attr, attr)}"
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -310,6 +339,7 @@ class ClassConcurrency:
             "lock_attrs": list(self.lock_attrs),
             "attr_kinds": dict(self.attr_kinds),
             "methods": list(self.methods),
+            "cond_locks": dict(self.cond_locks),
         }
 
     @classmethod
@@ -322,6 +352,7 @@ class ClassConcurrency:
             lock_attrs=tuple(data["lock_attrs"]),
             attr_kinds=dict(data["attr_kinds"]),
             methods=tuple(data["methods"]),
+            cond_locks=dict(data["cond_locks"]),
         )
 
 
@@ -401,6 +432,7 @@ def _class_concurrency(
     """Scan a class for lock attributes and attribute typing."""
     methods: list[str] = []
     attr_kinds: dict[str, str] = {}
+    cond_over: dict[str, str] = {}
     for sub in node.body:
         if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -419,6 +451,9 @@ def _class_concurrency(
                     kind = KIND_CTORS.get(spec or "")
                     if kind is not None:
                         attr_kinds[attr] = kind
+                    over = _wrapped_attr(value) if kind == "condition" else None
+                    if over is not None:
+                        cond_over[attr] = over
                 elif (
                     sub.name == "__init__"
                     and isinstance(value, ast.Name)
@@ -435,6 +470,7 @@ def _class_concurrency(
     lock_attrs = tuple(
         sorted(a for a, k in attr_kinds.items() if k in LOCK_KINDS)
     )
+    cond_locks = {c: lock for c, lock in cond_over.items() if attr_kinds.get(lock) == "lock"}
     return ClassConcurrency(
         name=node.name,
         qualname=f"{module.name}.{node.name}",
@@ -443,6 +479,7 @@ def _class_concurrency(
         lock_attrs=lock_attrs,
         attr_kinds=attr_kinds,
         methods=tuple(methods),
+        cond_locks=cond_locks,
     )
 
 
@@ -595,7 +632,7 @@ class _FunctionExtractor:
         attr = _self_attr(expr)
         if attr is not None:
             if self.owner is not None and attr in self.owner.lock_attrs:
-                return f"{self.owner.qualname}.{attr}"
+                return self.owner.lock_id(attr)
             return None
         if isinstance(expr, ast.Name):
             if expr.id in self.module_locks:
@@ -604,7 +641,7 @@ class _FunctionExtractor:
             if local is not None and local[0] in LOCK_KINDS:
                 origin = local[1]
                 if origin is not None and self.owner is not None:
-                    return f"{self.owner.qualname}.{origin[len('self.'):]}"
+                    return self.owner.lock_id(origin[len("self."):])
                 return f"{self.qualname}.{expr.id}"
         return None
 
@@ -875,6 +912,8 @@ class _FunctionExtractor:
         kind, rendered = typed
         if meth in BLOCKING_METHODS.get(kind, frozenset()):
             if not self._nonblocking_override(call):
+                own = self._canonical_lock(receiver) if kind == "condition" else None
+                releases = (own,) if own is not None else ()
                 self.facts.blocking.append(
                     BlockingOp(
                         kind=f"{kind}.{meth}",
@@ -883,6 +922,7 @@ class _FunctionExtractor:
                         lineno=call.lineno,
                         col=call.col_offset,
                         line_text=self._line(call.lineno),
+                        releases=releases,
                     )
                 )
         if kind == "thread" and meth in ("start", "join"):

@@ -475,19 +475,26 @@ class ConcurrencyIndex:
     # ------------------------------------------------------------------
     # blocking helpers (used by the blocking-under-lock rule)
     # ------------------------------------------------------------------
-    def blocking_unheld(self, qualname: str) -> list[str]:
-        """Blocking op kinds of *qualname* not already under a lock there.
+    def blocking_unheld(self, qualname: str, held: frozenset[str]) -> list[str]:
+        """Blocking op kinds of *qualname* that block under a caller's *held*.
 
-        A callee whose own blocking ops already run with a lock held is
-        flagged at its own site; calling it under another lock is then
-        a lock-order question, not a second blocking finding.
+        Only ops not already under a lock there count: a callee whose own
+        blocking ops already run with a lock held is flagged at its own
+        site; calling it under another lock is then a lock-order
+        question, not a second blocking finding.  An op that releases
+        every lock in *held* while it waits (a condition's ``wait``
+        under its own lock) does not block under them.
         """
         fn = self.functions.get(qualname)
         if fn is None:
             return []
         extra = self.extra_held.get(qualname, frozenset())
         kinds = sorted(
-            {op.kind for op in fn.blocking if not (frozenset(op.held) | extra)}
+            {
+                op.kind
+                for op in fn.blocking
+                if not op.held_with(extra) and held - frozenset(op.releases)
+            }
         )
         return kinds
 

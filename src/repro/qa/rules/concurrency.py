@@ -114,7 +114,7 @@ class BlockingUnderLockRule(IndexRule):
             analysis = analysis_of_cls.get(fn.cls) if fn.cls else None
             # Direct: a blocking op with a lock held at the op itself.
             for op in fn.blocking:
-                held = frozenset(op.held) | extra
+                held = op.held_with(extra)
                 if not held:
                     continue
                 yield self.finding_at(
@@ -134,7 +134,7 @@ class BlockingUnderLockRule(IndexRule):
                 target = conc.resolve_call(fn, call.callee, call.self_method)
                 if target is None:
                     continue
-                kinds = conc.blocking_unheld(target)
+                kinds = conc.blocking_unheld(target, held)
                 if not kinds:
                     continue
                 yield self.finding_at(

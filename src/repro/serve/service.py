@@ -3,16 +3,21 @@
 The fleet-serving front end of :mod:`repro.serve`: callers submit one
 snapshot series at a time and get a future back; worker threads collect
 submissions into micro-batches — flushed when **either** ``batch_size``
-requests have accumulated **or** ``max_wait_s`` has elapsed since the
-batch opened — and push each batch through the vectorized
+requests are queued **or** ``max_wait_s`` has elapsed since the batch
+window opened — and push each batch through the vectorized
 :class:`~repro.serve.batch.BatchClassifier`, so every caller gets the
 bit-identical sequential-path result at batched throughput.
 
-Load shedding is explicit: the request queue is bounded, and a full
-queue rejects new submissions immediately with
-:class:`~repro.errors.ServiceOverloadedError` instead of buffering
-without limit.  Shutdown drains by default — accepted requests complete
-before the workers exit.
+Pending requests live in one bounded FIFO (a ``deque``) guarded by the
+service lock, which also guards the counters and the stopping flag; one
+``Condition`` over that lock wakes the workers.  Load shedding is
+explicit: a submission that finds ``max_queue`` requests pending is
+rejected immediately with :class:`~repro.errors.ServiceOverloadedError`
+instead of buffering without limit.  Shutdown drains by default —
+accepted requests complete before the workers exit.  A request counts
+as *taken* once a worker has popped its batch from the FIFO:
+``shutdown(drain=False)`` fails every request not yet taken and lets
+the batches already taken complete.
 
 This module runs real threads against real deadlines, so it uses
 ``time.monotonic`` directly (``repro.serve`` is outside the
@@ -21,9 +26,9 @@ determinism-rule scope that covers the classification math itself).
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
 
@@ -96,10 +101,6 @@ class _Request:
         self.trace = trace
 
 
-#: Queue sentinel that tells one worker to exit.
-_STOP = object()
-
-
 class ClassificationService:
     """Accept classification requests and serve them in micro-batches.
 
@@ -109,13 +110,15 @@ class ClassificationService:
         A *trained* classifier (validated by the wrapped
         :class:`~repro.serve.batch.BatchClassifier`).
     batch_size:
-        Flush a batch as soon as this many requests are collected.
+        Flush a batch as soon as this many requests are queued.
     max_wait_s:
-        Flush a batch this many seconds after its first request, even
-        if it is not full (bounds per-request latency under light load).
+        Flush a batch this many seconds after a worker found its first
+        request, even if it is not full (bounds per-request latency
+        under light load).
     max_queue:
-        Bound on requests buffered ahead of the workers; submissions
-        beyond it raise :class:`~repro.errors.ServiceOverloadedError`.
+        Bound on requests queued and not yet taken by a worker;
+        submissions beyond it raise
+        :class:`~repro.errors.ServiceOverloadedError`.
     workers:
         Worker threads pulling batches (1 is enough for the GIL-bound
         NumPy kernel; more overlap when callers block on results).
@@ -153,9 +156,11 @@ class ClassificationService:
         self.batch_size = batch_size
         self.max_wait_s = max_wait_s
         self.max_queue = max_queue
-        self._queue: queue.Queue[object] = queue.Queue(maxsize=max_queue)
+        self._pending: deque[_Request] = deque()
         self._threads: list[threading.Thread] = []
         self._lock = threading.Lock()
+        # Wakes workers: a request arrived, a batch filled, or shutdown.
+        self._ready = threading.Condition(self._lock)
         self._started = False
         self._stopping = False
         # Set once the first shutdown() call has fully finished, so
@@ -203,8 +208,11 @@ class ClassificationService:
         """Stop accepting requests and stop the workers; idempotent.
 
         With ``drain=True`` (default) every already-accepted request is
-        classified before the workers exit; with ``drain=False`` pending
-        requests fail with :class:`~repro.errors.ServiceOverloadedError`.
+        classified before the workers exit; with ``drain=False`` every
+        request no worker has taken yet fails with
+        :class:`~repro.errors.ServiceOverloadedError`, while batches
+        already taken complete.  A never-started service fails its
+        queued requests either way (no worker would serve them).
 
         Safe to call concurrently from several threads: exactly one
         caller performs the shutdown, and every other caller blocks
@@ -214,45 +222,36 @@ class ClassificationService:
         with self._lock:
             first = not self._stopping
             self._stopping = True
-            started = self._started
+            self._ready.notify_all()
             threads = list(self._threads)
+            pending = len(self._pending)
+            unserved: list[_Request] = []
+            if first and (not drain or not threads):
+                unserved = list(self._pending)
+                self._pending.clear()
+                self._failed += len(unserved)
         if not first:
             # Another thread is (or was) shutting down: wait for it so
             # "shutdown returned" always means "workers are gone".
             self._stopped.wait()
             return
         if self.telemetry is not None:
-            # Flip /readyz to draining before any request is failed or
-            # drained, so balancers stop routing while we still answer.
+            # Flip /readyz to draining before any request is failed, so
+            # balancers stop routing while we still answer.
             self.telemetry.set_ready(False)
-        obs_event("serve.drain.begin", drain=str(drain), pending=str(self._queue.qsize()))
-        if not drain:
-            self._fail_queued("service shut down before request ran")
-        if started:
-            for _ in threads:
-                self._queue.put(_STOP)
-            for thread in threads:
-                thread.join()
-        else:
-            # Never-started service: no worker will drain the queue.
-            self._fail_queued("service shut down before starting")
+        obs_event("serve.drain.begin", drain=str(drain), pending=str(pending))
+        reason = "before request ran" if threads else "before starting"
+        for request in unserved:
+            request.future.set_exception(
+                ServiceOverloadedError(f"service shut down {reason}")
+            )
+        for thread in threads:
+            thread.join()
         stats = self.stats
         obs_event("serve.drain.end", completed=str(stats.completed), failed=str(stats.failed))
         if self.telemetry is not None:
             self.telemetry.stop()
         self._stopped.set()
-
-    def _fail_queued(self, message: str) -> None:
-        """Fail every request still queued with ``ServiceOverloadedError``."""
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if isinstance(item, _Request):
-                item.future.set_exception(ServiceOverloadedError(message))
-                with self._lock:
-                    self._failed += 1
 
     def __enter__(self) -> "ClassificationService":
         self.start()
@@ -293,29 +292,33 @@ class ClassificationService:
         if ctx:
             ctx.mark("serve.enqueue", registry.clock())
         request = _Request(series, time.monotonic(), ctx if ctx else None)
-        # One critical section covers the stopping check, the enqueue
-        # (put_nowait never blocks), and the counter, so a request can
-        # never slip into the queue after shutdown() snapshotted it.
+        # One critical section covers the stopping check, the bound, the
+        # append, and the counter, so a request can never slip into the
+        # queue after shutdown() snapshotted it.
         with self._lock:
             if self._stopping:
                 raise RuntimeError("service is shut down")
-            try:
-                self._queue.put_nowait(request)
-            except queue.Full:
+            depth = len(self._pending)
+            full = depth >= self.max_queue
+            if full:
                 self._rejected += 1
-                full = True
             else:
+                self._pending.append(request)
                 self._submitted += 1
-                full = False
+                depth += 1
+                # A worker waits for a first request, then for a full
+                # batch: only these two transitions can end a wait.
+                if depth == 1 or depth == self.batch_size:
+                    self._ready.notify()
         if full:
             if obs_enabled():
                 obs_get(_REJECTED).inc()
                 obs_event("serve.overloaded", max_queue=str(self.max_queue))
             raise ServiceOverloadedError(
                 f"request queue full ({self.max_queue} pending); retry later"
-            ) from None
+            )
         if obs_enabled():
-            obs_get(_QUEUE_DEPTH).set(self._queue.qsize())
+            obs_get(_QUEUE_DEPTH).set(depth)
         return request.future
 
     def submit_drain(self, batch) -> list[Future[ClassificationResult]]:
@@ -363,57 +366,49 @@ class ClassificationService:
     # worker side
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                return
-            assert isinstance(item, _Request)
-            batch, saw_stop = self._collect_batch(item)
-            self._process_batch(batch)
-            if saw_stop:
-                return
+        """Serve batches until shutdown begins with nothing queued.
 
-    def _collect_batch(self, first: _Request) -> tuple[list[_Request], bool]:
-        """Gather up to ``batch_size`` requests or until the wait window closes.
-
-        Returns the batch plus whether this worker consumed its own stop
-        sentinel while collecting (it must exit after flushing).
+        A batch window opens when the worker finds a request and closes
+        once ``batch_size`` requests are queued, ``max_wait_s`` has
+        passed, or shutdown begins; the batch is popped in the same hold
+        of the lock.
         """
-        registry = obs_get_registry()
-        if first.trace:
-            first.trace.mark("serve.dequeue", registry.clock())
-        batch = [first]
-        deadline = time.monotonic() + self.max_wait_s
-        while len(batch) < self.batch_size:
-            remaining = deadline - time.monotonic()
-            try:
-                if remaining > 0:
-                    item = self._queue.get(timeout=remaining)
-                else:
-                    item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _STOP:
-                return batch, True
-            assert isinstance(item, _Request)
-            if item.trace:
-                item.trace.mark("serve.dequeue", registry.clock())
-            batch.append(item)
-        return batch, False
+        while True:
+            with self._lock:
+                self._ready.wait_for(lambda: self._pending or self._stopping)
+                if not self._pending:
+                    return
+                opened = obs_get_registry().clock()
+                self._ready.wait_for(
+                    lambda: len(self._pending) >= self.batch_size or self._stopping,
+                    self.max_wait_s,
+                )
+                # Another worker may have emptied the queue meanwhile.
+                n = min(len(self._pending), self.batch_size)
+                batch = [self._pending.popleft() for _ in range(n)]
+                depth = len(self._pending)
+                if depth:
+                    self._ready.notify()  # leftovers for an idle worker
+            if batch:
+                self._process_batch(batch, opened, depth)
 
-    def _process_batch(self, batch: list[_Request]) -> None:
+    def _process_batch(self, batch: list[_Request], opened: float, depth: int) -> None:
         registry = obs_get_registry()
         timed = registry.enabled
         traced = [r for r in batch if r.trace]
         if timed:
-            registry.get(_QUEUE_DEPTH).set(self._queue.qsize())
+            registry.get(_QUEUE_DEPTH).set(depth)
             registry.get(_BATCH_SIZE).observe(len(batch))
         if traced:
+            # Queue wait ends when the window opened, or at enqueue for a
+            # request that arrived inside the window (its latest mark).
             # One shared compute mark: the whole micro-batch enters the
             # kernel together, so every trace's batch-wait ends here.
             t_compute = registry.clock()
             for request in traced:
-                request.trace.mark("serve.compute", t_compute)
+                ctx = request.trace
+                ctx.mark("serve.dequeue", max(opened, ctx.marks[-1][1]))
+                ctx.mark("serve.compute", t_compute)
         try:
             if traced:
                 results, stage_seconds = self.batch.classify_batch_traced(

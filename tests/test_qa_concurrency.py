@@ -429,6 +429,96 @@ def test_private_callee_reports_at_blocking_site():
     assert "in _pull()" in found[0].message
 
 
+CONDITION_BOX = """\
+    import threading
+
+
+    class Box:
+        def __init__(self):
+            self._lock = threading.Lock()
+            self._other = threading.Lock()
+            self._ready = threading.Condition(self._lock)
+            self._items = []
+
+        def put(self, x):
+            with self._ready:
+                self._items.append(x)
+                self._ready.notify()
+
+        def take(self):
+            with self._lock:
+                while not self._items:
+                    self._ready.wait()
+                return self._items.pop()
+
+        def take_when(self):
+            with self._ready:
+                self._ready.wait_for(lambda: self._items, 1.0)
+                return self._items.pop()
+
+        def take_helped(self):
+            with self._lock:
+                self._wait_nonempty()
+                return self._items.pop()
+
+        def _wait_nonempty(self):
+            while not self._items:
+                self._ready.wait()
+    """
+
+
+def test_condition_wait_on_its_own_lock_is_clean():
+    # wait/wait_for release the condition's lock, whether it is held as
+    # the condition, as the lock it wraps, or inherited from the caller.
+    assert findings(CONDITION_BOX, "blocking-under-lock") == []
+
+
+def test_condition_wait_with_another_lock_held_fires():
+    src = CONDITION_BOX + """\
+
+        def take_nested(self):
+            with self._other:
+                with self._lock:
+                    self._ready.wait()
+    """
+    (found,) = findings(src, "blocking-under-lock")
+    assert "self._ready.wait may block while holding self._other in" in found.message
+
+
+def test_condition_guards_like_the_lock_it_wraps():
+    # Writes under `with self._ready:` and `with self._lock:` share one
+    # guard, so only the lock-free read is reported.
+    src = CONDITION_BOX + """\
+
+        def clear(self):
+            with self._lock:
+                self._items = []
+
+        def peek(self):
+            return self._items
+    """
+    (found,) = findings(src, "unguarded-shared-state")
+    assert "self._items is written under self._lock on 5/5 writes" in found.message
+    assert "Box.peek()" in found.message
+
+
+def test_condition_and_its_lock_are_one_node_of_the_lock_order():
+    src = CONDITION_BOX + """\
+
+        def fwd(self):
+            with self._ready:
+                with self._other:
+                    pass
+
+        def rev(self):
+            with self._other:
+                with self._lock:
+                    pass
+    """
+    (found,) = findings(src, "lock-order-inversion")
+    assert "repro.serve.mod.Box._lock, repro.serve.mod.Box._other" in found.message
+
+
 def test_join_outside_lock_is_clean():
     src = """\
         import threading

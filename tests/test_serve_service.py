@@ -1,5 +1,7 @@
 """Micro-batching, backpressure, and shutdown of the classification service."""
 
+import os
+import sys
 import threading
 import time
 
@@ -22,6 +24,24 @@ from repro.serve.service import ClassificationService
 @pytest.fixture(scope="module")
 def fleet():
     return profile_fleet(8, seed=100)
+
+
+def hold_first_batch(service):
+    """Make the worker's first ``classify_batch`` call wait for a release.
+
+    Returns ``(entered, release)`` events: *entered* is set once a worker
+    has taken its first batch, and the call proceeds after *release*.
+    """
+    entered, release = threading.Event(), threading.Event()
+    classify = service.batch.classify_batch
+
+    def held(series_list):
+        entered.set()
+        assert release.wait(10.0), "batch never released"
+        return classify(series_list)
+
+    service.batch.classify_batch = held
+    return entered, release
 
 
 class TestValidation:
@@ -177,6 +197,42 @@ class TestShutdown:
         stats = service.stats
         assert (stats.failed, stats.batches, stats.pending) == (3, 0, 0)
 
+    def test_drain_closes_an_open_batch_window(self, classifier, fleet):
+        service = ClassificationService(classifier, batch_size=16, max_wait_s=30.0)
+        future = service.submit(fleet[0])
+        time.sleep(0.05)  # the worker opens its window on this request
+        closer = threading.Thread(target=service.shutdown, kwargs={"drain": True})
+        closer.start()
+        closer.join(5.0)
+        assert not closer.is_alive(), "shutdown waited out the window"
+        assert future.result(timeout=0).num_samples == len(fleet[0])
+        assert service.stats.completed == 1
+
+    def test_no_drain_fails_untaken_requests_and_completes_taken_batches(
+        self, classifier, fleet
+    ):
+        # A request counts as taken once a worker has popped its batch:
+        # the popped batch completes, everything still queued fails.
+        obs.disable()
+        service = ClassificationService(classifier, batch_size=2, autostart=False)
+        entered, release = hold_first_batch(service)
+        futures = [service.submit(s) for s in fleet[:5]]
+        service.start()
+        assert entered.wait(10.0)
+        closer = threading.Thread(target=service.shutdown, kwargs={"drain": False})
+        closer.start()
+        for future in futures[2:]:
+            with pytest.raises(ServiceOverloadedError):
+                future.result(timeout=10.0)
+        assert not any(f.done() for f in futures[:2])
+        release.set()
+        closer.join(10.0)
+        assert not closer.is_alive()
+        for future, series in zip(futures[:2], fleet):
+            assert future.result(timeout=0).num_samples == len(series)
+        stats = service.stats
+        assert (stats.completed, stats.failed, stats.batches, stats.pending) == (2, 3, 1, 0)
+
     def test_shutdown_idempotent(self, classifier):
         service = ClassificationService(classifier)
         service.shutdown()
@@ -224,6 +280,62 @@ class TestWorkers:
         assert service.stats.completed == len(fleet)
 
 
+class TestStress:
+    def test_more_workers_than_cores_serve_each_request_once(self, classifier, fleet):
+        # Short switch interval + more workers than cores: a lost update
+        # or a twice-popped request breaks the counts below.
+        obs.disable()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            service = ClassificationService(
+                classifier,
+                batch_size=3,
+                max_wait_s=0.001,
+                max_queue=8,
+                workers=(os.cpu_count() or 1) + 2,
+                autostart=False,
+            )
+            served = []
+            classify = service.batch.classify_batch
+
+            def counting(series_list):
+                served.append(len(series_list))
+                return classify(series_list)
+
+            service.batch.classify_batch = counting
+            service.start()
+            deadline = time.monotonic() + 30.0
+            accepted = [[] for _ in range(3)]
+
+            def submitter(out):
+                for s in fleet * 20:
+                    while True:
+                        assert time.monotonic() < deadline
+                        try:
+                            out.append((s, service.submit(s)))
+                            break
+                        except ServiceOverloadedError:
+                            time.sleep(0.0005)
+
+            threads = [threading.Thread(target=submitter, args=(out,)) for out in accepted]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+            assert not any(t.is_alive() for t in threads)
+            service.shutdown(drain=True)
+        finally:
+            sys.setswitchinterval(interval)
+        requests = [r for out in accepted for r in out]
+        assert len(requests) == 3 * 20 * len(fleet)
+        for series, future in requests:
+            assert future.result(timeout=0).num_samples == len(series)
+        assert sum(served) == len(requests)
+        stats = service.stats
+        assert (stats.submitted, stats.completed, stats.failed) == (len(requests), len(requests), 0)
+
+
 class TestConcurrentShutdown:
     def test_concurrent_shutdown_callers_all_wait_for_drain(self, classifier, fleet):
         service = ClassificationService(classifier, batch_size=4)
@@ -245,6 +357,31 @@ class TestConcurrentShutdown:
         assert not any(t.is_alive() for t in threads)
         assert service.stats.completed == len(fleet)
         assert service.stats.pending == 0
+
+    def test_concurrent_shutdowns_return_only_after_workers_exit(self, classifier, fleet):
+        obs.disable()
+        service = ClassificationService(classifier, batch_size=2, workers=2, autostart=False)
+        entered, release = hold_first_batch(service)
+        futures = [service.submit(s) for s in fleet[:4]]
+        service.start()
+        assert entered.wait(10.0)
+        workers_alive = []
+
+        def closer():
+            service.shutdown(drain=True)
+            workers_alive.append([t.is_alive() for t in service._threads])
+
+        closers = [threading.Thread(target=closer) for _ in range(2)]
+        for t in closers:
+            t.start()
+        time.sleep(0.05)
+        assert workers_alive == [], "shutdown returned while a batch was in flight"
+        release.set()
+        for t in closers:
+            t.join(10.0)
+        assert not any(t.is_alive() for t in closers)
+        assert workers_alive == [[False, False], [False, False]]
+        assert all(f.result(timeout=0) is not None for f in futures)
 
     def test_submit_shutdown_race_strands_no_future(self, classifier, fleet):
         # submit() checks _stopping and enqueues atomically: a request
@@ -302,6 +439,26 @@ class TestBatchSeam:
         assert [r.num_samples for r in results] == [len(s) for s in fleet]
         assert sum(n for _, n, _ in calls) == len(fleet), f"{name} did not serve every request"
         return calls
+
+    def test_each_call_holds_the_next_accepted_requests_in_order(self, classifier, fleet):
+        # Open-loop load generators assign the k-th call's n_k series to
+        # the next n_k accepted requests: batches must pop in FIFO order.
+        obs.disable()
+        service = ClassificationService(classifier, workers=1, batch_size=3, autostart=False)
+        position = {id(s): i for i, s in enumerate(fleet)}
+        calls = []
+        classify = service.batch.classify_batch
+
+        def recording(series_list):
+            calls.append([position[id(s)] for s in series_list])
+            return classify(series_list)
+
+        service.batch.classify_batch = recording
+        for s in fleet[:7]:
+            service.submit(s)
+        service.start()
+        service.shutdown()
+        assert calls == [[0, 1, 2], [3, 4, 5], [6]]
 
     def test_untraced_batches_go_through_classify_batch(self, classifier, fleet):
         obs.disable()

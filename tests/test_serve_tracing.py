@@ -153,6 +153,64 @@ class TestDirectSubmit:
             ]
             assert len(stages) == len(PIPELINE_STAGE_NAMES)
 
+    def test_queue_wait_ends_when_the_batch_window_opens(self, traced):
+        # The first request is queued before the worker opens its window,
+        # so its dequeue mark is the opening; the two that arrive inside
+        # the window are dequeued at their own enqueue (zero queue wait).
+        registry, classifier = traced
+        series = make_series(classifier)
+        tick, openings = registry.clock, []
+        window_open = threading.Event()
+
+        def clock():
+            t = tick()
+            if threading.current_thread().name.startswith("repro-serve") and not openings:
+                openings.append(t)  # the worker's first read opens the window
+                window_open.set()
+            return t
+
+        registry.clock = clock
+        service = ClassificationService(
+            classifier, batch_size=3, max_wait_s=30.0, workers=1, autostart=False
+        )
+        futures = [service.submit(series)]
+        service.start()
+        assert window_open.wait(10)
+        futures += [service.submit(series) for _ in range(2)]
+        for f in futures:
+            f.result(timeout=10)
+        service.shutdown()
+        assert service.stats.batches == 1
+        waits = []
+        for root in sorted(roots(registry), key=lambda r: r.start_s):
+            queue_wait, batch_wait, _ = children_of(registry, root)
+            waits.append((queue_wait.start_s, queue_wait.duration_s, batch_wait.duration_s))
+        (opened,) = openings
+        (enq0, wait0, _), *inside = waits
+        assert enq0 < opened and enq0 + wait0 == opened
+        assert [wait for _, wait, _ in inside] == [0.0, 0.0]
+        assert all(enq > opened for enq, _, _ in inside)
+        assert all(batch > 0 for _, _, batch in waits)
+
+    def test_marks_stay_ordered_across_workers_and_batches(self, traced):
+        # enqueue <= dequeue <= compute for every traced request.
+        registry, classifier = traced
+        series = [make_series(classifier, seed=i) for i in range(12)]
+        with ClassificationService(
+            classifier, batch_size=3, max_wait_s=0.002, workers=2, max_queue=64
+        ) as service:
+            futures = [service.submit(s) for s in series]
+            for f in futures:
+                f.result(timeout=10)
+        all_roots = roots(registry)
+        assert len(all_roots) == len(series)
+        for root in all_roots:
+            queue_wait, batch_wait, compute = children_of(registry, root)
+            assert queue_wait.start_s == root.start_s
+            assert queue_wait.duration_s >= 0 and batch_wait.duration_s >= 0
+            assert batch_wait.start_s == queue_wait.start_s + queue_wait.duration_s
+            assert compute.start_s == batch_wait.start_s + batch_wait.duration_s
+
 
 class TestIngestToService:
     def test_trace_survives_ring_drain_and_queue(self, traced):
