@@ -25,12 +25,34 @@ with margin.  Full mode writes the trajectory point ``BENCH_ingest.json``;
 a second bench repeats the bit-identity contract in float32 tolerance
 mode (``BENCH_ingest_f32.json``) — per dtype, drained-batch results must
 match that dtype's own per-announcement path exactly.
+
+A third gate times ``IngestPlane.push`` itself against ``ReferencePlane``
+below, whose ``push`` is the one that wrote the store through NumPy
+item and row assignments (four per announcement), copied here as the
+reference.  One in-order and one jittered ``synthetic_fleet`` stream go
+through both planes, in chunks with observability on for every other
+chunk and a drain after each, on a ring that holds the whole stream and
+on one that overflows.  Every push's return value, every drained row
+(node ids, timestamps, value bits, trace ids, enqueue times), each
+obs-on chunk's counters and the final ``IngestStats`` must be identical
+before any timing.  Then both arms push each stream into a new plane,
+timed in interleaved rounds, and the median over rounds of the
+reference's time over the new ``push``'s must be ≥ 1.25 on both
+streams, in smoke and full mode (``BENCH_ingest_push.json``, which
+also records each arm's best time per announcement).
 """
 
+import itertools
 import json
+import math
 
+import numpy as np
+
+from repro import obs
 from repro.core.online import OnlineClassifier
 from repro.ingest import IngestPlane, MulticastChannel, synthetic_fleet
+from repro.ingest.plane import _DROPPED, _LATE, _RECEIVED
+from repro.metrics.catalog import NUM_METRICS
 
 from conftest import best_of_pairs, emit
 
@@ -144,3 +166,191 @@ def test_ingest_bit_identity_float32(classifier_f32, out_dir, smoke):
     assert result["speedup"] >= MIN_SPEEDUP, (
         f"float32 ingest speedup {result['speedup']:.2f}x below the {MIN_SPEEDUP:.0f}x floor"
     )
+
+
+# ----------------------------------------------------------------------
+# Per-announcement intake: IngestPlane.push against the NumPy-write push
+# ----------------------------------------------------------------------
+#: Intake streams: nodes and announcements per node, in each mode.
+PUSH_FULL_NODES, PUSH_FULL_PER_NODE, PUSH_FULL_REPEATS = 64, 400, 50
+PUSH_SMOKE_NODES, PUSH_SMOKE_PER_NODE, PUSH_SMOKE_REPEATS = 64, 80, 50
+#: The jittered stream's arrival jitter and the plane's lateness: the jitter
+#: is wider than the 5 s heartbeat, so a node's own announcements arrive out
+#: of order and some land behind the drained frontier.
+PUSH_JITTER_S, PUSH_LATENESS_S = 8.0, 2.5
+#: Announcements pushed between drains in the identity check, and the
+#: small ring capacity that makes it overflow.
+IDENTITY_CHUNK, OVERFLOW_CAPACITY = 700, 4
+#: The push gate, the same in both modes.
+MIN_PUSH_SPEEDUP = 1.25
+
+
+class ReferencePlane(IngestPlane):
+    """An ``IngestPlane`` whose ``push`` writes the store through NumPy indexing."""
+
+    def push(self, node, timestamp, values):
+        self._received += 1
+        observed = obs.enabled()
+        if observed:
+            obs.get(_RECEIVED).inc()
+        timestamp = float(timestamp)
+        if self._allow is not None and node not in self._allow:
+            self._filtered += 1
+            return self._dropped("filtered", observed)
+        if not math.isfinite(timestamp):
+            return self._drop_invalid(observed)
+        node_id = self._node_id.get(node)
+        if node_id is None:
+            node_id = self._register(node)
+        newest = self._newest[node_id]
+        if timestamp == newest:
+            self._duplicates += 1
+            return self._dropped("duplicate", observed)
+        late = timestamp <= self._frontier
+        if late and self.late_policy == "drop":
+            self._late_dropped += 1
+            return self._dropped("late", observed)
+        try:
+            sized = len(values) == NUM_METRICS
+        except TypeError:
+            sized = False
+        if not sized:
+            return self._drop_invalid(observed)
+        trace_id = 0
+        enqueued_s = 0.0
+        if observed:
+            registry = obs.get_registry()
+            trace_id = registry.next_trace_id()
+            enqueued_s = registry.clock()
+        count = self._count[node_id]
+        head = self._head[node_id]
+        full = count == self.capacity
+        slot = head if full else (head + count) % self.capacity
+        try:
+            self._vals[slot, node_id] = values
+        except ValueError:
+            return self._drop_invalid(observed)
+        self._ts[slot, node_id] = timestamp
+        self._tid[slot, node_id] = trace_id
+        self._enq[slot, node_id] = enqueued_s
+        if slot >= self._written:
+            self._written = slot + 1
+        if full:
+            self._head[node_id] = (head + 1) % self.capacity
+            self._overflowed += 1
+            if observed:
+                obs.get(_DROPPED["overflow"]).inc()
+        else:
+            self._count[node_id] = count + 1
+        if timestamp < newest:
+            self._unordered.add(node_id)
+        else:
+            self._newest[node_id] = timestamp
+        if late:
+            self._late_accepted += 1
+            if observed:
+                obs.get(_LATE).inc()
+        if timestamp > self._max_seen:
+            self._max_seen = timestamp
+        return True
+
+
+def _intake_streams(smoke):
+    """The in-order and the jittered stream as (node, timestamp, values) items, with their lateness."""
+    nodes = PUSH_SMOKE_NODES if smoke else PUSH_FULL_NODES
+    per_node = PUSH_SMOKE_PER_NODE if smoke else PUSH_FULL_PER_NODE
+    streams = {
+        "in_order": (synthetic_fleet(nodes, per_node, seed=0), 0.0),
+        "jittered": (synthetic_fleet(nodes, per_node, seed=1, arrival_jitter_s=PUSH_JITTER_S), PUSH_LATENESS_S),
+    }
+    return per_node, {
+        name: ([(a.node, a.timestamp, a.values) for a in announcements], lateness)
+        for name, (announcements, lateness) in streams.items()
+    }
+
+
+def _drained(batch):
+    """Every field of a drained batch, arrays as bytes."""
+    return (
+        batch.nodes,
+        batch.node_ids.tobytes(),
+        batch.timestamps.tobytes(),
+        batch.values.tobytes(),
+        batch.trace_ids.tobytes(),
+        batch.enqueued_s.tobytes(),
+        batch.watermark,
+        batch.drained_s,
+    )
+
+
+def _replay(plane_cls, items, capacity, lateness_s):
+    """Push *items* in chunks, obs on for every other chunk, draining after each; every outcome."""
+    plane = plane_cls(capacity=capacity, lateness_s=lateness_s)
+    outcome = []
+    for k, start in enumerate(range(0, len(items), IDENTITY_CHUNK)):
+        registry = None
+        if k % 2 == 0:
+            ticks = itertools.count(1)
+            registry = obs.enable(clock=lambda: float(next(ticks)))
+        try:
+            accepted = [plane.push(*item) for item in items[start : start + IDENTITY_CHUNK]]
+            batch = _drained(plane.drain())
+        finally:
+            obs.disable()
+        counters = []
+        if registry is not None:
+            counters = [(i.name, i.labels, i.value) for i in registry.instruments() if i.kind == "counter"]
+        outcome.append((accepted, batch, counters))
+    outcome.append(_drained(plane.drain(flush=True)))
+    outcome.append(plane.stats())
+    return outcome
+
+
+def _push_all(plane_cls, items, capacity, lateness_s):
+    plane = plane_cls(capacity=capacity, lateness_s=lateness_s)
+    push = plane.push
+    for node, timestamp, values in items:
+        push(node, timestamp, values)
+
+
+def test_push_matches_the_reference(smoke):
+    per_node, streams = _intake_streams(smoke)
+    for name, (items, lateness) in streams.items():
+        for capacity in (per_node, OVERFLOW_CAPACITY):
+            got = _replay(IngestPlane, items, capacity, lateness)
+            want = _replay(ReferencePlane, items, capacity, lateness)
+            assert got == want, f"{name} stream, capacity {capacity}: push differs from the reference"
+            stats = got[-1]
+            assert stats.drained_rows == len(items) - stats.overflowed
+            assert (stats.overflowed > 0) == (capacity == OVERFLOW_CAPACITY)
+            assert (stats.late_accepted > 0) == (name == "jittered")
+
+
+def test_push_speedup(out_dir, smoke):
+    per_node, streams = _intake_streams(smoke)
+    repeats = PUSH_SMOKE_REPEATS if smoke else PUSH_FULL_REPEATS
+    arms = []
+    for items, lateness in streams.values():
+        for plane_cls in (IngestPlane, ReferencePlane):
+            arms.append(lambda c=plane_cls, i=items, lt=lateness: _push_all(c, i, per_node, lt))
+    # One round times every arm once, back to back; the gated figure is
+    # the median over rounds of each round's ratio, so a slow spell of
+    # a shared host moves both sides of a ratio together.
+    rounds = np.array([best_of_pairs(arms, 1) for _ in range(repeats)])
+    payload = {"mode": "smoke" if smoke else "full", "repeats": repeats, "floor": MIN_PUSH_SPEEDUP}
+    for k, (name, (items, _)) in enumerate(streams.items()):
+        push_s, reference_s = rounds[:, 2 * k], rounds[:, 2 * k + 1]
+        payload[name] = {
+            "announcements": len(items),
+            "push_ns": push_s.min() / len(items) * 1e9,
+            "reference_ns": reference_s.min() / len(items) * 1e9,
+            "speedup": float(np.median(reference_s / push_s)),
+        }
+    emit(out_dir, "BENCH_ingest_push.json", json.dumps(payload, indent=2, sort_keys=True))
+
+    for name in streams:
+        result = payload[name]
+        assert result["speedup"] >= MIN_PUSH_SPEEDUP, (
+            f"{name}: push {result['speedup']:.2f}x the reference, below the {MIN_PUSH_SPEEDUP:.2f}x floor "
+            f"({result['push_ns']:.0f} vs {result['reference_ns']:.0f} ns per announcement)"
+        )

@@ -279,13 +279,14 @@ class IngestPlane:
         NumPy backs large arrays with transparent huge pages where the
         kernel offers them, and a node-major layout would then make a
         few slots of every node's ring fault in the whole store.  Only
-        the slots some ring ever wrote are copied.
+        the slots some ring ever wrote are copied.  The trace columns
+        start at zero: an empty slot's trace id and enqueue time are 0.
         """
         shape = (self.capacity, nodes)
         timestamps = np.full(shape, np.inf)
         values = np.empty(shape + (NUM_METRICS,), dtype=np.float64)
-        trace_ids = np.empty(shape, dtype=np.int64)
-        enqueued_s = np.empty(shape, dtype=np.float64)
+        trace_ids = np.zeros(shape, dtype=np.int64)
+        enqueued_s = np.zeros(shape, dtype=np.float64)
         n, w = len(self._node_id), self._written
         if n:
             timestamps[:w, :n] = self._ts[:w, :n]
@@ -293,6 +294,7 @@ class IngestPlane:
             trace_ids[:w, :n] = self._tid[:w, :n]
             enqueued_s[:w, :n] = self._enq[:w, :n]
         self._ts, self._vals, self._tid, self._enq = timestamps, values, trace_ids, enqueued_s
+        self._cell_views()
         # A drain emits at most every buffered row.
         size = nodes * self.capacity
         self._out_ts = np.empty(size, dtype=np.float64)
@@ -300,6 +302,32 @@ class IngestPlane:
         self._out_nodes = np.empty(size, dtype=np.intp)
         self._out_tid = np.empty(size, dtype=np.int64)
         self._out_enq = np.empty(size, dtype=np.float64)
+
+    def _cell_views(self) -> None:
+        """Flat memoryviews of the four store arrays, for push's cell writes.
+
+        Cell ``slot * columns + node_id`` of the flat timestamp and
+        trace arrays is one ring slot; the values array holds it at
+        ``cell * NUM_METRICS``.  ``columns`` is the store's allocated
+        width, not the number of registered nodes.
+        """
+        self._columns = self._ts.shape[1]
+        self._ts_cells = memoryview(self._ts.reshape(-1))
+        self._vals_cells = memoryview(self._vals.reshape(-1))
+        self._tid_cells = memoryview(self._tid.reshape(-1))
+        self._enq_cells = memoryview(self._enq.reshape(-1))
+
+    def __getstate__(self) -> dict:
+        """Pickle the plane without the store's memoryviews (they do not pickle)."""
+        state = self.__dict__.copy()
+        for name in ("_ts_cells", "_vals_cells", "_tid_cells", "_enq_cells"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled plane and rebuild the views over its own store."""
+        self.__dict__.update(state)
+        self._cell_views()
 
     def _register(self, node: str) -> int:
         node_id = len(self._node_id)
@@ -316,8 +344,13 @@ class IngestPlane:
 
         *values* is the node's full length-33 metric vector.  This is
         the per-announcement hot path: one dict lookup, the
-        late/duplicate checks, and four array-slot writes — no Python
-        object is created for the announcement.  An announcement with a
+        late/duplicate checks, one slice write of the values and one
+        item write of the timestamp into flat memoryviews of the store
+        — no Python object is created for the announcement.  A float64
+        vector the buffer protocol copies directly (contiguous, strided
+        or read-only) takes that write; any other accepted form (a
+        list, another dtype or byte order) is cast by NumPy, so the
+        stored bits are the same either way.  An announcement with a
         NaN or infinite timestamp, or a *values* vector of any other
         length (a scalar included), is dropped as ``invalid`` (counted
         in :attr:`IngestStats.invalid` and under
@@ -329,7 +362,8 @@ class IngestPlane:
         on, each accepted announcement also mints a request-trace id and
         stamps the registry clock into the store's trace columns, so
         the trace survives the ring boundary without carrying any
-        object.
+        object.  An empty slot's trace columns hold 0, so an untraced
+        push writes them only when it overwrites a full ring's head.
         """
         self._received += 1
         observed = obs_enabled()
@@ -360,30 +394,42 @@ class IngestPlane:
             # The slot write would broadcast a scalar or a length-1
             # vector over the row.
             return self._drop_invalid(observed)
-        trace_id = 0
-        enqueued_s = 0.0
         if observed:
             registry = obs_get_registry()
             trace_id = registry.next_trace_id()
             enqueued_s = registry.clock()
         count = self._count[node_id]
         head = self._head[node_id]
-        full = count == self.capacity
+        capacity = self.capacity
+        full = count == capacity
         # Drop-oldest: a full ring overwrites its head slot.
-        slot = head if full else (head + count) % self.capacity
+        slot = head if full else head + count
+        if slot >= capacity:
+            slot -= capacity
+        cell = slot * self._columns + node_id
+        first = cell * NUM_METRICS
         try:
-            self._vals[slot, node_id] = values
-        except ValueError:
-            # Any other shape fails the slot write before anything is
-            # buffered.
-            return self._drop_invalid(observed)
-        self._ts[slot, node_id] = timestamp
-        self._tid[slot, node_id] = trace_id
-        self._enq[slot, node_id] = enqueued_s
+            self._vals_cells[first : first + NUM_METRICS] = values
+        except (TypeError, ValueError, BufferError):
+            # Not a float64 vector in native byte order: NumPy casts
+            # it, and any other shape fails before anything is buffered.
+            try:
+                self._vals[slot, node_id] = values
+            except ValueError:
+                return self._drop_invalid(observed)
+        self._ts_cells[cell] = timestamp
+        if observed:
+            self._tid_cells[cell] = trace_id
+            self._enq_cells[cell] = enqueued_s
+        elif full:
+            # The overwritten head may hold a traced row.
+            self._tid_cells[cell] = 0
+            self._enq_cells[cell] = 0.0
         if slot >= self._written:
             self._written = slot + 1
         if full:
-            self._head[node_id] = (head + 1) % self.capacity
+            head += 1
+            self._head[node_id] = 0 if head == capacity else head
             self._overflowed += 1
             if observed:
                 obs_get(_DROPPED["overflow"]).inc()
@@ -458,17 +504,19 @@ class IngestPlane:
         """Re-sort each out-of-order node's ring chronologically, once and stably.
 
         The ring is rewritten linearized at slot 0; equal timestamps
-        keep their arrival order.
+        keep their arrival order.  The slots it vacates get the empty
+        slot's +inf timestamp and zero trace columns.
         """
         for node_id in self._unordered:
             count = self._count[node_id]
             slots = (self._head[node_id] + np.arange(count)) % self.capacity
             order = slots[np.argsort(self._ts[slots, node_id], kind="stable")]
-            timestamps = self._ts[order, node_id]
-            self._ts[:, node_id] = np.inf
-            self._ts[:count, node_id] = timestamps
-            for column in (self._vals, self._tid, self._enq):
+            for column in (self._ts, self._vals, self._tid, self._enq):
                 column[:count, node_id] = column[order, node_id]
+            vacated = slots[slots >= count]
+            self._ts[vacated, node_id] = np.inf
+            self._tid[vacated, node_id] = 0
+            self._enq[vacated, node_id] = 0.0
             self._head[node_id] = 0
         self._unordered.clear()
 
@@ -523,7 +571,10 @@ class IngestPlane:
             np.take(self._vals.reshape(-1, NUM_METRICS), flat, axis=0, out=self._out_vals[:total])
             np.take(self._tid.reshape(-1), flat, out=self._out_tid[:total])
             np.take(self._enq.reshape(-1), flat, out=self._out_enq[:total])
+            # Empty the drained slots: +inf timestamps, zero trace columns.
             self._ts.reshape(-1)[flat] = np.inf
+            self._tid.reshape(-1)[flat] = 0
+            self._enq.reshape(-1)[flat] = 0.0
             remaining = counts - pending
             # An emptied ring restarts at slot 0, so a ring that never
             # holds more than k rows touches only its first k slots.

@@ -7,6 +7,9 @@ the fast workload helpers below instead of the full paper durations.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,50 @@ def instrument(registry, name: str, **labels: str):
         if inst.name == name and inst.labels == want:
             return inst
     pytest.fail(f"no instrument {name}{dict(want)} in the registry")
+
+
+#: How long a test lets ``ClassificationService.shutdown`` run before it fails.
+SHUTDOWN_TIMEOUT_S = 30.0
+
+
+def shutdown_within(service, timeout: float = SHUTDOWN_TIMEOUT_S, **kwargs) -> None:
+    """Call ``service.shutdown(**kwargs)`` in a daemon thread; fail if it has not returned in *timeout* s.
+
+    A worker that never wakes then fails one test instead of hanging
+    the run.  An exception from ``shutdown`` is re-raised here.
+    """
+    raised: list[BaseException] = []
+
+    def close() -> None:
+        try:
+            service.shutdown(**kwargs)
+        except BaseException as exc:  # handed to the test thread below
+            raised.append(exc)
+
+    closer = threading.Thread(target=close, name="test-shutdown", daemon=True)
+    closer.start()
+    closer.join(timeout)
+    if closer.is_alive():
+        pytest.fail(f"service.shutdown({kwargs}) did not return within {timeout} s")
+    if raised:
+        raise raised[0]
+
+
+@contextmanager
+def serving(service, timeout: float = SHUTDOWN_TIMEOUT_S):
+    """``with service:`` whose shutdown at exit is bounded by :func:`shutdown_within`.
+
+    Starts *service* as its ``__enter__`` does and, like its
+    ``__exit__``, drains on a clean exit and does not drain when the
+    block raised.
+    """
+    service.start()
+    try:
+        yield service
+    except BaseException:
+        shutdown_within(service, timeout, drain=False)
+        raise
+    shutdown_within(service, timeout, drain=True)
 
 
 def short_cpu_workload(duration: float = 60.0) -> Workload:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -465,6 +468,60 @@ class TestBufferReuse:
         batch = plane.drain()
         assert batch.timestamps.tolist() == [2.0, 3.0]
         assert batch.nodes == ("a", "b")
+
+
+class TestCopy:
+    @staticmethod
+    def filled_plane() -> IngestPlane:
+        """Five nodes (the store grows past 4), traced and untraced rows, one node out of order."""
+        plane = IngestPlane(capacity=4, lateness_s=1.0)
+        obs.enable(clock=lambda: 0.5)
+        try:
+            for k, node in enumerate("abcde"):
+                plane.push(node, 1.0 + k, np.full(NUM_METRICS, 1.0 + k))
+        finally:
+            obs.disable()
+        for ts in (9.0, 7.0, 8.0):  # "a" goes out of order
+            plane.push("a", ts, np.arange(NUM_METRICS) * ts)
+        plane.push("e", 9.5, np.full(NUM_METRICS, -1.0))
+        return plane
+
+    @staticmethod
+    def drained(plane: IngestPlane) -> tuple:
+        batch = plane.drain(flush=True)
+        return (
+            batch.nodes,
+            batch.node_ids.tolist(),
+            batch.timestamps.tolist(),
+            batch.values.tobytes(),
+            batch.trace_ids.tolist(),
+            batch.enqueued_s.tolist(),
+            plane.stats(),
+        )
+
+    @pytest.mark.parametrize(
+        "clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_round_trip_drains_the_same_bits(self, clone):
+        expected = self.drained(self.filled_plane())
+        trace_ids, enqueued_s = expected[4], expected[5]
+        assert len(set(trace_ids[:5])) == 5 and 0 not in trace_ids[:5] and trace_ids[5:] == [0] * 4
+        assert enqueued_s == [0.5] * 5 + [0.0] * 4
+        copied = clone(self.filled_plane())
+        assert self.drained(copied) == expected
+
+    @pytest.mark.parametrize(
+        "clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_pushes_into_the_clone_leave_the_original_untouched(self, clone):
+        expected = self.drained(self.filled_plane())
+        original = self.filled_plane()
+        copied = clone(original)
+        for k, node in enumerate("abcdef"):  # "f" grows the clone's store
+            for ts in (20.0, 21.0, 22.0, 23.0, 24.0):  # overflows every ring
+                assert copied.push(node, ts + k, np.full(NUM_METRICS, 99.0))
+        assert copied.stats().overflowed > 0
+        assert self.drained(original) == expected
 
 
 class TestChannelIntegration:

@@ -4,7 +4,9 @@ The oracle is a plain per-node Python list of buffered rows.  Hypothesis
 drives the plane and the model through the same push and drain calls,
 in any order, with in-order, out-of-order, duplicate, non-finite
 (timestamps and values), wrong-length, filtered and overflowing input, under both late policies,
-with observability switched on, off, reset and replaced along the way.
+with value vectors in every form ``push`` accepts (lists, other dtypes
+and byte orders, strided and read-only views), and with observability
+switched on, off, reset and replaced along the way.
 After every step the plane's public state must equal the model's.
 """
 
@@ -45,6 +47,15 @@ MALFORMED = {
     "scalar": lambda: 7.0,
     "numpy scalar": lambda: np.float64(7.0),
     "0-d array": lambda: np.array(7.0),
+}
+#: The other forms of a length-33 vector that push accepts, built from a float64 row.
+VALUE_FORMS = {
+    "list": lambda row: row.tolist(),
+    "int64": lambda row: row.astype(np.int64),
+    "float32": lambda row: (row + 0.1).astype(np.float32),
+    "strided": lambda row: np.stack([row, -row], axis=1)[:, 0],
+    "byte-swapped": lambda row: row.astype(">f8"),
+    "read-only": lambda row: np.lib.stride_tricks.as_strided(row, writeable=False),
 }
 COUNTER_KEYS = (
     ("ingest.announcements.received", ()),
@@ -167,7 +178,7 @@ class IngestPlaneMachine(RuleBasedStateMachine):
             self.counts["late_dropped"] += 1
             self.count_obs("ingest.announcements.dropped", "late")
             return None
-        if not (isinstance(values, np.ndarray) and values.shape == (NUM_METRICS,)):
+        if not (isinstance(values, (np.ndarray, list)) and np.shape(values) == (NUM_METRICS,)):
             self.counts["invalid"] += 1
             self.count_obs("ingest.announcements.dropped", "invalid")
             return None
@@ -244,6 +255,52 @@ class IngestPlaneMachine(RuleBasedStateMachine):
     def push_burst(self, node, n):
         for _ in range(n):
             self.push_in_order(node, 0.5)
+
+    @rule(node=st.sampled_from(NODES), ts=GRID, form=st.sampled_from(sorted(VALUE_FORMS)))
+    def push_value_form(self, node, ts, form):
+        """Each accepted form is stored as its float64 cast."""
+        row = np.arange(NUM_METRICS, dtype=np.float64) + 100.0 * self.seq
+        self.push_both(node, ts, VALUE_FORMS[form](row))
+
+    @rule(node=st.sampled_from(NODES), ts=GRID)
+    def push_then_mutate(self, node, ts):
+        """The store holds a copy: changing the caller's array later changes nothing."""
+        values = self.row_values()
+        self.push_both(node, ts, values)
+        values[:] = -1.0
+
+    @rule(node=st.sampled_from(ALLOWED), overwrite=st.integers(1, 64))
+    def overflow_traced_ring_untraced(self, node, overwrite):
+        """Rows that overwrite traced ones with obs off drain with zero trace columns."""
+        if self.registry is None:
+            self.switch_obs_on()
+        for _ in range(self.capacity):
+            self.push_in_order(node, 0.5)
+        obs.disable()
+        self.registry = None
+        for _ in range(min(overwrite, self.capacity)):
+            self.push_in_order(node, 0.5)
+        self.drain(None, True)
+
+    @precondition(lambda self: self.capacity >= 3)
+    @rule(node=st.sampled_from(ALLOWED))
+    def refill_slots_a_resort_vacated(self, node):
+        """A wrapped traced ring is re-sorted; untraced rows refilling it drain with zero trace columns."""
+        if self.registry is None:
+            self.switch_obs_on()
+        self.drain(None, True)  # every ring empty, so the node's ring starts at slot 0
+        for _ in range(self.capacity):
+            self.push_in_order(node, 1.0)
+        self.drain(2, True)  # the ring's head moves to slot 2
+        # Between the frontier and the node's newest row: out of order
+        # but not late, and it wraps into slot 0.
+        self.push_both(node, self.frontier + 0.5, self.row_values())
+        self.drain(1, True)  # the re-sort vacates the ring's last slot
+        obs.disable()
+        self.registry = None
+        for _ in range(self.capacity):
+            self.push_in_order(node, 0.5)
+        self.drain(None, True)
 
     # ------------------------------------------------------------------
     # the model's drain

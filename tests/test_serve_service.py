@@ -20,6 +20,8 @@ from repro.experiments.fleet import profile_fleet
 from repro.metrics.series import SnapshotSeries
 from repro.serve.service import ClassificationService
 
+from tests.conftest import serving, shutdown_within
+
 
 @pytest.fixture(scope="module")
 def fleet():
@@ -64,7 +66,7 @@ class TestValidation:
             timestamps=np.empty(0, dtype=np.float64),
             matrix=np.empty((fleet[0].matrix.shape[0], 0), dtype=np.float64),
         )
-        with ClassificationService(classifier) as service:
+        with serving(ClassificationService(classifier)) as service:
             with pytest.raises(EmptySeriesError):
                 service.submit(empty)
 
@@ -73,8 +75,8 @@ class TestMicroBatching:
     def test_size_trigger_flushes_full_batch(self, classifier, fleet):
         # max_wait_s is far longer than the test budget: only the size
         # trigger can flush, so completion proves it fired.
-        with ClassificationService(
-            classifier, batch_size=len(fleet), max_wait_s=30.0
+        with serving(
+            ClassificationService(classifier, batch_size=len(fleet), max_wait_s=30.0)
         ) as service:
             futures = [service.submit(s) for s in fleet]
             results = [f.result(timeout=10.0) for f in futures]
@@ -88,8 +90,8 @@ class TestMicroBatching:
     def test_time_trigger_flushes_partial_batch(self, classifier, fleet):
         # Fewer submissions than batch_size: only the wait-window timer
         # can flush this batch.
-        with ClassificationService(
-            classifier, batch_size=64, max_wait_s=0.02
+        with serving(
+            ClassificationService(classifier, batch_size=64, max_wait_s=0.02)
         ) as service:
             futures = [service.submit(s) for s in fleet[:3]]
             results = [f.result(timeout=10.0) for f in futures]
@@ -98,7 +100,7 @@ class TestMicroBatching:
         assert service.stats.batches >= 1
 
     def test_stats_snapshot(self, classifier, fleet):
-        with ClassificationService(classifier, max_wait_s=0.005) as service:
+        with serving(ClassificationService(classifier, max_wait_s=0.005)) as service:
             for s in fleet[:4]:
                 service.submit(s)
         stats = service.stats
@@ -126,12 +128,12 @@ class TestBackpressure:
             assert service.stats.submitted == 4
         finally:
             service.start()
-            service.shutdown()
+            shutdown_within(service)
         assert service.stats.completed == 4
 
     def test_submit_after_shutdown_raises(self, classifier, fleet):
         service = ClassificationService(classifier)
-        service.shutdown()
+        shutdown_within(service)
         with pytest.raises(RuntimeError):
             service.submit(fleet[0])
 
@@ -154,10 +156,7 @@ class TestBatchFailure:
             result = service.submit(fleet[3]).result(timeout=10.0)
             assert result.num_samples == len(fleet[3])
         finally:
-            stopper = threading.Thread(target=service.shutdown)
-            stopper.start()
-            stopper.join(10.0)
-        assert not stopper.is_alive()
+            shutdown_within(service)
         stats = service.stats
         assert (stats.failed, stats.completed, stats.batches) == (3, 1, 2)
 
@@ -167,7 +166,7 @@ class TestShutdown:
         service = ClassificationService(classifier, max_queue=16, autostart=False)
         futures = [service.submit(s) for s in fleet]
         service.start()
-        service.shutdown(drain=True)
+        shutdown_within(service, drain=True)
         for future in futures:
             assert future.result(timeout=0).application_class is not None
         assert service.stats.completed == len(fleet)
@@ -176,7 +175,7 @@ class TestShutdown:
     def test_no_drain_fails_pending(self, classifier, fleet):
         service = ClassificationService(classifier, max_queue=16, autostart=False)
         futures = [service.submit(s) for s in fleet]
-        service.shutdown(drain=False)
+        shutdown_within(service, drain=False)
         for future in futures:
             with pytest.raises(ServiceOverloadedError):
                 future.result(timeout=0)
@@ -187,10 +186,7 @@ class TestShutdown:
         # every queued request fails instead of hanging its caller.
         service = ClassificationService(classifier, max_queue=16, autostart=False)
         futures = [service.submit(s) for s in fleet[:3]]
-        closer = threading.Thread(target=service.shutdown, kwargs={"drain": True}, daemon=True)
-        closer.start()
-        closer.join(timeout=10.0)
-        assert not closer.is_alive(), "shutdown(drain=True) hung"
+        shutdown_within(service, 10.0, drain=True)
         for future in futures:
             with pytest.raises(ServiceOverloadedError):
                 future.result(timeout=5.0)
@@ -201,10 +197,7 @@ class TestShutdown:
         service = ClassificationService(classifier, batch_size=16, max_wait_s=30.0)
         future = service.submit(fleet[0])
         time.sleep(0.05)  # the worker opens its window on this request
-        closer = threading.Thread(target=service.shutdown, kwargs={"drain": True})
-        closer.start()
-        closer.join(5.0)
-        assert not closer.is_alive(), "shutdown waited out the window"
+        shutdown_within(service, 5.0, drain=True)  # not the 30 s window
         assert future.result(timeout=0).num_samples == len(fleet[0])
         assert service.stats.completed == 1
 
@@ -219,7 +212,7 @@ class TestShutdown:
         futures = [service.submit(s) for s in fleet[:5]]
         service.start()
         assert entered.wait(10.0)
-        closer = threading.Thread(target=service.shutdown, kwargs={"drain": False})
+        closer = threading.Thread(target=service.shutdown, kwargs={"drain": False}, daemon=True)
         closer.start()
         for future in futures[2:]:
             with pytest.raises(ServiceOverloadedError):
@@ -235,12 +228,12 @@ class TestShutdown:
 
     def test_shutdown_idempotent(self, classifier):
         service = ClassificationService(classifier)
-        service.shutdown()
-        service.shutdown()
+        shutdown_within(service)
+        shutdown_within(service)
 
     def test_start_after_shutdown_raises(self, classifier):
         service = ClassificationService(classifier)
-        service.shutdown()
+        shutdown_within(service)
         with pytest.raises(RuntimeError):
             service.start()
 
@@ -260,7 +253,7 @@ class TestShutdown:
                     accepted.append(service.submit(s))
                 except ServiceOverloadedError:
                     rejected += 1
-        service.shutdown(drain=True)
+        shutdown_within(service, drain=True)
         for future in accepted:
             assert future.result(timeout=0) is not None
         stats = service.stats
@@ -271,8 +264,8 @@ class TestShutdown:
 
 class TestWorkers:
     def test_multiple_workers(self, classifier, fleet):
-        with ClassificationService(
-            classifier, workers=3, batch_size=2, max_wait_s=0.001
+        with serving(
+            ClassificationService(classifier, workers=3, batch_size=2, max_wait_s=0.001)
         ) as service:
             futures = [service.submit(s) for s in fleet]
             for future in futures:
@@ -318,13 +311,13 @@ class TestStress:
                         except ServiceOverloadedError:
                             time.sleep(0.0005)
 
-            threads = [threading.Thread(target=submitter, args=(out,)) for out in accepted]
+            threads = [threading.Thread(target=submitter, args=(out,), daemon=True) for out in accepted]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(30.0)
             assert not any(t.is_alive() for t in threads)
-            service.shutdown(drain=True)
+            shutdown_within(service, drain=True)
         finally:
             sys.setswitchinterval(interval)
         requests = [r for out in accepted for r in out]
@@ -349,7 +342,7 @@ class TestConcurrentShutdown:
             # which caller actually performed it.
             assert all(f.done() for f in futures)
 
-        threads = [threading.Thread(target=closer) for _ in range(4)]
+        threads = [threading.Thread(target=closer, daemon=True) for _ in range(4)]
         for t in threads:
             t.start()
         for t in threads:
@@ -371,7 +364,7 @@ class TestConcurrentShutdown:
             service.shutdown(drain=True)
             workers_alive.append([t.is_alive() for t in service._threads])
 
-        closers = [threading.Thread(target=closer) for _ in range(2)]
+        closers = [threading.Thread(target=closer, daemon=True) for _ in range(2)]
         for t in closers:
             t.start()
         time.sleep(0.05)
@@ -400,10 +393,10 @@ class TestConcurrentShutdown:
                 except ServiceOverloadedError:
                     time.sleep(0.001)
 
-        thread = threading.Thread(target=submitter)
+        thread = threading.Thread(target=submitter, daemon=True)
         thread.start()
         time.sleep(0.05)
-        service.shutdown(drain=True)
+        shutdown_within(service, drain=True)
         thread.join(30.0)
         assert not thread.is_alive()
         for future in accepted:
@@ -432,7 +425,7 @@ class TestBatchSeam:
     def serve(self, classifier, fleet, name):
         """Serve *fleet*, recording every ``service.batch.<name>`` call."""
         calls = []
-        with ClassificationService(classifier, batch_size=4, max_wait_s=0.05) as service:
+        with serving(ClassificationService(classifier, batch_size=4, max_wait_s=0.05)) as service:
             self.record(service, name, calls)
             results = [f.result(timeout=10.0) for f in [service.submit(s) for s in fleet]]
         assert all(isinstance(r, ClassificationResult) for r in results)
@@ -457,7 +450,7 @@ class TestBatchSeam:
         for s in fleet[:7]:
             service.submit(s)
         service.start()
-        service.shutdown()
+        shutdown_within(service)
         assert calls == [[0, 1, 2], [3, 4, 5], [6]]
 
     def test_untraced_batches_go_through_classify_batch(self, classifier, fleet):

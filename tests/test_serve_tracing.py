@@ -20,7 +20,7 @@ from repro.obs.context import PIPELINE_STAGE_NAMES, TailSampler
 from repro.serve.service import ClassificationService
 from repro.serve.stream import drain_trace_contexts
 
-from tests.conftest import instrument
+from tests.conftest import instrument, serving, shutdown_within
 
 
 @pytest.fixture(autouse=True)
@@ -79,7 +79,7 @@ class TestDirectSubmit:
     def test_one_submission_produces_one_complete_trace(self, traced):
         registry, classifier = traced
         series = make_series(classifier)
-        with ClassificationService(classifier, batch_size=1, workers=1) as service:
+        with serving(ClassificationService(classifier, batch_size=1, workers=1)) as service:
             service.submit(series).result(timeout=10)
         (root,) = roots(registry)
         assert root.trace_id
@@ -111,7 +111,7 @@ class TestDirectSubmit:
     def test_attribution_histograms_sum_to_end_to_end(self, traced):
         registry, classifier = traced
         series = make_series(classifier)
-        with ClassificationService(classifier, batch_size=1, workers=1) as service:
+        with serving(ClassificationService(classifier, batch_size=1, workers=1)) as service:
             service.submit(series).result(timeout=10)
         (root,) = roots(registry)
         queue_wait = instrument(registry, "serve.queue_wait.seconds")
@@ -131,8 +131,8 @@ class TestDirectSubmit:
     def test_multiple_workers_each_result_has_a_complete_trace(self, traced):
         registry, classifier = traced
         series = [make_series(classifier, seed=i) for i in range(6)]
-        with ClassificationService(
-            classifier, batch_size=2, max_wait_s=0.005, workers=2, max_queue=64
+        with serving(
+            ClassificationService(classifier, batch_size=2, max_wait_s=0.005, workers=2, max_queue=64)
         ) as service:
             futures = [service.submit(s) for s in series]
             for f in futures:
@@ -179,7 +179,7 @@ class TestDirectSubmit:
         futures += [service.submit(series) for _ in range(2)]
         for f in futures:
             f.result(timeout=10)
-        service.shutdown()
+        shutdown_within(service)
         assert service.stats.batches == 1
         waits = []
         for root in sorted(roots(registry), key=lambda r: r.start_s):
@@ -196,8 +196,8 @@ class TestDirectSubmit:
         # enqueue <= dequeue <= compute for every traced request.
         registry, classifier = traced
         series = [make_series(classifier, seed=i) for i in range(12)]
-        with ClassificationService(
-            classifier, batch_size=3, max_wait_s=0.002, workers=2, max_queue=64
+        with serving(
+            ClassificationService(classifier, batch_size=3, max_wait_s=0.002, workers=2, max_queue=64)
         ) as service:
             futures = [service.submit(s) for s in series]
             for f in futures:
@@ -219,8 +219,8 @@ class TestIngestToService:
         plane = IngestPlane(channel, capacity=64)
         for a in synthetic_fleet(2, 4, seed=0):
             channel.announce(a)
-        with ClassificationService(
-            classifier, batch_size=4, max_wait_s=0.005, workers=2
+        with serving(
+            ClassificationService(classifier, batch_size=4, max_wait_s=0.005, workers=2)
         ) as service:
             futures = service.submit_drain(plane.drain())
             assert len(futures) == 2
@@ -282,7 +282,7 @@ class TestTailSampling:
         registry.sampler = TailSampler(keep_ratio=0.5, slow_threshold_s=1e9, seed=0)
         series = make_series(classifier)
         n = 8
-        with ClassificationService(classifier, batch_size=1, workers=1) as service:
+        with serving(ClassificationService(classifier, batch_size=1, workers=1)) as service:
             for _ in range(n):
                 service.submit(series).result(timeout=10)  # serial: one draw per trace
         rng = random.Random(0)
@@ -300,7 +300,7 @@ class TestTailSampling:
         registry, classifier = traced
         registry.sampler = TailSampler(keep_ratio=0.0, slow_threshold_s=1e9, seed=0)
         series = make_series(classifier)
-        with ClassificationService(classifier, batch_size=1, workers=1) as service:
+        with serving(ClassificationService(classifier, batch_size=1, workers=1)) as service:
             result = service.submit(series).result(timeout=10)
         assert result.num_samples == len(series)
         # No trace-carrying spans survive; the worker's own untraced
@@ -320,7 +320,7 @@ class TestTailSampling:
         future = service.submit(series)
         with pytest.raises(Exception):
             future.result(timeout=10)
-        service.shutdown()
+        shutdown_within(service)
         (root,) = roots(registry)
         kids = children_of(registry, root)
         assert [k.name for k in kids] == [
@@ -340,7 +340,7 @@ class TestTailSampling:
 class TestUntracedPathsUnchanged:
     def test_disabled_service_records_nothing(self, classifier):
         series = make_series(classifier)
-        with ClassificationService(classifier, batch_size=1, workers=1) as service:
+        with serving(ClassificationService(classifier, batch_size=1, workers=1)) as service:
             result = service.submit(series).result(timeout=10)
         assert result.num_samples == len(series)
         assert obs.get_registry().spans() == []
