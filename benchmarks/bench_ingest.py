@@ -39,7 +39,12 @@ before any timing.  Then both arms push each stream into a new plane,
 timed in interleaved rounds, and the median over rounds of the
 reference's time over the new ``push``'s must be ≥ 1.25 on both
 streams, in smoke and full mode (``BENCH_ingest_push.json``, which
-also records each arm's best time per announcement).
+also records each arm's best time per announcement).  Every other
+round runs the arms in reverse order.  The gate times ``push`` alone:
+``ReferencePlane`` inherits the current ``drain`` and ``_restore_order``,
+which zero the trace columns of the slots they empty so that an
+untraced ``push`` need not write them.  That drain-side cost is left
+to the layered benchmark (``gather.us_per_call`` in its traced runs).
 """
 
 import itertools
@@ -333,10 +338,13 @@ def test_push_speedup(out_dir, smoke):
     for items, lateness in streams.values():
         for plane_cls in (IngestPlane, ReferencePlane):
             arms.append(lambda c=plane_cls, i=items, lt=lateness: _push_all(c, i, per_node, lt))
-    # One round times every arm once, back to back; the gated figure is
-    # the median over rounds of each round's ratio, so a slow spell of
-    # a shared host moves both sides of a ratio together.
-    rounds = np.array([best_of_pairs(arms, 1) for _ in range(repeats)])
+    # One round times every arm once, back to back, and every other
+    # round runs them in reverse so neither side always goes first; the
+    # gated figure is the median over rounds of each round's ratio, so a
+    # slow spell of a shared host moves both sides of a ratio together.
+    rounds = np.array(
+        [best_of_pairs(arms, 1) if r % 2 == 0 else best_of_pairs(arms[::-1], 1)[::-1] for r in range(repeats)]
+    )
     payload = {"mode": "smoke" if smoke else "full", "repeats": repeats, "floor": MIN_PUSH_SPEEDUP}
     for k, (name, (items, _)) in enumerate(streams.items()):
         push_s, reference_s = rounds[:, 2 * k], rounds[:, 2 * k + 1]

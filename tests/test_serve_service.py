@@ -156,7 +156,7 @@ class TestBatchFailure:
             result = service.submit(fleet[3]).result(timeout=10.0)
             assert result.num_samples == len(fleet[3])
         finally:
-            shutdown_within(service)
+            shutdown_within(service, 10.0)
         stats = service.stats
         assert (stats.failed, stats.completed, stats.batches) == (3, 1, 2)
 
