@@ -53,7 +53,9 @@ Tie-breaking is deterministic: among tied vote counts, the class with
 the smaller summed neighbor distance wins, then the smaller class code.
 For the paper's unweighted ``k = 3`` the vote takes the closed form of
 that rule — three equal labels win, else the pair, else the least
-(distance, class code) — in a handful of whole-column operations; the
+(distance, class code), found for the rare three-distinct rows by one
+row-wise ``min`` over complex (distance + i·label) keys — in a handful
+of whole-column operations; the
 counting vote (a ``bincount``, an ``np.add.at`` and a loop over the
 classes) stays the reference, and still serves other *k*, the weighted
 ablation, and three-way ties with a NaN distance.
@@ -241,6 +243,8 @@ class KNeighborsClassifier:
         self._classes: np.ndarray | None = None
         self._sq_norms: np.ndarray | None = None
         self._cols: np.ndarray | None = None
+        # max ‖b‖² of the pool, the tree route's margin term.
+        self._sq_norm_max: np.floating | None = None
         # Candidate index of a float64 pool (see _kneighbors_tree).
         self._tree: cKDTree | None = None
         # Per-thread distance workspace (see _workspace).
@@ -254,9 +258,15 @@ class KNeighborsClassifier:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        """Restore a pickled model with an empty workspace and a rebuilt tree."""
+        """Restore a pickled model with an empty workspace, a rebuilt tree and pool maximum.
+
+        The maximum is recomputed rather than read, so models pickled
+        before it was cached load unchanged.
+        """
         self.__dict__.update(state)
         self._local = threading.local()
+        norms = self._sq_norms
+        self._sq_norm_max = None if norms is None else norms.max()
         self._tree = self._build_tree()
 
     # ------------------------------------------------------------------
@@ -291,6 +301,7 @@ class KNeighborsClassifier:
         self._y = y.copy()
         self._classes = np.unique(y)
         self._sq_norms = np.einsum("ij,ij->i", self._x, self._x)
+        self._sq_norm_max = self._sq_norms.max()
         self._cols = np.ascontiguousarray(self._x.T)
         self._tree = self._build_tree()
         return self
@@ -551,7 +562,7 @@ class KNeighborsClassifier:
         keyed.sort(axis=1)
         indices = keyed.imag[:, :k].astype(np.int64)
         distances = keyed.real[:, :k].copy()
-        margin = (_MARGIN_ULPS * _F64.eps) * (aa + self._sq_norms.max()) + _F64.tiny
+        margin = (_MARGIN_ULPS * _F64.eps) * (aa + self._sq_norm_max) + _F64.tiny
         # Written so that a NaN or +inf (overflowed) row fails the test.
         verified = distances[:, -1] + margin < keyed.real[:, -1]
         np.sqrt(distances, out=distances)
@@ -603,8 +614,11 @@ class KNeighborsClassifier:
         distance that is its one neighbor's, so the least (distance,
         class code) wins.  Nothing here assumes the distances are
         sorted.  Three distinct labels are rare on real traffic (0.2% of
-        the out-of-distribution rows of a synthetic fleet), so only
-        those rows are gathered for the distance comparison.  Of them,
+        the out-of-distribution rows of a synthetic fleet, 6% of the
+        ``fleet_batch`` fleet), so only those rows are gathered, and
+        each one's least (distance, class code) is taken by one
+        row-wise ``min`` over complex keys (distance + i·label) rather
+        than two passes of compare-and-select.  Of them,
         a row holding a NaN distance goes to :meth:`_vote_counting`: the
         counting loop's comparisons are false against NaN, so its answer
         there depends on the order it visits the classes in.  (Where a
@@ -617,15 +631,17 @@ class KNeighborsClassifier:
         best = np.where(l1 == l2, l1, l0)
         distinct = np.flatnonzero((l1 != l2) & (l0 != l1) & (l0 != l2))
         if distinct.size:
-            lab, dist = labels[distinct], distances[distinct]
-            near, near_d = lab[:, 0], dist[:, 0]
-            for j in (1, 2):
-                take = (dist[:, j] < near_d) | ((dist[:, j] == near_d) & (lab[:, j] < near))
-                near = np.where(take, lab[:, j], near)
-                near_d = np.where(take, dist[:, j], near_d)
-            best[distinct] = near
-            redo = distinct[np.isnan(dist).any(axis=1)]
-            if redo.size:
+            # Complex numbers order by real part, then imaginary part, so
+            # the least (distance + i·label) is the least (distance, class
+            # code); both parts are exact.  A NaN distance makes its key
+            # NaN, which ``min`` propagates, so NaN rows show in ``least``.
+            keyed = labels[distinct] * 1j
+            keyed += distances[distinct]
+            least = keyed.min(axis=1)
+            best[distinct] = least.imag
+            nan = np.isnan(least.real)
+            if nan.any():
+                redo = distinct[nan]
                 best[redo] = self._vote_counting(indices[redo], distances[redo])
         return best
 

@@ -254,3 +254,38 @@ def test_empty_batch_is_an_empty_result(models):
             results[0]
         traced, stage_seconds = batch.classify_batch_traced([])
         assert traced == [] and stage_seconds == (0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def reference_project_rows(clf, features):
+    """``project_rows`` as one ``(terms, q, m)`` stack summed by ``np.add.accumulate``."""
+    m = features.shape[0]
+    if clf.compute_dtype != "float64":
+        weights = clf.fused_weights_
+        terms = np.empty((weights.shape[0] + 1, weights.shape[1], m), dtype=clf._dtype)
+        terms[0] = clf.fused_bias_[:, None]
+        np.multiply(weights[:, :, None], features.T[:, None, :], out=terms[1:])
+    else:
+        centered = np.subtract(features.T, clf.pca.mean_[:, None], order="C")
+        terms = clf.pca.components_.T[:, :, None] * centered[:, None, :]
+    np.add.accumulate(terms, axis=0, out=terms)
+    return terms[-1].T.copy()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@given(
+    rows=st.sampled_from([1, 2, 31, pipeline._PROJECT_STACK_MAX_ROWS, pipeline._PROJECT_STACK_MAX_ROWS + 1, 700]),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+@settings(max_examples=30, deadline=None)
+def test_project_rows_equals_the_term_stack(models, raw_pool, dtype, rows, seed, scale):
+    """Both projection forms (stack and per-feature loop) ≡ the accumulate reference, to the bit."""
+    clf = models[dtype]
+    rng = np.random.default_rng(seed)
+    raw = raw_pool[clf._metric_idx][:, rng.integers(0, raw_pool.shape[1], rows)].T * scale
+    features = clf.normalize_rows(np.ascontiguousarray(raw, dtype=dtype))
+    before = features.copy()
+    got = clf.project_rows(features)
+    assert got.flags.c_contiguous
+    assert_same_bits(got, reference_project_rows(clf, features))
+    assert_same_bits(features, before)

@@ -1,5 +1,7 @@
 """Property-based tests for the k-NN classifier (hypothesis)."""
 
+import pickle
+
 import pytest
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.knn import KNeighborsClassifier, rowwise_sq_distances
+from repro.core.knn import KNeighborsClassifier, _sq_distances, rowwise_sq_distances
 
 
 def pools(min_n=5, max_n=40, dims=2, n_classes=3):
@@ -208,3 +210,62 @@ def test_vote_equals_the_counting_vote(case):
     want = knn._vote_counting(indices, distances)
     assert got.dtype == want.dtype == np.dtype(np.int64)
     assert np.array_equal(got, want)
+
+
+@given(case=vote_cases(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_three_distinct_vote_equals_the_counting_vote(case, data):
+    """Rows whose three labels all differ: least (distance, class code), ties and NaN included."""
+    _, _, distances = case
+    n_classes = data.draw(st.integers(3, 6))
+    labels = np.arange(n_classes)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    indices = np.stack([rng.permutation(n_classes)[:3] for _ in range(len(distances))])
+    knn = KNeighborsClassifier(k=3).fit(np.zeros((n_classes, 2)), labels)
+    assert np.array_equal(knn.vote(indices, distances), knn._vote_counting(indices, distances))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_model_pickled_without_the_cached_max_loads_and_classifies(dtype):
+    """A pickle from before the pool's max ‖b‖² was cached still loads and gives the same answers."""
+    rng = np.random.default_rng(3)
+    pool = rng.normal(size=(60, 2)).astype(dtype)
+    knn = KNeighborsClassifier(k=3).fit(pool, rng.integers(0, 4, 60))
+    queries = rng.normal(size=(80, 2)).astype(dtype)
+    state = knn.__getstate__()
+    del state["_sq_norm_max"]
+    old = KNeighborsClassifier.__new__(KNeighborsClassifier)
+    old.__setstate__(state)
+    assert old._sq_norm_max == knn._sq_norm_max
+    loaded = pickle.loads(pickle.dumps(old))
+    for model in (old, loaded):
+        got_idx, got_dist = model.kneighbors_rows(queries)
+        want_idx, want_dist = knn.kneighbors_rows(queries)
+        assert np.array_equal(got_idx, want_idx)
+        assert np.array_equal(got_dist.view(np.uint8), want_dist.view(np.uint8))
+        assert np.array_equal(model.predict_rows(queries), knn.predict_rows(queries))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sq_distances_equals_the_clamped_expansion(dtype, data):
+    """The distance kernel ≡ its column-by-column expansion clamped at 0, NaN, inf and exact hits included."""
+    rows, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(rows, 2)).astype(dtype)
+    b = np.concatenate([a[: min(rows, n)], rng.normal(size=(max(0, n - rows), 2)).astype(dtype)])
+    bb = np.einsum("ij,ij->i", b, b)
+    special = data.draw(st.lists(st.sampled_from([np.nan, -0.0, np.inf]), max_size=3))
+    for value in special:
+        a[rng.integers(rows), rng.integers(2)] = value
+    a[rng.integers(rows)] = b[rng.integers(n)]  # an exact hit: cancellation below zero
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = _sq_distances(a, np.ascontiguousarray(b.T), bb)
+        scaled = a * -2.0
+        want = np.einsum("i,j->ij", scaled[:, 0], b[:, 0])
+        want += np.einsum("i,j->ij", scaled[:, 1], b[:, 1])
+        want += np.einsum("ij,ij->i", a, a)[:, None]
+        want += bb
+        np.maximum(want, 0.0, out=want)
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
