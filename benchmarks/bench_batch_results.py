@@ -15,8 +15,10 @@ Before any timing, in both dtypes and under a counting fake clock (so
 both arms see the same stage seconds), every run's result must match
 the reference field for field: ``class_vector`` and ``scores`` to the
 bit, composition, class, category, node, sample count and apportioned
-timings.  The arms are timed in interleaved rounds with a best-of-N
-estimator, so a slow period of the host moves them together.  Two
+timings.  The arms are timed in interleaved rounds, every other round
+in reverse order, and each gated ratio is the median over rounds of
+each round's ratio, so a slow period of the host moves both sides of a
+ratio together.  Two
 ratios are gated, the same in smoke and full mode: the call itself,
 with no run's result built (≥ 1.25×), and the call plus a read of
 every run's ``composition`` and ``timings``, against the reference
@@ -48,7 +50,7 @@ from repro.experiments.fleet import profile_fleet
 from repro.obs import get_registry as obs_get_registry
 from repro.serve.batch import BatchClassifier
 
-from conftest import best_of_pairs, emit
+from conftest import emit, interleaved_rounds
 
 #: The fleet_batch fleet: 64 short monitoring windows, 508 snapshots.
 FLEET_RUNS, FLEET_SEED = 64, 100
@@ -186,7 +188,7 @@ def read_every_run(results):
 def test_batch_results_speedup(classifier, fleet, out_dir, smoke):
     batch = BatchClassifier(classifier)
     repeats, calls = (SMOKE_REPEATS, SMOKE_CALLS) if smoke else (FULL_REPEATS, FULL_CALLS)
-    call_s, read_all_s, reference_s, reference_read_all_s = best_of_pairs(
+    times = interleaved_rounds(
         [
             lambda: batch.classify_batch(fleet),
             lambda: read_every_run(batch.classify_batch(fleet)),
@@ -196,8 +198,9 @@ def test_batch_results_speedup(classifier, fleet, out_dir, smoke):
         repeats,
         calls,
     )
-    speedup = reference_s / call_s
-    read_all = reference_read_all_s / read_all_s
+    call_s, read_all_s, reference_s, reference_read_all_s = times.min(axis=0)
+    speedup = float(np.median(times[:, 2] / times[:, 0]))
+    read_all = float(np.median(times[:, 3] / times[:, 1]))
     rows = sum(len(series) for series in fleet)
 
     payload = {

@@ -59,7 +59,7 @@ from repro.ingest import IngestPlane, MulticastChannel, synthetic_fleet
 from repro.ingest.plane import _DROPPED, _LATE, _RECEIVED
 from repro.metrics.catalog import NUM_METRICS
 
-from conftest import best_of_pairs, emit
+from conftest import best_of_pairs, emit, interleaved_rounds
 
 #: Full-mode fleet: the acceptance criterion's 64-node synthetic fleet.
 FULL_NODES = 64
@@ -342,9 +342,7 @@ def test_push_speedup(out_dir, smoke):
     # round runs them in reverse so neither side always goes first; the
     # gated figure is the median over rounds of each round's ratio, so a
     # slow spell of a shared host moves both sides of a ratio together.
-    rounds = np.array(
-        [best_of_pairs(arms, 1) if r % 2 == 0 else best_of_pairs(arms[::-1], 1)[::-1] for r in range(repeats)]
-    )
+    rounds = interleaved_rounds(arms, repeats)
     payload = {"mode": "smoke" if smoke else "full", "repeats": repeats, "floor": MIN_PUSH_SPEEDUP}
     for k, (name, (items, _)) in enumerate(streams.items()):
         push_s, reference_s = rounds[:, 2 * k], rounds[:, 2 * k + 1]

@@ -14,9 +14,10 @@ query rows: pool rows at seeded random positions, a quarter of them
 exact pool hits and the rest jittered by 1% of the pool's spread.
 
 Before any timing, the two arms must be bit-identical in neighbor
-indices and distance bits.  The arms are timed in interleaved pairs
-with a best-of-N estimator, so a slow period of the host moves both
-arms together.  The gate is a ratio of two arms on the same machine,
+indices and distance bits.  The arms are timed in interleaved rounds,
+every other round in reverse order, and the gated ratio is the median
+over rounds of each round's ratio, so a slow period of the host moves
+both sides of a ratio together.  The gate is a ratio of two arms on the same machine,
 so it does not depend on the hardware; it applies to float64, where
 the fresh 2048-row chunks are two 5.4 MB buffers that miss L2 and are
 page-faulted in on every call.  Float32 is checked for bit-identity
@@ -31,7 +32,7 @@ import pytest
 
 from repro.core.knn import _sq_distances
 
-from conftest import best_of_pairs, emit, knn_queries
+from conftest import emit, interleaved_rounds, knn_queries
 
 #: Query rows per call.
 QUERY_ROWS = 4096
@@ -71,10 +72,11 @@ def test_knn_block_speedup(dtype, classifier, classifier_f32, out_dir, smoke):
     )
 
     repeats, calls = (SMOKE_REPEATS, SMOKE_CALLS) if smoke else (FULL_REPEATS, FULL_CALLS)
-    blocked, reference = best_of_pairs(
+    times = interleaved_rounds(
         [lambda: knn._kneighbors_brute(x), lambda: _fresh_chunks_kneighbors(knn, x)], repeats, calls
     )
-    speedup = reference / blocked
+    blocked, reference = times.min(axis=0)
+    speedup = float(np.median(times[:, 1] / times[:, 0]))
 
     payload = {
         "dtype": dtype,

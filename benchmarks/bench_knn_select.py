@@ -14,8 +14,10 @@ snapshots) and the rest jittered by 1% of the pool's spread.
 Before any timing, the brute-force search must be bit-identical to a full
 stable ``argsort`` of each distance row — the (squared distance, pool
 index) tie rule — in indices and, after ``sqrt``, in distances.  The
-arms are timed in interleaved pairs with a best-of-N estimator, so a
-slow period of the host moves both arms together.  The gate is a ratio
+arms are timed in interleaved rounds, every other round in reverse
+order, and the gated ratio is the median over rounds of each round's
+ratio, so a slow period of the host moves both sides of a ratio
+together.  The gate is a ratio
 of two arms on the same machine, so it does not depend on the hardware;
 the same 1.5× floor holds in smoke and full mode and for both compute
 dtypes.  Each dtype's result is written to
@@ -29,7 +31,7 @@ import pytest
 
 from repro.core.knn import _sq_distances
 
-from conftest import best_of_pairs, emit, knn_queries
+from conftest import emit, interleaved_rounds, knn_queries
 
 #: Query rows per call.
 QUERY_ROWS = 256
@@ -69,7 +71,7 @@ def test_knn_select_speedup(dtype, classifier, classifier_f32, out_dir, smoke):
     ref_idx, _ = _partial_sort_kneighbors(x, cols, knn.training_sq_norms, k)
 
     repeats, calls = (SMOKE_REPEATS, SMOKE_CALLS) if smoke else (FULL_REPEATS, FULL_CALLS)
-    masked, reference = best_of_pairs(
+    times = interleaved_rounds(
         [
             lambda: knn._kneighbors_brute(x),
             lambda: _partial_sort_kneighbors(x, cols, knn.training_sq_norms, k),
@@ -77,7 +79,8 @@ def test_knn_select_speedup(dtype, classifier, classifier_f32, out_dir, smoke):
         repeats,
         calls,
     )
-    speedup = reference / masked
+    masked, reference = times.min(axis=0)
+    speedup = float(np.median(times[:, 1] / times[:, 0]))
 
     payload = {
         "dtype": dtype,

@@ -15,9 +15,10 @@ where the tree prunes less.
 
 Before any timing, each set's two arms must be bit-identical in
 neighbor indices and distance bits, and the rows the tree route sent
-to the fallback are counted.  The arms are timed in interleaved pairs
-with a best-of-N estimator, so a slow period of the host moves both
-arms together.  The gate is a ratio of two arms on the same machine,
+to the fallback are counted.  The arms are timed in interleaved
+rounds, every other round in reverse order, and each ratio is the
+median over rounds of each round's ratio, so a slow period of the host
+moves both sides of a ratio together.  The gate is a ratio of two arms on the same machine,
 so it does not depend on the hardware; it applies to the
 in-distribution set, the same in smoke and full mode.  The
 out-of-distribution ratio is recorded, not gated.  Full mode also
@@ -32,7 +33,7 @@ import numpy as np
 
 from repro.core.knn import TREE_MIN_ROWS, TREE_SURPLUS
 
-from conftest import best_of_pairs, emit, knn_queries
+from conftest import emit, interleaved_rounds, knn_queries
 
 #: Query rows per call.
 QUERY_ROWS = 4096
@@ -75,11 +76,11 @@ def fallback_rows(knn, x) -> int:
     return sum(sent)
 
 
-def speedup(knn, x, repeats: int, calls: int) -> tuple[float, float]:
-    """Best seconds per call of the tree route and of brute force on *x*."""
-    return tuple(
-        best_of_pairs([lambda: knn.kneighbors_rows(x), lambda: knn._kneighbors_brute(x)], repeats, calls)
-    )
+def speedup(knn, x, repeats: int, calls: int) -> tuple[float, float, float]:
+    """Best seconds per call of the tree route and of brute force on *x*, and the median round's ratio."""
+    times = interleaved_rounds([lambda: knn.kneighbors_rows(x), lambda: knn._kneighbors_brute(x)], repeats, calls)
+    tree, brute = times.min(axis=0)
+    return tree, brute, float(np.median(times[:, 1] / times[:, 0]))
 
 
 def test_knn_tree_speedup(classifier, out_dir, smoke):
@@ -92,8 +93,8 @@ def test_knn_tree_speedup(classifier, out_dir, smoke):
 
     repeats, calls = (SMOKE_REPEATS, SMOKE_CALLS) if smoke else (FULL_REPEATS, FULL_CALLS)
     timed = {name: speedup(knn, x, repeats, calls) for name, x in queries.items()}
-    tree, brute = timed["in"]
-    ood_tree, ood_brute = timed["ood"]
+    tree, brute, ratio = timed["in"]
+    ood_tree, ood_brute, ood_ratio = timed["ood"]
 
     payload = {
         "dtype": "float64",
@@ -105,11 +106,11 @@ def test_knn_tree_speedup(classifier, out_dir, smoke):
         "tree_min_rows": TREE_MIN_ROWS,
         "tree_ns_per_row": tree * 1e9 / QUERY_ROWS,
         "brute_ns_per_row": brute * 1e9 / QUERY_ROWS,
-        "speedup": brute / tree,
+        "speedup": ratio,
         "fallback_rows": fallbacks["in"],
         "ood_tree_ns_per_row": ood_tree * 1e9 / QUERY_ROWS,
         "ood_brute_ns_per_row": ood_brute * 1e9 / QUERY_ROWS,
-        "ood_speedup": ood_brute / ood_tree,
+        "ood_speedup": ood_ratio,
         "ood_fallback_rows": fallbacks["ood"],
         "floor": MIN_SPEEDUP,
     }
@@ -119,16 +120,16 @@ def test_knn_tree_speedup(classifier, out_dir, smoke):
         sweep = {}
         for rows in SWEEP_ROWS:
             x = queries["in"][:rows]
-            pair = best_of_pairs(
+            times = interleaved_rounds(
                 [lambda: knn._kneighbors_tree(x), lambda: knn._kneighbors_brute(x)],
                 FULL_REPEATS,
                 max(1, QUERY_ROWS // rows // 4),
             )
-            sweep[str(rows)] = pair[1] / pair[0]
+            sweep[str(rows)] = float(np.median(times[:, 1] / times[:, 0]))
         payload["speedup_by_rows"] = sweep
     emit(out_dir, "BENCH_knn_tree_float64.json", json.dumps(payload, indent=2, sort_keys=True))
 
-    assert brute / tree >= MIN_SPEEDUP, (
-        f"float64 tree route {brute / tree:.2f}x brute force, below the {MIN_SPEEDUP:.1f}x floor "
+    assert ratio >= MIN_SPEEDUP, (
+        f"float64 tree route {ratio:.2f}x brute force, below the {MIN_SPEEDUP:.1f}x floor "
         f"({tree * 1e9 / QUERY_ROWS:.0f} vs {brute * 1e9 / QUERY_ROWS:.0f} ns/row)"
     )

@@ -12,8 +12,10 @@ dtype's fitted classifier through ``normalize_rows``, ``project_rows``
 and ``kneighbors_rows``.
 
 Before any timing, the two arms must return identical class codes.
-The arms are timed in interleaved pairs with a best-of-N estimator, so
-a slow period of the host moves both arms together.  The gate is a
+The arms are timed in interleaved rounds, every other round in reverse
+order, and the gated ratio is the median over rounds of each round's
+ratio, so a slow period of the host moves both sides of a ratio
+together.  The gate is a
 ratio of two arms on the same machine, so it does not depend on the
 hardware; it is the same in smoke and full mode and applies to both
 dtypes.  Each dtype's result is written to
@@ -27,7 +29,7 @@ import pytest
 
 from repro.experiments.fleet import profile_fleet
 
-from conftest import best_of_pairs, emit
+from conftest import emit, interleaved_rounds
 
 #: The long-window serve fleet (``bench_serve_throughput.py``'s float32 fleet, smoke mode).
 FLEET_RUNS = 32
@@ -63,13 +65,14 @@ def test_knn_vote_speedup(dtype, classifier, classifier_f32, fleet_rows, out_dir
     assert np.array_equal(closed, counted), "the closed-form vote changed a class code"
 
     repeats, calls = (SMOKE_REPEATS, SMOKE_CALLS) if smoke else (FULL_REPEATS, FULL_CALLS)
-    closed_s, counted_s = best_of_pairs(
+    times = interleaved_rounds(
         [lambda: knn.vote(indices, distances), lambda: knn._vote_counting(indices, distances)],
         repeats,
         calls,
     )
+    closed_s, counted_s = times.min(axis=0)
     rows = len(indices)
-    speedup = counted_s / closed_s
+    speedup = float(np.median(times[:, 1] / times[:, 0]))
 
     payload = {
         "dtype": dtype,

@@ -120,3 +120,22 @@ def best_of_pairs(arms, repeats: int, calls: int = 1) -> list[float]:
         for i, arm in enumerate(arms):
             best[i] = min(best[i], per_call_seconds(arm, calls))
     return best
+
+
+def interleaved_rounds(arms, rounds: int, calls: int = 1) -> np.ndarray:
+    """Per-call seconds of each arm in each of *rounds* interleaved rounds, shape ``(rounds, arms)``.
+
+    Each round times every arm once (:func:`per_call_seconds` over
+    *calls* calls), back to back, and every other round runs the arms
+    in reverse order, so neither arm always goes first.  Gate a ratio
+    on the median over rounds of each round's ratio
+    (``np.median(t[:, 1] / t[:, 0])``): a slow spell of a shared host
+    moves both sides of a round's ratio together, whereas each arm's
+    minimum can come from a different fast spell.
+    """
+    times = np.empty((rounds, len(arms)))
+    for r in range(rounds):
+        order = range(len(arms)) if r % 2 == 0 else reversed(range(len(arms)))
+        for i in order:
+            times[r, i] = per_call_seconds(arms[i], calls)
+    return times

@@ -30,7 +30,9 @@ whole search for float32 models and for calls under
 takes the tree route: a ``scipy.spatial.cKDTree`` built at fit time proposes
 ``k +`` :data:`TREE_SURPLUS` candidates per row, and the kernel above
 decides — it recomputes the candidates' squared distances in its own
-element order, ranks them under the tie rule below, and keeps a row only
+element order (gathering each candidate's pool coordinates and squared
+norm in one ``take``, candidate-major, so every step runs along the
+rows), ranks them under the tie rule below, and keeps a row only
 if its k-th distance plus a rounding margin is below its farthest
 candidate's.  Every point the tree did not propose is then provably
 farther than the k-th neighbor, so the neighbors and distance bits are
@@ -68,7 +70,7 @@ import threading
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .preprocessing import _check_matrix
+from .preprocessing import _check_finite, _check_matrix
 
 #: Upper bound on query rows per distance block; the pool-sized bound
 #: of :data:`BLOCK_BYTES` is usually the smaller one.
@@ -183,27 +185,35 @@ def _sq_distances(
 
 
 def _candidate_sq_distances(
-    a: np.ndarray, b_cols: np.ndarray, bb: np.ndarray, cand: np.ndarray
+    a: np.ndarray, table: np.ndarray, cand: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_sq_distances` at chosen pool points only, bit for bit.
 
     dtype: preserve
 
-    *a* is ``(m, q)``, *b_cols* and *bb* the pool's columns and squared
-    norms as for :func:`_sq_distances`, *cand* an ``(m, c)`` array of
-    pool indices.  Returns the clamped ``(m, c)`` squared distances of
-    each row to its candidates, and the rows' ``(m,)`` squared norms.
-    Entry ``[i, t]`` is computed with the same roundings in the same
-    order as ``_sq_distances(a, b_cols, bb)[i, cand[i, t]]``:
+    *a* is ``(m, q)``, *table* the pool's ``(q + 1, n)`` feature columns
+    with its squared norms as the last row, *cand* an ``(m, c)`` array
+    of pool indices.  Returns the clamped squared distances of each row
+    to its candidates, candidate-major as ``(c, m)``, and the rows'
+    ``(m,)`` squared norms.  Entry ``[t, i]`` is computed with the same
+    roundings in the same order as
+    ``_sq_distances(a, table[:-1], table[-1])[i, cand[i, t]]``:
     ``(−2a₀)·b₀ + (−2a₁)·b₁ + … + ‖a‖² + ‖b‖²``, then clamped at 0.
+    One ``take`` gathers every candidate's table column, and the
+    candidate-major layout lets each step run along the *m* rows
+    rather than along a row's few candidates.
     """
-    scaled = a * -2.0
-    d2 = scaled[:, :1] * b_cols[0][cand]
+    gathered = table.take(cand.T, axis=1)  # (q + 1, c, m)
+    scaled = a.T * -2.0  # (q, m)
+    d2 = gathered[0]
+    d2 *= scaled[0]
     for j in range(1, a.shape[1]):
-        d2 += scaled[:, j : j + 1] * b_cols[j][cand]
+        term = gathered[j]
+        term *= scaled[j]
+        d2 += term
     aa = np.einsum("ij,ij->i", a, a)
-    d2 += aa[:, None]
-    d2 += bb[cand]
+    d2 += aa
+    d2 += gathered[-1]
     np.maximum(d2, 0.0, out=d2)
     return d2, aa
 
@@ -243,10 +253,10 @@ class KNeighborsClassifier:
         self._classes: np.ndarray | None = None
         self._sq_norms: np.ndarray | None = None
         self._cols: np.ndarray | None = None
-        # max ‖b‖² of the pool, the tree route's margin term.
-        self._sq_norm_max: np.floating | None = None
-        # Candidate index of a float64 pool (see _kneighbors_tree).
+        # Candidate index of a float64 pool and its gather table (see
+        # _build_tree and _kneighbors_tree).
         self._tree: cKDTree | None = None
+        self._tree_table: np.ndarray | None = None
         # Per-thread distance workspace (see _workspace).
         self._local = threading.local()
 
@@ -255,19 +265,14 @@ class KNeighborsClassifier:
         state = self.__dict__.copy()
         del state["_local"]
         state.pop("_tree", None)
+        state.pop("_tree_table", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
-        """Restore a pickled model with an empty workspace, a rebuilt tree and pool maximum.
-
-        The maximum is recomputed rather than read, so models pickled
-        before it was cached load unchanged.
-        """
+        """Restore a pickled model with an empty workspace and a rebuilt tree."""
         self.__dict__.update(state)
         self._local = threading.local()
-        norms = self._sq_norms
-        self._sq_norm_max = None if norms is None else norms.max()
-        self._tree = self._build_tree()
+        self._build_tree()
 
     # ------------------------------------------------------------------
     # training
@@ -301,23 +306,27 @@ class KNeighborsClassifier:
         self._y = y.copy()
         self._classes = np.unique(y)
         self._sq_norms = np.einsum("ij,ij->i", self._x, self._x)
-        self._sq_norm_max = self._sq_norms.max()
         self._cols = np.ascontiguousarray(self._x.T)
-        self._tree = self._build_tree()
+        self._build_tree()
         return self
 
-    def _build_tree(self) -> cKDTree | None:
-        """The fitted pool's candidate tree, or ``None`` where it has no route.
+    def _build_tree(self) -> None:
+        """Set the fitted pool's candidate tree and gather table, or ``None`` where it has no route.
 
         Only a float64 pool of at least ``k +`` :data:`TREE_SURPLUS`
         points gets one; float32 and smaller pools always search by
-        brute force.
+        brute force.  The table stacks the pool's feature columns and
+        squared norms as ``(q + 1, n)`` rows, which
+        :func:`_candidate_sq_distances` gathers in one ``take``.  Both
+        are derived from the pool, so neither is pickled.
         """
+        self._tree = self._tree_table = None
         if self._x is None or self._x.dtype != np.float64:
-            return None
+            return
         if self._x.shape[0] < self.k + TREE_SURPLUS:
-            return None
-        return cKDTree(self._x)
+            return
+        self._tree = cKDTree(self._x)
+        self._tree_table = np.vstack([self._cols, self._sq_norms])
 
     @property
     def fitted(self) -> bool:
@@ -482,11 +491,12 @@ class KNeighborsClassifier:
         """
         if self._x is None:
             raise RuntimeError("classifier not fitted")
-        x = _check_matrix(x, dtype=self._x.dtype)
+        x = _check_matrix(x, dtype=self._x.dtype, finite=False)
         if x.shape[1] != self._x.shape[1]:
             raise ValueError(f"dimension mismatch: {x.shape[1]} vs {self._x.shape[1]}")
         if self._tree is not None and x.shape[0] >= TREE_MIN_ROWS:
             return self._kneighbors_tree(x)
+        _check_finite(x)
         return self._kneighbors_brute(x)
 
     def _kneighbors_brute(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -517,7 +527,10 @@ class KNeighborsClassifier:
 
         dtype: float64
 
-        *x* is a checked float64 ``(m, q)`` query matrix.  The pool's
+        *x* is a float64 ``(m, q)`` query matrix, checked but for
+        finiteness: ``cKDTree.query`` rejects a NaN or infinity with a
+        ``ValueError``, which becomes :class:`NonFiniteInputError` here,
+        so the rows are scanned for finiteness once.  The pool's
         ``cKDTree`` proposes the ``k +`` :data:`TREE_SURPLUS` nearest
         candidates of each row, and :func:`_candidate_sq_distances`
         recomputes their squared distances in :func:`_sq_distances`'
@@ -549,22 +562,30 @@ class KNeighborsClassifier:
         whose per-row results do not depend on the batch.
         """
         k = self.k
-        _, cand = self._tree.query(x, k=k + TREE_SURPLUS)
-        d2, aa = _candidate_sq_distances(x, self._cols, self._sq_norms, cand)
+        try:
+            _, cand = self._tree.query(x, k=k + TREE_SURPLUS)
+        except ValueError:
+            _check_finite(x)
+            raise
+        d2, aa = _candidate_sq_distances(x, self._tree_table, cand)
         # Complex numbers sort by real part, then imaginary part, so one
         # sort of (squared distance + i·pool index) orders the candidates
         # by (squared distance, pool index): the order the k masked
         # argmin passes pick in.  Both parts are exact (pool indices are
         # far below 2⁵³).
         keyed = np.empty(cand.shape, dtype=np.complex128)
-        keyed.real = d2
+        keyed.real = d2.T
         keyed.imag = cand
         keyed.sort(axis=1)
         indices = keyed.imag[:, :k].astype(np.int64)
         distances = keyed.real[:, :k].copy()
-        margin = (_MARGIN_ULPS * _F64.eps) * (aa + self._sq_norm_max) + _F64.tiny
-        # Written so that a NaN or +inf (overflowed) row fails the test.
-        verified = distances[:, -1] + margin < keyed.real[:, -1]
+        # k-th distance + margin, built in place; written so that a NaN
+        # or +inf (overflowed) row fails the test.
+        bound = aa + self._sq_norms.max()
+        bound *= _MARGIN_ULPS * _F64.eps
+        bound += _F64.tiny
+        bound += distances[:, -1]
+        verified = bound < keyed.real[:, -1]
         np.sqrt(distances, out=distances)
         if not verified.all():
             redo = np.flatnonzero(~verified)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -115,9 +114,14 @@ _CONCAT_MAX_MEAN_RUN = 96
 #: Most rows :meth:`ApplicationClassifier.project_rows` sums as one
 #: ``(p, q, m)`` term stack; larger calls add the terms feature by
 #: feature into a ``(q, m)`` buffer.  The stack's single multiply wins
-#: on small calls (4.6 against 15 us at 1 row), the per-feature loop on
-#: large ones (26 against 61 us at 508 rows, 80 against 412 at 4096).
-_PROJECT_STACK_MAX_ROWS = 128
+#: on small calls, the per-feature loop's fixed ~15 us on large ones.
+#: Stack/loop time per call, median of 15 alternating rounds on a
+#: 2-core Xeon VM, float64 (float32): 0.41 (0.40) at 16 rows, 0.63
+#: (0.61) at 64, 0.93 (0.87) at 128, 1.00 (0.94) at 144, 1.06 (1.01) at
+#: 160, 1.21 (1.14) at 192, 1.90 (2.09) at 512.  The batching service's
+#: calls (``batch_size=16`` runs of a 64-run fleet) hold 44-52 and
+#: 124-130 rows, so they stay on the stack.
+_PROJECT_STACK_MAX_ROWS = 160
 
 
 def _gather_rows(
@@ -143,6 +147,32 @@ def _gather_rows(
     return raw
 
 
+def _stack_runs(
+    series_list: Sequence[SnapshotSeries],
+) -> tuple[list[str], list[np.ndarray], list[int]]:
+    """The nodes, metric matrices and row offsets of *series_list*, in one pass.
+
+    Run *i* will fill rows ``offsets[i]:offsets[i + 1]`` of the stack.
+
+    Raises
+    ------
+    EmptySeriesError
+        If any series is empty; nothing is classified then.
+    """
+    nodes, matrices, offsets = [], [], [0]
+    end = 0
+    for series in series_list:
+        matrix = series.matrix
+        length = matrix.shape[1]
+        if not length:
+            raise EmptySeriesError("cannot classify an empty series")
+        end += length
+        nodes.append(series.node)
+        matrices.append(matrix)
+        offsets.append(end)
+    return nodes, matrices, offsets
+
+
 def _pack_compositions(
     offsets: Sequence[int], class_vector: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -159,12 +189,14 @@ def _pack_compositions(
     whole fleet.  A category code indexes :data:`_CATEGORIES`.
     """
     n_classes = len(ALL_CLASSES)
-    lengths = np.diff(offsets)
-    run_ids = np.repeat(np.arange(lengths.shape[0]), lengths)
-    counts = np.bincount(
-        run_ids * n_classes + class_vector, minlength=lengths.shape[0] * n_classes
-    ).reshape(lengths.shape[0], n_classes)
-    fractions = counts / lengths.astype(np.float64)[:, None]
+    bounds = np.asarray(offsets)
+    lengths = bounds[1:] - bounds[:-1]
+    runs = lengths.shape[0]
+    # Row r of run i counts under key i·n_classes + its class code.
+    keys = np.repeat(np.arange(0, runs * n_classes, n_classes), lengths)
+    keys += class_vector
+    counts = np.bincount(keys, minlength=runs * n_classes).reshape(runs, n_classes)
+    fractions = counts / lengths[:, None]
     class_codes = np.argmax(fractions, axis=1)
     idle = fractions[:, SnapshotClass.IDLE]
     mixed = (idle >= IDLE_MIX_LOW) & (idle < IDLE_MIX_HIGH)
@@ -481,7 +513,7 @@ class ApplicationClassifier:
         # the clock reads are the kernel's six either way.
         registry = obs_get_registry()
         with registry.span("pipeline.classify", clock=self.clock):
-            results, start = self._classify_stacked([series])
+            results, start = self._classify_stacked([series.node], [series.matrix], [0, len(series)])
             stage_seconds = results.stage_seconds
             # Under a request trace (an enclosing span carrying a
             # nonzero trace id) the stages also become child spans,
@@ -500,9 +532,13 @@ class ApplicationClassifier:
             registry.get(_RUNS).inc()
         return results[0]
 
-    def _classify_stacked(self, series_list: Sequence[SnapshotSeries]) -> tuple[BatchResult, float]:
+    def _classify_stacked(
+        self, nodes: Sequence[str], matrices: Sequence[np.ndarray], offsets: Sequence[int]
+    ) -> tuple[BatchResult, float]:
         """The staged classify kernel, once over many series' stacked rows.
 
+        Takes the series as :func:`_stack_runs` lays them out: their
+        nodes, their ``(n, m_i)`` metric matrices and the row offsets.
         Gathers every series' selected metric rows into one ``(rows, p)``
         buffer at the compute dtype, runs the :meth:`classify_rows`
         steps over the stack, and packages the compositions of all runs
@@ -514,15 +550,12 @@ class ApplicationClassifier:
         apportioned by its share of the stacked snapshots, so summed
         per-run timings reproduce the totals (§5.3 accounting).
 
-        The caller validates: the classifier is trained, *series_list*
-        is non-empty and no series is empty.
+        The caller validates: the classifier is trained, there is at
+        least one series and no series is empty.
         """
         clock = self.clock
 
         t = clock()
-        nodes = [s.node for s in series_list]
-        matrices = [s.matrix for s in series_list]
-        offsets = [0, *accumulate(m.shape[1] for m in matrices)]
         raw = _gather_rows(matrices, offsets, self._metric_idx, self._dtype)
         t_gather = clock()
 
@@ -609,14 +642,19 @@ class ApplicationClassifier:
         else:
             weights = self.pca.components_.T  # (p, q)
             rows = np.subtract(features.T, self.pca.mean_[:, None], order="C")  # (p, m)
+        # Products are written into compute-dtype buffers, so float64
+        # rows given to a float32 model round each product to float32,
+        # as the stack always did.
         if m <= _PROJECT_STACK_MAX_ROWS:
-            terms = weights[:, :, None] * rows[:, None, :]  # (p, q, m)
+            terms = np.empty((weights.shape[0], weights.shape[1], m), dtype=self._dtype)
+            np.multiply(weights[:, :, None], rows[:, None, :], out=terms)  # (p, q, m)
             if bias is not None:
                 terms[0] += bias
             np.add.accumulate(terms, axis=0, out=terms)
             return terms[-1].T.copy()
         rows = np.ascontiguousarray(rows)
-        acc = weights[0][:, None] * rows[0]  # (q, m)
+        acc = np.empty((weights.shape[1], m), dtype=self._dtype)
+        np.multiply(weights[0][:, None], rows[0], out=acc)  # (q, m)
         if bias is not None:
             acc += bias
         term = np.empty_like(acc)

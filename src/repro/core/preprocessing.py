@@ -175,7 +175,9 @@ class Preprocessor:
         return self.normalizer.transform(x)
 
 
-def _check_matrix(x: np.ndarray, dtype: np.dtype | None = np.float64) -> np.ndarray:
+def _check_matrix(
+    x: np.ndarray, dtype: np.dtype | None = np.float64, finite: bool = True
+) -> np.ndarray:
     """Coerce *x* to a finite 2-D float matrix.
 
     dtype: preserve
@@ -184,7 +186,9 @@ def _check_matrix(x: np.ndarray, dtype: np.dtype | None = np.float64) -> np.ndar
     pre-tolerance-mode caller bit-identical.  ``None`` preserves a
     float32/float64 input dtype (anything else is promoted to float64),
     which is how the dtype-preserving kernels (PCA, k-NN) follow the
-    dtype of whatever the Normalizer handed them.
+    dtype of whatever the Normalizer handed them.  ``finite=False``
+    leaves the :func:`_check_finite` test to a caller whose next step
+    checks finiteness itself.
     """
     if dtype is None:
         got = np.asarray(x).dtype
@@ -194,6 +198,17 @@ def _check_matrix(x: np.ndarray, dtype: np.dtype | None = np.float64) -> np.ndar
         raise ValueError(f"expected a 2-D samples×features matrix, got shape {x.shape}")
     if x.shape[0] == 0:
         raise ValueError("matrix has no samples")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInputError("matrix contains non-finite values")
+    if finite:
+        _check_finite(x)
     return x
+
+
+def _check_finite(x: np.ndarray) -> None:
+    """Raise :class:`NonFiniteInputError` if float array *x* holds a NaN or an infinity.
+
+    A sum is finite only if every term is, so one reduction clears the
+    usual input; a sum that is not finite (a non-finite entry, or finite
+    entries whose sum overflows) is settled by the elementwise test.
+    """
+    if not np.isfinite(x.sum()) and not np.isfinite(x).all():
+        raise NonFiniteInputError("matrix contains non-finite values")

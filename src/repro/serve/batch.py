@@ -34,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.pipeline import ApplicationClassifier, BatchResult, _pack_compositions
-from ..errors import EmptySeriesError, NotTrainedError
+from ..core.pipeline import ApplicationClassifier, BatchResult, _pack_compositions, _stack_runs
+from ..errors import NotTrainedError
 from ..metrics.series import SnapshotSeries
 from ..obs import InstrumentSpec, get_registry as obs_get_registry
 
@@ -119,17 +119,15 @@ class BatchClassifier:
         clf = self.classifier
         if not clf.trained:
             raise NotTrainedError("classifier not trained")
-        for series in series_list:
-            if len(series) == 0:
-                raise EmptySeriesError("cannot classify an empty series")
-        if not series_list:
+        nodes, matrices, offsets = _stack_runs(series_list)
+        if not nodes:
             class_vector = np.empty(0, dtype=np.int64)
             scores = np.empty((0, clf.pca.components_.shape[0]), dtype=clf.compute_dtype)
             packed = _pack_compositions([0], class_vector)
             return BatchResult((), [0], class_vector, scores, *packed, _NO_STAGES), _NO_STAGES
         registry = obs_get_registry()
         with registry.span("serve.batch.classify", clock=clf.clock):
-            results, _ = clf._classify_stacked(series_list)
+            results, _ = clf._classify_stacked(nodes, matrices, offsets)
         if registry.enabled:
             registry.get(_RUNS).inc(len(results))
             registry.get(_SNAPSHOTS).inc(len(results.class_vector))

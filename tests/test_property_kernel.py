@@ -276,16 +276,22 @@ def reference_project_rows(clf, features):
     rows=st.sampled_from([1, 2, 31, pipeline._PROJECT_STACK_MAX_ROWS, pipeline._PROJECT_STACK_MAX_ROWS + 1, 700]),
     seed=st.integers(0, 2**32 - 1),
     scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    wide=st.booleans(),
 )
-@settings(max_examples=30, deadline=None)
-def test_project_rows_equals_the_term_stack(models, raw_pool, dtype, rows, seed, scale):
-    """Both projection forms (stack and per-feature loop) ≡ the accumulate reference, to the bit."""
+@settings(max_examples=40, deadline=None)
+def test_project_rows_equals_the_term_stack(models, raw_pool, dtype, rows, seed, scale, wide):
+    """Both projection forms (stack and per-feature loop) ≡ the accumulate reference, to the bit.
+
+    *wide* hands float64 rows straight to the model: a float32 model
+    still returns float32 scores, each product rounded once to float32.
+    """
     clf = models[dtype]
     rng = np.random.default_rng(seed)
     raw = raw_pool[clf._metric_idx][:, rng.integers(0, raw_pool.shape[1], rows)].T * scale
-    features = clf.normalize_rows(np.ascontiguousarray(raw, dtype=dtype))
+    raw = np.ascontiguousarray(raw, dtype=np.float64 if wide else dtype)
+    features = raw if wide else clf.normalize_rows(raw)
     before = features.copy()
     got = clf.project_rows(features)
-    assert got.flags.c_contiguous
+    assert got.flags.c_contiguous and got.dtype == np.dtype(dtype)
     assert_same_bits(got, reference_project_rows(clf, features))
     assert_same_bits(features, before)

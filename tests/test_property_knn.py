@@ -1,7 +1,5 @@
 """Property-based tests for the k-NN classifier (hypothesis)."""
 
-import pickle
-
 import pytest
 
 import numpy as np
@@ -223,27 +221,6 @@ def test_three_distinct_vote_equals_the_counting_vote(case, data):
     indices = np.stack([rng.permutation(n_classes)[:3] for _ in range(len(distances))])
     knn = KNeighborsClassifier(k=3).fit(np.zeros((n_classes, 2)), labels)
     assert np.array_equal(knn.vote(indices, distances), knn._vote_counting(indices, distances))
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_model_pickled_without_the_cached_max_loads_and_classifies(dtype):
-    """A pickle from before the pool's max ‖b‖² was cached still loads and gives the same answers."""
-    rng = np.random.default_rng(3)
-    pool = rng.normal(size=(60, 2)).astype(dtype)
-    knn = KNeighborsClassifier(k=3).fit(pool, rng.integers(0, 4, 60))
-    queries = rng.normal(size=(80, 2)).astype(dtype)
-    state = knn.__getstate__()
-    del state["_sq_norm_max"]
-    old = KNeighborsClassifier.__new__(KNeighborsClassifier)
-    old.__setstate__(state)
-    assert old._sq_norm_max == knn._sq_norm_max
-    loaded = pickle.loads(pickle.dumps(old))
-    for model in (old, loaded):
-        got_idx, got_dist = model.kneighbors_rows(queries)
-        want_idx, want_dist = knn.kneighbors_rows(queries)
-        assert np.array_equal(got_idx, want_idx)
-        assert np.array_equal(got_dist.view(np.uint8), want_dist.view(np.uint8))
-        assert np.array_equal(model.predict_rows(queries), knn.predict_rows(queries))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
