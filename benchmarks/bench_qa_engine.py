@@ -16,6 +16,12 @@ rules landed, so an index rule quietly growing super-linear work fails
 the gate instead of eroding the cache's whole point.  (The numeric
 facts — like the concurrency facts — are extracted at parse time and
 ride the cache, so warm runs answer the numeric rules parse-free too.)
+
+``src/`` is clean, so its warm ≡ cold check compares two empty lists.
+:func:`test_qa_engine_warm_matches_cold_on_tests` repeats the check on
+``tests/``, whose deliberate rule fixtures yield hundreds of findings:
+every finding restored from the cache must equal the cold run's, down
+to its baseline fingerprint.
 """
 
 import time
@@ -27,20 +33,21 @@ from repro.qa import Analyzer, Baseline, ResultCache, all_rules, rules_signature
 from conftest import emit
 
 SRC = Path(__file__).parent.parent / "src" / "repro"
+TESTS = Path(__file__).parent.parent / "tests"
 
 #: Warm-run mean must stay within this fraction of the priming cold run.
 WARM_BUDGET_FRACTION = 0.20
 
 
-def _cold_run():
+def _cold_run(tree=SRC):
     analyzer = Analyzer(list(all_rules()), baseline=Baseline())
-    return analyzer.run([SRC])
+    return analyzer.run([tree])
 
 
-def _warm_run(cache_path):
+def _warm_run(cache_path, tree=SRC):
     cache = ResultCache(cache_path, rules_signature(list(all_rules())))
     analyzer = Analyzer(list(all_rules()), baseline=Baseline(), cache=cache)
-    return analyzer.run([SRC])
+    return analyzer.run([tree])
 
 
 def test_qa_engine_cold(benchmark, out_dir):
@@ -80,3 +87,17 @@ def test_qa_engine_warm_cache(benchmark, tmp_path, out_dir):
         f"mean {warm_s * 1e3:.1f} ms "
         f"({warm_s / cold_s:.1%} of the {cold_s * 1e3:.0f} ms cold prime)",
     )
+
+
+def test_qa_engine_warm_matches_cold_on_tests(tmp_path):
+    cold = _cold_run(TESTS)
+    assert len(cold.findings) > 100, "tests/ should carry its rule fixtures' findings"
+    cache_path = tmp_path / "qa-cache.json"
+    primed = _warm_run(cache_path, TESTS)
+    warm = _warm_run(cache_path, TESTS)
+    assert primed.parsed_files == primed.num_files
+    assert warm.parsed_files == 0, "warm cache run must not re-parse unchanged files"
+    assert warm.cached_files == warm.num_files == cold.num_files
+    for run in (primed, warm):
+        assert [f.to_dict() for f in run.findings] == [f.to_dict() for f in cold.findings]
+        assert [f.source_line for f in run.findings] == [f.source_line for f in cold.findings]

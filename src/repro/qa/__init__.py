@@ -20,7 +20,7 @@ from .findings import Finding, Severity
 from .fix import FixResult, fix_file, fix_source
 from .lockgraph import ConcurrencyIndex, LockOrderGraph
 from .numerics import ModuleNumerics, NumericsIndex, build_module_numerics
-from .registry import IndexRule, ProjectRule, Rule, all_rules, get_rule, register
+from .registry import IndexRule, Rule, all_rules, get_rule, register
 from .sarif import to_sarif
 from .source import SourceModule
 from .symbols import ModuleSymbols, build_module_symbols
@@ -39,7 +39,6 @@ __all__ = [
     "ModuleSymbols",
     "NumericsIndex",
     "ProjectIndex",
-    "ProjectRule",
     "Report",
     "ResultCache",
     "Rule",

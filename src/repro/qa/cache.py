@@ -1,8 +1,9 @@
 """Incremental result cache: skip re-parsing unchanged files.
 
 The cache maps each analyzed file to its per-file findings and its
-:class:`~repro.qa.symbols.ModuleSymbols` facts, keyed by
-``(mtime_ns, size)`` and a global *rules signature*.  On a warm run the
+:class:`~repro.qa.symbols.ModuleSymbols` facts (both encoded by
+:mod:`repro.qa.codec`), keyed by ``(mtime_ns, size)`` and a global
+*rules signature*.  On a warm run the
 engine restores both without touching the parser; only the (cheap)
 index rules, pragma filtering and baseline split are recomputed — that
 is what keeps ``repro-qa check src/ --strict`` sub-second on an
@@ -23,7 +24,8 @@ import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .findings import Finding, Severity
+from .codec import decode, encode
+from .findings import Finding
 from .symbols import ModuleSymbols
 
 #: Manual analysis-semantics revision; see module docstring.
@@ -35,7 +37,9 @@ from .symbols import ModuleSymbols
 #: scalar-loop, and dtype-policy records the numeric rules read.
 #: Revision 4: conditions record the lock they wrap and a condition
 #: wait records the lock it releases — older facts lack both.
-ENGINE_REVISION = 4
+#: Revision 5: facts and findings are stored in the positional layout of
+#: :mod:`repro.qa.codec` — older entries are keyed dicts.
+ENGINE_REVISION = 5
 
 #: Default cache file name, looked up in the working directory.
 DEFAULT_CACHE = ".repro-qa-cache.json"
@@ -48,30 +52,6 @@ def rules_signature(rules: Iterable[object]) -> str:
         parts.append(f"{getattr(rule, 'id', '?')}:{type(rule).__module__}.{type(rule).__qualname__}")
     digest = hashlib.sha256("\n".join(sorted(parts)).encode("utf-8")).hexdigest()
     return digest[:16]
-
-
-def _finding_to_dict(finding: Finding) -> dict[str, object]:
-    return {
-        "rule": finding.rule_id,
-        "severity": str(finding.severity),
-        "path": finding.path,
-        "line": finding.line,
-        "col": finding.col,
-        "message": finding.message,
-        "source_line": finding.source_line,
-    }
-
-
-def _finding_from_dict(data: dict) -> Finding:
-    return Finding(
-        rule_id=data["rule"],
-        severity=Severity(data["severity"]),
-        path=data["path"],
-        line=data["line"],
-        col=data["col"],
-        message=data["message"],
-        source_line=data["source_line"],
-    )
 
 
 class ResultCache:
@@ -118,8 +98,8 @@ class ResultCache:
         key = self._stat_key(path)
         if key is None or [key[0], key[1]] != entry.get("stat"):
             return None
-        facts = ModuleSymbols.from_dict(entry["facts"]) if entry.get("facts") else None
-        findings = [_finding_from_dict(f) for f in entry.get("findings", [])]
+        facts = decode(ModuleSymbols, entry["facts"]) if entry.get("facts") else None
+        findings = [decode(Finding, f) for f in entry.get("findings", [])]
         return facts, findings
 
     def store(
@@ -135,8 +115,8 @@ class ResultCache:
         self._files[str(path.resolve())] = {
             "relpath": relpath,
             "stat": [key[0], key[1]],
-            "facts": facts.to_dict() if facts is not None else None,
-            "findings": [_finding_to_dict(f) for f in findings],
+            "facts": encode(facts) if facts is not None else None,
+            "findings": [encode(f) for f in findings],
         }
         self._dirty = True
 

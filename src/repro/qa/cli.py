@@ -26,7 +26,7 @@ import difflib
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .baseline import Baseline
 from .cache import DEFAULT_CACHE, ResultCache, rules_signature
@@ -37,6 +37,22 @@ from .sarif import to_sarif
 
 #: Baseline file looked for (relative to the cwd) when --baseline is absent.
 DEFAULT_BASELINE = "qa-baseline.txt"
+
+T = TypeVar("T")
+
+
+def _add_cache_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--cache",
+        default=DEFAULT_CACHE,
+        metavar="FILE",
+        help=f"incremental result cache file (default: {DEFAULT_CACHE})",
+    )
+    p.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="neither read nor write the incremental cache (cold run)",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,17 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rewrite the baseline file to cover all current findings, then exit 0",
     )
-    p.add_argument(
-        "--cache",
-        default=DEFAULT_CACHE,
-        metavar="FILE",
-        help=f"incremental result cache file (default: {DEFAULT_CACHE})",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="neither read nor write the incremental cache (cold run)",
-    )
+    _add_cache_flags(p)
 
     p = sub.add_parser("fix", help="apply automatic fixes (future import, mutable defaults, bare except)")
     p.add_argument("paths", nargs="+", help="files or directories to fix")
@@ -118,17 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="also write the lock-order graph as DOT to FILE ('-' for stdout)",
     )
-    p.add_argument(
-        "--cache",
-        default=DEFAULT_CACHE,
-        metavar="FILE",
-        help=f"incremental result cache file (default: {DEFAULT_CACHE})",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="neither read nor write the incremental cache (cold run)",
-    )
+    _add_cache_flags(p)
 
     p = sub.add_parser(
         "numerics",
@@ -136,17 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("paths", nargs="+", help="files or directories to analyze")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument(
-        "--cache",
-        default=DEFAULT_CACHE,
-        metavar="FILE",
-        help=f"incremental result cache file (default: {DEFAULT_CACHE})",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="neither read nor write the incremental cache (cold run)",
-    )
+    _add_cache_flags(p)
 
     sub.add_parser("rules", help="list every registered rule")
     return parser
@@ -172,16 +158,34 @@ def _render_text(report: Report, strict: bool) -> None:
     )
 
 
+def _cache(args: argparse.Namespace) -> ResultCache | None:
+    """The incremental cache the ``--cache``/``--no-cache`` flags ask for."""
+    return None if args.no_cache else ResultCache(args.cache, rules_signature(all_rules()))
+
+
+def _analyze(
+    paths: list[str],
+    step: Callable[[Analyzer, list[str]], T],
+    baseline: Baseline | None = None,
+    cache: ResultCache | None = None,
+) -> T | None:
+    """``step(analyzer, paths)`` with every registered rule.
+
+    Returns None, after printing the error, when a path does not exist
+    (the caller exits 2).
+    """
+    try:
+        return step(Analyzer(baseline=baseline, cache=cache), paths)
+    except FileNotFoundError as exc:
+        print(f"repro-qa: error: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     baseline_path = args.baseline or DEFAULT_BASELINE
     baseline = Baseline() if args.no_baseline else Baseline.load(baseline_path)
-    rules = list(all_rules())
-    cache = None if args.no_cache else ResultCache(args.cache, rules_signature(rules))
-    analyzer = Analyzer(rules, baseline=baseline, cache=cache)
-    try:
-        report = analyzer.run(args.paths)
-    except FileNotFoundError as exc:
-        print(f"repro-qa: error: {exc}", file=sys.stderr)
+    report = _analyze(args.paths, Analyzer.run, baseline, _cache(args))
+    if report is None:
         return 2
     if args.write_baseline:
         count = Baseline.write(baseline_path, report.findings + report.grandfathered)
@@ -190,7 +194,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     elif args.format == "sarif":
-        print(json.dumps(to_sarif(report, rules), indent=2))
+        print(json.dumps(to_sarif(report, list(all_rules())), indent=2))
     else:
         _render_text(report, strict=args.strict)
     return 1 if report.failed(strict=args.strict) else 0
@@ -236,11 +240,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         return 0
     # Run against an *empty* baseline so every still-live finding (new
     # and grandfathered alike) contributes its fingerprint.
-    analyzer = Analyzer(list(all_rules()), baseline=Baseline())
-    try:
-        report = analyzer.run(args.paths)
-    except FileNotFoundError as exc:
-        print(f"repro-qa: error: {exc}", file=sys.stderr)
+    report = _analyze(args.paths, Analyzer.run, Baseline())
+    if report is None:
         return 2
     kept, pruned = Baseline.sync(baseline_path, report.findings)
     print(f"repro-qa: baseline {baseline_path}: kept {kept}, pruned {pruned} stale entries")
@@ -250,13 +251,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 def _cmd_concurrency(args: argparse.Namespace) -> int:
     from .lockgraph import ConcurrencyIndex, render_guard_tables, render_lock_order, to_dot
 
-    rules = list(all_rules())
-    cache = None if args.no_cache else ResultCache(args.cache, rules_signature(rules))
-    analyzer = Analyzer(rules, cache=cache)
-    try:
-        index = analyzer.build_index(args.paths)
-    except FileNotFoundError as exc:
-        print(f"repro-qa: error: {exc}", file=sys.stderr)
+    index = _analyze(args.paths, Analyzer.build_index, cache=_cache(args))
+    if index is None:
         return 2
     conc = ConcurrencyIndex.of(index)
     print(render_guard_tables(conc), end="")
@@ -276,13 +272,8 @@ def _cmd_concurrency(args: argparse.Namespace) -> int:
 def _cmd_numerics(args: argparse.Namespace) -> int:
     from .numerics import NumericsIndex, numerics_to_json, render_numerics_table
 
-    rules = list(all_rules())
-    cache = None if args.no_cache else ResultCache(args.cache, rules_signature(rules))
-    analyzer = Analyzer(rules, cache=cache)
-    try:
-        index = analyzer.build_index(args.paths)
-    except FileNotFoundError as exc:
-        print(f"repro-qa: error: {exc}", file=sys.stderr)
+    index = _analyze(args.paths, Analyzer.build_index, cache=_cache(args))
+    if index is None:
         return 2
     num = NumericsIndex.of(index)
     if args.format == "json":

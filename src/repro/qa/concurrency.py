@@ -7,8 +7,9 @@ concurrency rules (:mod:`repro.qa.rules.concurrency`) and the
 project-wide lock inference (:mod:`repro.qa.lockgraph`) need, and
 nothing that requires keeping the AST around.  Like
 :class:`~repro.qa.symbols.ModuleSymbols` (which embeds this record),
-the facts serialize to plain JSON so the incremental cache restores
-them for unchanged files without re-parsing.
+the facts serialize to JSON through :mod:`repro.qa.codec`, so the
+incremental cache restores them for unchanged files without
+re-parsing.
 
 What is extracted, per function or method:
 
@@ -104,32 +105,6 @@ MUTATOR_METHODS = frozenset(
 )
 
 
-def _resolve_spec(
-    func: ast.expr, imports: dict[str, str], local_defs: dict[str, str]
-) -> str | None:
-    """Dotted spec of a call's function expression, through imports.
-
-    A local re-implementation of the symbol extractor's callee
-    resolution (kept here so :mod:`repro.qa.symbols` can import this
-    module lazily without a cycle).
-    """
-    if isinstance(func, ast.Name):
-        return local_defs.get(func.id) or imports.get(func.id)
-    if isinstance(func, ast.Attribute):
-        chain: list[str] = []
-        node: ast.expr = func
-        while isinstance(node, ast.Attribute):
-            chain.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            chain.append(node.id)
-            chain.reverse()
-            base = chain[0]
-            if base in imports:
-                return ".".join([imports[base]] + chain[1:])
-    return None
-
-
 def _self_attr(expr: ast.expr) -> str | None:
     """Attribute name when *expr* is exactly ``self.<attr>``."""
     if (
@@ -163,13 +138,6 @@ class AttrAccess:
     col: int
     line_text: str = ""
 
-    def to_dict(self) -> list:
-        return [self.attr, self.mode, list(self.held), self.lineno, self.col, self.line_text]
-
-    @classmethod
-    def from_dict(cls, data: list) -> "AttrAccess":
-        return cls(data[0], data[1], tuple(data[2]), data[3], data[4], data[5])
-
 
 @dataclass(frozen=True)
 class LockAcquisition:
@@ -180,13 +148,6 @@ class LockAcquisition:
     lineno: int
     col: int
     line_text: str = ""
-
-    def to_dict(self) -> list:
-        return [self.lock, list(self.held_before), self.lineno, self.col, self.line_text]
-
-    @classmethod
-    def from_dict(cls, data: list) -> "LockAcquisition":
-        return cls(data[0], tuple(data[1]), data[2], data[3], data[4])
 
 
 @dataclass(frozen=True)
@@ -199,13 +160,6 @@ class ConcCall:
     lineno: int
     col: int
     line_text: str = ""
-
-    def to_dict(self) -> list:
-        return [self.callee, self.self_method, list(self.held), self.lineno, self.col, self.line_text]
-
-    @classmethod
-    def from_dict(cls, data: list) -> "ConcCall":
-        return cls(data[0], data[1], tuple(data[2]), data[3], data[4], data[5])
 
 
 @dataclass(frozen=True)
@@ -226,16 +180,6 @@ class BlockingOp:
         """Locks held while the op blocks, callers' *extra* included."""
         return (frozenset(self.held) | extra) - frozenset(self.releases)
 
-    def to_dict(self) -> list:
-        return [
-            self.kind, self.detail, list(self.held), self.lineno, self.col,
-            self.line_text, list(self.releases),
-        ]
-
-    @classmethod
-    def from_dict(cls, data: list) -> "BlockingOp":
-        return cls(data[0], data[1], tuple(data[2]), data[3], data[4], data[5], tuple(data[6]))
-
 
 @dataclass(frozen=True)
 class ThreadOp:
@@ -249,16 +193,6 @@ class ThreadOp:
     lineno: int
     col: int
     line_text: str = ""
-
-    def to_dict(self) -> list:
-        return [
-            self.kind, self.target, self.daemon, self.storage,
-            list(self.held), self.lineno, self.col, self.line_text,
-        ]
-
-    @classmethod
-    def from_dict(cls, data: list) -> "ThreadOp":
-        return cls(data[0], data[1], data[2], data[3], tuple(data[4]), data[5], data[6], data[7])
 
 
 @dataclass
@@ -278,35 +212,6 @@ class FunctionConcurrency:
     #: the ``thread-lifecycle`` rule compares thread starts in
     #: ``__init__`` against it (start-before-fully-constructed).
     last_self_assign_line: int = 0
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "qualname": self.qualname,
-            "cls": self.cls,
-            "lineno": self.lineno,
-            "accesses": [a.to_dict() for a in self.accesses],
-            "acquisitions": [a.to_dict() for a in self.acquisitions],
-            "calls": [c.to_dict() for c in self.calls],
-            "blocking": [b.to_dict() for b in self.blocking],
-            "thread_ops": [t.to_dict() for t in self.thread_ops],
-            "last_self_assign_line": self.last_self_assign_line,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FunctionConcurrency":
-        return cls(
-            name=data["name"],
-            qualname=data["qualname"],
-            cls=data["cls"],
-            lineno=data["lineno"],
-            accesses=[AttrAccess.from_dict(a) for a in data["accesses"]],
-            acquisitions=[LockAcquisition.from_dict(a) for a in data["acquisitions"]],
-            calls=[ConcCall.from_dict(c) for c in data["calls"]],
-            blocking=[BlockingOp.from_dict(b) for b in data["blocking"]],
-            thread_ops=[ThreadOp.from_dict(t) for t in data["thread_ops"]],
-            last_self_assign_line=data["last_self_assign_line"],
-        )
 
 
 @dataclass
@@ -330,31 +235,6 @@ class ClassConcurrency:
         """Canonical lock id of lock attribute *attr*."""
         return f"{self.qualname}.{self.cond_locks.get(attr, attr)}"
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "qualname": self.qualname,
-            "lineno": self.lineno,
-            "bases": list(self.bases),
-            "lock_attrs": list(self.lock_attrs),
-            "attr_kinds": dict(self.attr_kinds),
-            "methods": list(self.methods),
-            "cond_locks": dict(self.cond_locks),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClassConcurrency":
-        return cls(
-            name=data["name"],
-            qualname=data["qualname"],
-            lineno=data["lineno"],
-            bases=tuple(data["bases"]),
-            lock_attrs=tuple(data["lock_attrs"]),
-            attr_kinds=dict(data["attr_kinds"]),
-            methods=tuple(data["methods"]),
-            cond_locks=dict(data["cond_locks"]),
-        )
-
 
 @dataclass
 class ModuleConcurrency:
@@ -376,21 +256,6 @@ class ModuleConcurrency:
                 and not f.thread_ops
                 for f in self.functions
             )
-        )
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "module_locks": list(self.module_locks),
-            "classes": [c.to_dict() for c in self.classes],
-            "functions": [f.to_dict() for f in self.functions],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleConcurrency":
-        return cls(
-            module_locks=tuple(data["module_locks"]),
-            classes=[ClassConcurrency.from_dict(c) for c in data["classes"]],
-            functions=[FunctionConcurrency.from_dict(f) for f in data["functions"]],
         )
 
 
@@ -423,12 +288,7 @@ def _assigned_value(stmt: ast.stmt) -> tuple[list[ast.expr], ast.expr | None]:
     return [], None
 
 
-def _class_concurrency(
-    module: SourceModule,
-    node: ast.ClassDef,
-    imports: dict[str, str],
-    local_defs: dict[str, str],
-) -> ClassConcurrency:
+def _class_concurrency(module: SourceModule, node: ast.ClassDef) -> ClassConcurrency:
     """Scan a class for lock attributes and attribute typing."""
     methods: list[str] = []
     attr_kinds: dict[str, str] = {}
@@ -447,7 +307,7 @@ def _class_concurrency(
                 if attr is None or attr in attr_kinds:
                     continue
                 if isinstance(value, ast.Call):
-                    spec = _resolve_spec(value.func, imports, local_defs)
+                    spec = module.resolve_callee(value.func)
                     kind = KIND_CTORS.get(spec or "")
                     if kind is not None:
                         attr_kinds[attr] = kind
@@ -463,7 +323,7 @@ def _class_concurrency(
                     # user callback (opaque, possibly blocking).
                     attr_kinds[attr] = "param"
     bases = tuple(
-        _resolve_spec(b, imports, local_defs)
+        module.resolve_callee(b)
         or (b.id if isinstance(b, ast.Name) else getattr(b, "attr", ""))
         for b in node.bases
     )
@@ -483,16 +343,14 @@ def _class_concurrency(
     )
 
 
-def _module_locks(
-    module: SourceModule, imports: dict[str, str], local_defs: dict[str, str]
-) -> tuple[str, ...]:
+def _module_locks(module: SourceModule) -> tuple[str, ...]:
     """Module-level globals assigned a lock constructor."""
     out: list[str] = []
     for stmt in module.tree.body:
         targets, value = _assigned_value(stmt)
         if not isinstance(value, ast.Call):
             continue
-        spec = _resolve_spec(value.func, imports, local_defs)
+        spec = module.resolve_callee(value.func)
         if KIND_CTORS.get(spec or "") not in LOCK_KINDS:
             continue
         for target in targets:
@@ -571,15 +429,11 @@ class _FunctionExtractor:
         fn: ast.FunctionDef | ast.AsyncFunctionDef,
         owner: ClassConcurrency | None,
         module_locks: tuple[str, ...],
-        imports: dict[str, str],
-        local_defs: dict[str, str],
     ) -> None:
         self.module = module
         self.fn = fn
         self.owner = owner
         self.module_locks = set(module_locks)
-        self.imports = imports
-        self.local_defs = local_defs
         local = f"{owner.name}.{fn.name}" if owner else fn.name
         self.qualname = f"{module.name}.{local}"
         self.facts = FunctionConcurrency(
@@ -611,7 +465,7 @@ class _FunctionExtractor:
                 continue
             kind_origin: tuple[str, str | None] | None = None
             if isinstance(value, ast.Call):
-                spec = _resolve_spec(value.func, self.imports, self.local_defs)
+                spec = self.module.resolve_callee(value.func)
                 kind = KIND_CTORS.get(spec or "")
                 if kind is not None:
                     kind_origin = (kind, None)
@@ -857,7 +711,7 @@ class _FunctionExtractor:
                     if typed is not None:
                         self._typed_method_ops(func.value, meth, call, eff)
                         handled_func = True
-        spec = _resolve_spec(func, self.imports, self.local_defs)
+        spec = self.module.resolve_callee(func)
         if spec is not None:
             self.facts.calls.append(
                 ConcCall(
@@ -966,11 +820,7 @@ class _FunctionExtractor:
             if attr is not None:
                 target = f"self.{attr}"
             elif isinstance(target_expr, ast.Name):
-                target = (
-                    self.local_defs.get(target_expr.id)
-                    or self.imports.get(target_expr.id)
-                    or target_expr.id
-                )
+                target = self.module.resolve_callee(target_expr) or target_expr.id
         self.facts.thread_ops.append(
             ThreadOp(
                 kind="create",
@@ -990,43 +840,24 @@ class _FunctionExtractor:
 # ----------------------------------------------------------------------
 
 
-def build_module_concurrency(
-    module: SourceModule,
-    imports: dict[str, str],
-    local_defs: dict[str, str],
-) -> ModuleConcurrency | None:
-    """Extract concurrency facts for one module (None when trivial).
-
-    *imports* and *local_defs* are the maps the symbol extractor
-    already built; passing them in keeps the two fact passes consistent
-    about callee resolution.
-    """
+def build_module_concurrency(module: SourceModule) -> ModuleConcurrency | None:
+    """Extract concurrency facts for one module (None when trivial)."""
     tree = module.tree
     classes: list[ClassConcurrency] = []
     functions: list[FunctionConcurrency] = []
-    module_locks = _module_locks(module, imports, local_defs)
+    module_locks = _module_locks(module)
 
     class_nodes = [n for n in tree.body if isinstance(n, ast.ClassDef)]
-    class_facts = {
-        n.name: _class_concurrency(module, n, imports, local_defs) for n in class_nodes
-    }
+    class_facts = {n.name: _class_concurrency(module, n) for n in class_nodes}
 
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            functions.append(
-                _FunctionExtractor(
-                    module, node, None, module_locks, imports, local_defs
-                ).run()
-            )
+            functions.append(_FunctionExtractor(module, node, None, module_locks).run())
         elif isinstance(node, ast.ClassDef):
             owner = class_facts[node.name]
             for sub in node.body:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    functions.append(
-                        _FunctionExtractor(
-                            module, sub, owner, module_locks, imports, local_defs
-                        ).run()
-                    )
+                    functions.append(_FunctionExtractor(module, sub, owner, module_locks).run())
 
     # Only classes with concurrency substance are kept (a class with no
     # lock/typed attrs and no thread ops cannot produce findings).

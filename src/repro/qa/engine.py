@@ -22,7 +22,7 @@ from .baseline import Baseline
 from .cache import ResultCache
 from .callgraph import ProjectIndex
 from .findings import Finding, Severity
-from .registry import IndexRule, ProjectRule, Rule, all_rules
+from .registry import IndexRule, Rule, all_rules
 from .source import SourceModule
 from .symbols import ModuleSymbols, build_module_symbols
 
@@ -124,100 +124,21 @@ class Analyzer:
         self.rules: list[Rule] = list(rules) if rules is not None else list(all_rules())
         self.baseline = baseline or Baseline()
         self.cache = cache
-        # Legacy whole-tree rules need raw modules for every file, which
-        # the cache cannot provide: fall back to parsing everything.
-        self._legacy_project_rules = [
-            r for r in self.rules if isinstance(r, ProjectRule) and not isinstance(r, IndexRule)
-        ]
-        if self._legacy_project_rules:
-            self.cache = None
 
     # ------------------------------------------------------------------
     # per-file analysis
     # ------------------------------------------------------------------
-    def _file_rules(self) -> list[Rule]:
-        return [r for r in self.rules if not isinstance(r, (IndexRule, ProjectRule))]
-
     def _analyze_module(self, module: SourceModule) -> tuple[ModuleSymbols, list[Finding]]:
         """Per-file rules + fact extraction for one parsed module."""
         raw: list[Finding] = []
-        for rule in self._file_rules():
-            raw.extend(rule.check_module(module))
-        return build_module_symbols(module), raw
-
-    # ------------------------------------------------------------------
-    # running
-    # ------------------------------------------------------------------
-    def _collect(
-        self, paths: Iterable[str | Path]
-    ) -> tuple[list[Path], list[ModuleSymbols], list[Finding], list[SourceModule], int, int]:
-        """Gather facts + per-file findings for every file under *paths*.
-
-        Each file is either parsed (running per-file rules and fact
-        extraction) or restored from the incremental cache.  Shared by
-        :meth:`run` and :meth:`build_index`.
-        """
-        files = collect_files(paths)
-        raw: list[Finding] = []
-        facts: list[ModuleSymbols] = []
-        modules: list[SourceModule] = []
-        parsed = cached = 0
-        for path in files:
-            relpath = _display_path(path)
-            hit = self.cache.lookup(path, relpath) if self.cache is not None else None
-            if hit is not None:
-                file_facts, file_findings = hit
-                cached += 1
-            else:
-                file_facts, file_findings, module = self._load_and_analyze(path, relpath)
-                parsed += 1
-                if module is not None:
-                    modules.append(module)
-                if self.cache is not None:
-                    self.cache.store(path, relpath, file_facts, file_findings)
-            if file_facts is not None:
-                facts.append(file_facts)
-            raw.extend(file_findings)
-        if self.cache is not None:
-            self.cache.prune(files)
-            self.cache.save()
-        return files, facts, raw, modules, parsed, cached
-
-    def build_index(self, paths: Iterable[str | Path]) -> ProjectIndex:
-        """The :class:`ProjectIndex` of *paths*, cache-accelerated.
-
-        Used by the ``repro-qa concurrency`` CLI verb, which consumes
-        the index directly instead of running rules over it.
-        """
-        _files, facts, _raw, _modules, _parsed, _cached = self._collect(paths)
-        return ProjectIndex.build(facts)
-
-    def run(self, paths: Iterable[str | Path]) -> Report:
-        """Analyze every ``*.py`` under *paths* and return a report."""
-        files, facts, raw, modules, parsed, cached = self._collect(paths)
-
-        index = ProjectIndex.build(facts)
         for rule in self.rules:
-            if isinstance(rule, IndexRule):
-                raw.extend(rule.check_index(index))
-        for rule in self._legacy_project_rules:
-            raw.extend(rule.check_project(modules))
-
-        facts_by_path: Mapping[str, ModuleSymbols] = {f.relpath: f for f in facts}
-        visible = [f for f in raw if not _suppressed(facts_by_path.get(f.path), f)]
-        new, old = self.baseline.split(visible)
-        new.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-        return Report(
-            findings=new,
-            grandfathered=old,
-            num_files=len(files),
-            parsed_files=parsed,
-            cached_files=cached,
-        )
+            if not isinstance(rule, IndexRule):
+                raw.extend(rule.check_module(module))
+        return build_module_symbols(module), raw
 
     def _load_and_analyze(
         self, path: Path, relpath: str
-    ) -> tuple[ModuleSymbols | None, list[Finding], SourceModule | None]:
+    ) -> tuple[ModuleSymbols | None, list[Finding]]:
         try:
             module = SourceModule.parse(path, relpath=relpath)
         except SyntaxError as exc:
@@ -229,9 +150,79 @@ class Analyzer:
                 col=exc.offset or 0,
                 message=f"file does not parse: {exc.msg}",
             )
-            return None, [finding], None
-        facts, findings = self._analyze_module(module)
-        return facts, findings, module
+            return None, [finding]
+        return self._analyze_module(module)
+
+    # ------------------------------------------------------------------
+    # running
+    # ------------------------------------------------------------------
+    def _collect(
+        self, paths: Iterable[str | Path]
+    ) -> tuple[list[Path], list[ModuleSymbols], list[Finding], int]:
+        """Gather facts + per-file findings for every file under *paths*.
+
+        Each file is either parsed (running per-file rules and fact
+        extraction) or restored from the incremental cache; the count
+        returned is of the files restored.  Shared by :meth:`run` and
+        :meth:`build_index`.
+        """
+        files = collect_files(paths)
+        raw: list[Finding] = []
+        facts: list[ModuleSymbols] = []
+        cached = 0
+        for path in files:
+            relpath = _display_path(path)
+            hit = self.cache.lookup(path, relpath) if self.cache is not None else None
+            if hit is not None:
+                file_facts, file_findings = hit
+                cached += 1
+            else:
+                file_facts, file_findings = self._load_and_analyze(path, relpath)
+                if self.cache is not None:
+                    self.cache.store(path, relpath, file_facts, file_findings)
+            if file_facts is not None:
+                facts.append(file_facts)
+            raw.extend(file_findings)
+        if self.cache is not None:
+            self.cache.prune(files)
+            self.cache.save()
+        return files, facts, raw, cached
+
+    def _finish(
+        self, facts: list[ModuleSymbols], raw: list[Finding]
+    ) -> tuple[list[Finding], list[Finding]]:
+        """Index rules, pragma filter, baseline split: (new sorted, baselined)."""
+        index = ProjectIndex.build(facts)
+        for rule in self.rules:
+            if isinstance(rule, IndexRule):
+                raw.extend(rule.check_index(index))
+        facts_by_path: Mapping[str, ModuleSymbols] = {f.relpath: f for f in facts}
+        visible = [f for f in raw if not _suppressed(facts_by_path.get(f.path), f)]
+        new, old = self.baseline.split(visible)
+        new.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
+        return new, old
+
+    def build_index(self, paths: Iterable[str | Path]) -> ProjectIndex:
+        """The :class:`ProjectIndex` of *paths*, cache-accelerated.
+
+        Used by the ``repro-qa concurrency`` and ``numerics`` CLI verbs,
+        which consume the index directly instead of running rules over
+        it.
+        """
+        _files, facts, _raw, _cached = self._collect(paths)
+        return ProjectIndex.build(facts)
+
+    def run(self, paths: Iterable[str | Path]) -> Report:
+        """Analyze every ``*.py`` under *paths* and return a report."""
+        files, facts, raw, cached = self._collect(paths)
+        new, old = self._finish(facts, raw)
+        return Report(
+            findings=new,
+            grandfathered=old,
+            num_files=len(files),
+            parsed_files=len(files) - cached,
+            cached_files=cached,
+        )
 
     # ------------------------------------------------------------------
     # in-memory helpers (unit tests)
@@ -244,31 +235,19 @@ class Analyzer:
         metric names) can be expressed inline in tests.
         """
         names = set(sources)
-        modules = [
-            SourceModule.from_source(
+        facts: list[ModuleSymbols] = []
+        raw: list[Finding] = []
+        for name, src in sources.items():
+            module = SourceModule.from_source(
                 src,
                 relpath=f"<{name}>",
                 name=name,
                 is_package=any(other.startswith(name + ".") for other in names),
             )
-            for name, src in sources.items()
-        ]
-        raw: list[Finding] = []
-        facts: list[ModuleSymbols] = []
-        for module in modules:
             file_facts, file_findings = self._analyze_module(module)
             facts.append(file_facts)
             raw.extend(file_findings)
-        index = ProjectIndex.build(facts)
-        for rule in self.rules:
-            if isinstance(rule, IndexRule):
-                raw.extend(rule.check_index(index))
-        for rule in self._legacy_project_rules:
-            raw.extend(rule.check_project(modules))
-        by_path = {f.relpath: f for f in facts}
-        visible = [f for f in raw if not _suppressed(by_path.get(f.path), f)]
-        new, _old = self.baseline.split(visible)
-        return sorted(new, key=lambda f: (f.path, f.line, f.col, f.rule_id))
+        return self._finish(facts, raw)[0]
 
     def run_source(self, source: str, name: str = "repro.core.snippet") -> list[Finding]:
         """Analyze one in-memory source string (unit-test helper).
@@ -279,15 +258,7 @@ class Analyzer:
         """
         module = SourceModule.from_source(source, relpath="<snippet>", name=name)
         facts, raw = self._analyze_module(module)
-        index = ProjectIndex.build([facts])
-        for rule in self.rules:
-            if isinstance(rule, IndexRule):
-                raw.extend(rule.check_index(index))
-        for rule in self._legacy_project_rules:
-            raw.extend(rule.check_project([module]))
-        visible = [f for f in raw if not module.suppressed(f.rule_id, f.line)]
-        new, _old = self.baseline.split(visible)
-        return sorted(new, key=lambda f: (f.line, f.col, f.rule_id))
+        return self._finish([facts], raw)[0]
 
 
 def _display_path(path: Path) -> str:

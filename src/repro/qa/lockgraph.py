@@ -220,7 +220,7 @@ class ConcurrencyIndex:
     def _collect(self) -> None:
         for name in sorted(self.index.modules):
             mod = self.index.modules[name]
-            conc = getattr(mod, "concurrency", None)
+            conc = mod.concurrency
             if conc is None:
                 continue
             for fn in conc.functions:
@@ -231,7 +231,7 @@ class ConcurrencyIndex:
 
     def _module_conc(self, module_name: str) -> ModuleConcurrency | None:
         mod = self.index.modules.get(module_name)
-        return getattr(mod, "concurrency", None) if mod is not None else None
+        return mod.concurrency if mod is not None else None
 
     # ------------------------------------------------------------------
     # per-class analysis

@@ -5,9 +5,9 @@
 record — everything the flow-aware numeric rules
 (:mod:`repro.qa.rules.numerics`) and the ``repro-qa numerics`` report
 need, and nothing that requires keeping the AST around.  Like the
-concurrency facts (which set the pattern), the record serializes to
-plain JSON so the incremental cache restores it for unchanged files
-without re-parsing.
+concurrency facts, the record serializes to JSON through
+:mod:`repro.qa.codec`, so the incremental cache restores it for
+unchanged files without re-parsing.
 
 What is extracted, per function or method:
 
@@ -124,32 +124,6 @@ def parse_dtype_tag(doc: str | None) -> str | None:
     return m.group(1) if m else None
 
 
-def _resolve_spec(
-    func: ast.expr, imports: dict[str, str], local_defs: dict[str, str]
-) -> str | None:
-    """Dotted spec of a call's function expression, through imports.
-
-    A local re-implementation of the symbol extractor's callee
-    resolution (kept here so :mod:`repro.qa.symbols` can import this
-    module lazily without a cycle).
-    """
-    if isinstance(func, ast.Name):
-        return local_defs.get(func.id) or imports.get(func.id)
-    if isinstance(func, ast.Attribute):
-        chain: list[str] = []
-        node: ast.expr = func
-        while isinstance(node, ast.Attribute):
-            chain.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            chain.append(node.id)
-            chain.reverse()
-            base = chain[0]
-            if base in imports:
-                return ".".join([imports[base]] + chain[1:])
-    return None
-
-
 # ----------------------------------------------------------------------
 # fact records
 # ----------------------------------------------------------------------
@@ -169,19 +143,6 @@ class ArrayOp:
     col: int
     line_text: str = ""
 
-    def to_dict(self) -> list:
-        return [
-            self.kind, self.op, self.dtype, self.out, self.loop_depth,
-            self.feeds_gemm, self.lineno, self.col, self.line_text,
-        ]
-
-    @classmethod
-    def from_dict(cls, data: list) -> "ArrayOp":
-        return cls(
-            data[0], data[1], data[2], data[3], data[4],
-            data[5], data[6], data[7], data[8],
-        )
-
 
 @dataclass(frozen=True)
 class ScalarLoop:
@@ -193,13 +154,6 @@ class ScalarLoop:
     col: int
     line_text: str = ""
 
-    def to_dict(self) -> list:
-        return [self.var, self.bound, self.lineno, self.col, self.line_text]
-
-    @classmethod
-    def from_dict(cls, data: list) -> "ScalarLoop":
-        return cls(data[0], data[1], data[2], data[3], data[4])
-
 
 @dataclass(frozen=True)
 class NumCall:
@@ -209,13 +163,6 @@ class NumCall:
     lineno: int
     col: int
     line_text: str = ""
-
-    def to_dict(self) -> list:
-        return [self.callee, self.lineno, self.col, self.line_text]
-
-    @classmethod
-    def from_dict(cls, data: list) -> "NumCall":
-        return cls(data[0], data[1], data[2], data[3])
 
 
 @dataclass
@@ -244,33 +191,6 @@ class FunctionNumerics:
             and self.return_dtype is None
         )
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "qualname": self.qualname,
-            "cls": self.cls,
-            "lineno": self.lineno,
-            "declared": self.declared,
-            "array_ops": [a.to_dict() for a in self.array_ops],
-            "scalar_loops": [s.to_dict() for s in self.scalar_loops],
-            "calls": [c.to_dict() for c in self.calls],
-            "return_dtype": self.return_dtype,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FunctionNumerics":
-        return cls(
-            name=data["name"],
-            qualname=data["qualname"],
-            cls=data["cls"],
-            lineno=data["lineno"],
-            declared=data["declared"],
-            array_ops=[ArrayOp.from_dict(a) for a in data["array_ops"]],
-            scalar_loops=[ScalarLoop.from_dict(s) for s in data["scalar_loops"]],
-            calls=[NumCall.from_dict(c) for c in data["calls"]],
-            return_dtype=data["return_dtype"],
-        )
-
 
 @dataclass
 class ModuleNumerics:
@@ -281,13 +201,6 @@ class ModuleNumerics:
     def is_trivial(self) -> bool:
         """True when nothing here can matter to any numeric rule."""
         return not self.functions
-
-    def to_dict(self) -> dict[str, object]:
-        return {"functions": [f.to_dict() for f in self.functions]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleNumerics":
-        return cls(functions=[FunctionNumerics.from_dict(f) for f in data["functions"]])
 
 
 # ----------------------------------------------------------------------
@@ -310,13 +223,9 @@ class _FunctionExtractor:
         module: SourceModule,
         fn: ast.FunctionDef | ast.AsyncFunctionDef,
         cls: ast.ClassDef | None,
-        imports: dict[str, str],
-        local_defs: dict[str, str],
     ) -> None:
         self.module = module
         self.fn = fn
-        self.imports = imports
-        self.local_defs = local_defs
         cls_name = cls.name if cls is not None else None
         qualname = f"{cls_name}.{fn.name}" if cls_name else fn.name
         declared = parse_dtype_tag(ast.get_docstring(fn))
@@ -329,7 +238,7 @@ class _FunctionExtractor:
             lineno=fn.lineno,
             declared=declared,
         )
-        self.dtyper = ExprDtyper(self._resolve)
+        self.dtyper = ExprDtyper(module.resolve_callee)
         param_dtypes: dict[str, str | None] = {}
         if declared in ("float64", "float32"):
             args = fn.args
@@ -348,9 +257,6 @@ class _FunctionExtractor:
             self._env_at[id(stmt)] = fact
         self._return_dtypes: list[str | None] = []
         self._seen: set[tuple[int, int, str]] = set()
-
-    def _resolve(self, expr: ast.expr) -> str | None:
-        return _resolve_spec(expr, self.imports, self.local_defs)
 
     def _line(self, lineno: int) -> str:
         return self.module.line_at(lineno)
@@ -479,7 +385,7 @@ class _FunctionExtractor:
                 operands.add(id(node.left))
                 operands.add(id(node.right))
             elif isinstance(node, ast.Call):
-                spec = self._resolve(node.func)
+                spec = self.module.resolve_callee(node.func)
                 if spec and spec.startswith("numpy."):
                     name = spec.split(".")[-1]
                     if name in GEMM_CALLS or name in REDUCTION_CALLS:
@@ -556,7 +462,7 @@ class _FunctionExtractor:
         depth: int,
         gemm_ops: set[int],
     ) -> None:
-        spec = self._resolve(call.func)
+        spec = self.module.resolve_callee(call.func)
         feeds = id(call) in gemm_ops
         if spec is not None and spec.startswith("numpy."):
             name = spec.split(".")[-1]
@@ -605,29 +511,18 @@ class _FunctionExtractor:
 # ----------------------------------------------------------------------
 
 
-def build_module_numerics(
-    module: SourceModule,
-    imports: dict[str, str],
-    local_defs: dict[str, str],
-) -> ModuleNumerics | None:
-    """Extract numeric facts for one module (None when trivial).
-
-    *imports* and *local_defs* are the maps the symbol extractor
-    already built; passing them in keeps the fact passes consistent
-    about callee resolution.
-    """
+def build_module_numerics(module: SourceModule) -> ModuleNumerics | None:
+    """Extract numeric facts for one module (None when trivial)."""
     functions: list[FunctionNumerics] = []
     for node in module.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            facts = _FunctionExtractor(module, node, None, imports, local_defs).run()
+            facts = _FunctionExtractor(module, node, None).run()
             if not facts.is_empty():
                 functions.append(facts)
         elif isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    facts = _FunctionExtractor(
-                        module, sub, node, imports, local_defs
-                    ).run()
+                    facts = _FunctionExtractor(module, sub, node).run()
                     if not facts.is_empty():
                         functions.append(facts)
     out = ModuleNumerics(functions=functions)
@@ -669,7 +564,7 @@ class NumericsIndex:
     def _collect(self) -> None:
         for name in sorted(self.index.modules):
             mod = self.index.modules[name]
-            num = getattr(mod, "numerics", None)
+            num = mod.numerics
             if num is None:
                 continue
             for fn in num.functions:

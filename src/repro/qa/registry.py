@@ -1,16 +1,15 @@
 """Rule base classes and the global rule registry.
 
-A rule subclasses :class:`Rule` (per-file AST), :class:`IndexRule`
+A rule subclasses :class:`Rule` (per-file AST) or :class:`IndexRule`
 (flow-aware: sees the whole-project symbol/call-graph index built from
-cached facts), or the legacy :class:`ProjectRule` (whole-tree over raw
-modules; disables the incremental cache) and registers itself with the
-:func:`register` decorator.  The engine runs every registered rule;
+cached facts) and registers itself with the :func:`register`
+decorator.  The engine runs every registered rule;
 ``python -m repro.qa rules`` lists them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Type
+from typing import TYPE_CHECKING, Iterable, Iterator, Type
 
 from .findings import Finding, Severity
 from .source import SourceModule
@@ -75,22 +74,6 @@ class IndexRule(Rule):
 
     def check_index(self, index: "ProjectIndex") -> Iterable[Finding]:
         """Yield findings computed over the full project index."""
-        raise NotImplementedError
-
-
-class ProjectRule(Rule):
-    """Legacy whole-tree rule over raw modules.
-
-    Prefer :class:`IndexRule`: a registered ProjectRule forces the
-    engine to parse every file on every run (the incremental cache
-    cannot satisfy it).
-    """
-
-    def check_module(self, module: SourceModule) -> Iterable[Finding]:
-        return ()
-
-    def check_project(self, modules: Sequence[SourceModule]) -> Iterable[Finding]:
-        """Yield findings computed over the full module set."""
         raise NotImplementedError
 
 

@@ -3,9 +3,10 @@
 :func:`build_module_symbols` distills one parsed :class:`SourceModule`
 into a :class:`ModuleSymbols` record — everything the project-wide
 rules (call graph, shape contracts, dead code) need, and nothing that
-requires keeping the AST around.  The records serialize to plain JSON
-so the incremental cache (:mod:`repro.qa.cache`) can restore them for
-unchanged files without re-parsing.
+requires keeping the AST around.  The records are plain dataclasses
+that :mod:`repro.qa.codec` serializes to JSON, so the incremental cache
+(:mod:`repro.qa.cache`) can restore them for unchanged files without
+re-parsing.
 
 Shape-contract grammar
 ----------------------
@@ -39,8 +40,10 @@ import ast
 import re
 from dataclasses import dataclass, field
 
+from .concurrency import ModuleConcurrency, build_module_concurrency
 from .dataflow import FunctionDataflow, NAC, head_walk
-from .source import SourceModule
+from .numerics import ModuleNumerics, build_module_numerics
+from .source import ModuleScope, SourceModule
 
 #: Caller label for call sites outside any top-level function.
 MODULE_CONTEXT = "<module>"
@@ -103,36 +106,7 @@ class ArgFact:
     strings: tuple[str, ...] | None = None
     shape: tuple[str, str] | None = None
     ret_of: str | None = None
-    elements: tuple["ArgFact", ...] | None = None
-
-    def to_dict(self) -> dict[str, object]:
-        out: dict[str, object] = {"position": self.position, "keyword": self.keyword, "kind": self.kind}
-        if self.value is not None:
-            out["value"] = self.value
-        if self.strings is not None:
-            out["strings"] = list(self.strings)
-        if self.shape is not None:
-            out["shape"] = list(self.shape)
-        if self.ret_of is not None:
-            out["ret_of"] = self.ret_of
-        if self.elements is not None:
-            out["elements"] = [e.to_dict() for e in self.elements]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ArgFact":
-        return cls(
-            position=data["position"],
-            keyword=data["keyword"],
-            kind=data["kind"],
-            value=data.get("value"),
-            strings=tuple(data["strings"]) if data.get("strings") is not None else None,
-            shape=tuple(data["shape"]) if data.get("shape") is not None else None,
-            ret_of=data.get("ret_of"),
-            elements=tuple(cls.from_dict(e) for e in data["elements"])
-            if data.get("elements") is not None
-            else None,
-        )
+    elements: tuple[ArgFact, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -147,31 +121,6 @@ class CallSite:
     callee_name: str  # bare trailing name (conservative matching)
     result_used: bool
     args: tuple[ArgFact, ...] = ()
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "lineno": self.lineno,
-            "col": self.col,
-            "line_text": self.line_text,
-            "caller": self.caller,
-            "callee": self.callee,
-            "callee_name": self.callee_name,
-            "result_used": self.result_used,
-            "args": [a.to_dict() for a in self.args],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CallSite":
-        return cls(
-            lineno=data["lineno"],
-            col=data["col"],
-            line_text=data["line_text"],
-            caller=data["caller"],
-            callee=data["callee"],
-            callee_name=data["callee_name"],
-            result_used=data["result_used"],
-            args=tuple(ArgFact.from_dict(a) for a in data["args"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -206,44 +155,9 @@ class FunctionSymbol:
             return self.shape_of_param(self.param_names[index])
         return None
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "qualname": self.qualname,
-            "lineno": self.lineno,
-            "col": self.col,
-            "line_text": self.line_text,
-            "is_public": self.is_public,
-            "decorated": self.decorated,
-            "returns_value": self.returns_value,
-            "is_pure": self.is_pure,
-            "param_names": list(self.param_names),
-            "param_shapes": [[n, list(s)] for n, s in self.param_shapes],
-            "return_shape": list(self.return_shape) if self.return_shape else None,
-            "is_method": self.is_method,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FunctionSymbol":
-        return cls(
-            name=data["name"],
-            qualname=data["qualname"],
-            lineno=data["lineno"],
-            col=data["col"],
-            line_text=data["line_text"],
-            is_public=data["is_public"],
-            decorated=data["decorated"],
-            returns_value=data["returns_value"],
-            is_pure=data["is_pure"],
-            param_names=tuple(data["param_names"]),
-            param_shapes=tuple((n, (s[0], s[1])) for n, s in data["param_shapes"]),
-            return_shape=tuple(data["return_shape"]) if data["return_shape"] else None,
-            is_method=data.get("is_method", False),
-        )
-
 
 @dataclass
-class ModuleSymbols:
+class ModuleSymbols(ModuleScope):
     """Everything project-wide analyses need to know about one module."""
 
     name: str
@@ -263,78 +177,11 @@ class ModuleSymbols:
     #: Metric-name string constants (populated for the catalog module).
     metric_names: tuple[str, ...] = ()
     #: Concurrency facts (locks, guarded accesses, thread lifecycles);
-    #: ``None`` for modules with nothing concurrency-relevant.  Typed
-    #: loosely to keep the import lazy (symbols ↔ concurrency would
-    #: otherwise be a cycle).
-    concurrency: object | None = None
+    #: ``None`` for modules with nothing concurrency-relevant.
+    concurrency: ModuleConcurrency | None = None
     #: Numeric kernel facts (dtypes, allocations, copies, loops);
-    #: ``None`` for modules with no NumPy-relevant code.  Loosely typed
-    #: for the same lazy-import reason as ``concurrency``.
-    numerics: object | None = None
-
-    @property
-    def package(self) -> str:
-        parts = self.name.split(".")
-        if parts[0] != "repro" or len(parts) < 2:
-            return ""
-        return parts[1]
-
-    def suppressed(self, rule_id: str, lineno: int) -> bool:
-        """Pragma check mirroring :meth:`SourceModule.suppressed`."""
-        ids = self.pragmas.get(lineno)
-        if not ids:
-            return False
-        return "*" in ids or rule_id in ids
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "relpath": self.relpath,
-            "is_package": self.is_package,
-            "functions": [f.to_dict() for f in self.functions],
-            "classes": list(self.classes),
-            "all_names": list(self.all_names),
-            "imports": dict(self.imports),
-            "name_refs": [[c, n] for c, n in self.name_refs],
-            "attr_refs": list(self.attr_refs),
-            "call_sites": [c.to_dict() for c in self.call_sites],
-            "pragmas": {str(k): sorted(v) for k, v in self.pragmas.items()},
-            "metric_names": list(self.metric_names),
-            "concurrency": self.concurrency.to_dict()  # type: ignore[attr-defined]
-            if self.concurrency is not None
-            else None,
-            "numerics": self.numerics.to_dict()  # type: ignore[attr-defined]
-            if self.numerics is not None
-            else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleSymbols":
-        from .concurrency import ModuleConcurrency
-        from .numerics import ModuleNumerics
-
-        conc_data = data.get("concurrency")
-        num_data = data.get("numerics")
-        return cls(
-            name=data["name"],
-            relpath=data["relpath"],
-            is_package=data["is_package"],
-            functions=[FunctionSymbol.from_dict(f) for f in data["functions"]],
-            classes=list(data["classes"]),
-            all_names=list(data["all_names"]),
-            imports=dict(data["imports"]),
-            name_refs=[(c, n) for c, n in data["name_refs"]],
-            attr_refs=list(data["attr_refs"]),
-            call_sites=[CallSite.from_dict(c) for c in data["call_sites"]],
-            pragmas={int(k): set(v) for k, v in data["pragmas"].items()},
-            metric_names=tuple(data["metric_names"]),
-            concurrency=ModuleConcurrency.from_dict(conc_data)
-            if conc_data is not None
-            else None,
-            numerics=ModuleNumerics.from_dict(num_data)
-            if num_data is not None
-            else None,
-        )
+    #: ``None`` for modules with no NumPy-relevant code.
+    numerics: ModuleNumerics | None = None
 
 
 # ----------------------------------------------------------------------
@@ -502,65 +349,6 @@ def _function_symbol(
 
 
 # ----------------------------------------------------------------------
-# imports
-# ----------------------------------------------------------------------
-
-
-def _import_map(module: SourceModule) -> dict[str, str]:
-    """local alias → dotted target for every top-level import."""
-    out: dict[str, str] = {}
-    own_parts = module.name.split(".")
-    package_parts = own_parts if module.is_package else own_parts[:-1]
-    for node in module.tree.body:
-        if isinstance(node, ast.Import):
-            for a in node.names:
-                if a.asname:
-                    out[a.asname] = a.name
-                else:
-                    out[a.name.split(".")[0]] = a.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base = node.module or ""
-            else:
-                if node.level - 1 > len(package_parts):
-                    continue
-                prefix = package_parts[: len(package_parts) - (node.level - 1)]
-                base = ".".join(prefix + ([node.module] if node.module else []))
-            for a in node.names:
-                if a.name == "*":
-                    continue
-                target = f"{base}.{a.name}" if base else a.name
-                out[a.asname or a.name] = target
-    return out
-
-
-def _resolve_callee(
-    func: ast.expr, imports: dict[str, str], local_defs: dict[str, str]
-) -> tuple[str | None, str]:
-    """(dotted spec or None, bare name) for a call's function expression."""
-    if isinstance(func, ast.Name):
-        if func.id in local_defs:
-            return local_defs[func.id], func.id
-        if func.id in imports:
-            return imports[func.id], func.id
-        return None, func.id
-    if isinstance(func, ast.Attribute):
-        chain: list[str] = []
-        node: ast.expr = func
-        while isinstance(node, ast.Attribute):
-            chain.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            chain.append(node.id)
-            chain.reverse()
-            base = chain[0]
-            if base in imports:
-                return ".".join([imports[base]] + chain[1:]), func.attr
-        return None, func.attr
-    return None, ""
-
-
-# ----------------------------------------------------------------------
 # metric catalog extraction
 # ----------------------------------------------------------------------
 
@@ -616,8 +404,7 @@ def _arg_fact(
     stmt: ast.stmt | None,
     flow: FunctionDataflow | None,
     caller_symbol: FunctionSymbol | None,
-    imports: dict[str, str],
-    local_defs: dict[str, str],
+    module: SourceModule,
     depth: int = 0,
 ) -> ArgFact:
     base = dict(position=position, keyword=keyword)
@@ -641,8 +428,7 @@ def _arg_fact(
                     if d.kind == "param" and caller_symbol is not None:
                         sources.add(f"<param:{d.name}>")
                     elif d.kind == "assign" and isinstance(d.value, ast.Call):
-                        spec, _bare = _resolve_callee(d.value.func, imports, local_defs)
-                        sources.add(spec or "<unknown>")
+                        sources.add(module.resolve_callee(d.value.func) or "<unknown>")
                     else:
                         sources.add("<unknown>")
                 if len(sources) == 1:
@@ -657,13 +443,13 @@ def _arg_fact(
             return ArgFact(kind="ret-of", ret_of=ret_of, **base)
         return ArgFact(kind="other", **base)
     if isinstance(expr, ast.Call):
-        spec, _bare = _resolve_callee(expr.func, imports, local_defs)
+        spec = module.resolve_callee(expr.func)
         if spec is not None:
             return ArgFact(kind="ret-of", ret_of=spec, **base)
         return ArgFact(kind="other", **base)
     if isinstance(expr, (ast.List, ast.Tuple)) and depth == 0:
         elements = tuple(
-            _arg_fact(e, i, None, stmt, flow, caller_symbol, imports, local_defs, depth=1)
+            _arg_fact(e, i, None, stmt, flow, caller_symbol, module, depth=1)
             for i, e in enumerate(expr.elts)
         )
         return ArgFact(kind="seq", elements=elements, **base)
@@ -676,21 +462,18 @@ def _call_sites_in_stmt(
     caller: str,
     flow: FunctionDataflow | None,
     caller_symbol: FunctionSymbol | None,
-    imports: dict[str, str],
-    local_defs: dict[str, str],
 ) -> list[CallSite]:
     out: list[CallSite] = []
     discarded = stmt.value if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call) else None
     for node in head_walk(stmt):
         if not isinstance(node, ast.Call):
             continue
-        spec, bare = _resolve_callee(node.func, imports, local_defs)
         args = tuple(
-            _arg_fact(a, i, None, stmt, flow, caller_symbol, imports, local_defs)
+            _arg_fact(a, i, None, stmt, flow, caller_symbol, module)
             for i, a in enumerate(node.args)
             if not isinstance(a, ast.Starred)
         ) + tuple(
-            _arg_fact(kw.value, None, kw.arg, stmt, flow, caller_symbol, imports, local_defs)
+            _arg_fact(kw.value, None, kw.arg, stmt, flow, caller_symbol, module)
             for kw in node.keywords
             if kw.arg is not None
         )
@@ -700,8 +483,8 @@ def _call_sites_in_stmt(
                 col=node.col_offset,
                 line_text=module.line_at(node.lineno),
                 caller=caller,
-                callee=spec,
-                callee_name=bare,
+                callee=module.resolve_callee(node.func),
+                callee_name=getattr(node.func, "id", None) or getattr(node.func, "attr", ""),
                 result_used=node is not discarded,
                 args=args,
             )
@@ -758,8 +541,6 @@ def _collect_refs(module: SourceModule, toplevel_functions: dict[str, ast.AST]) 
 def build_module_symbols(module: SourceModule) -> ModuleSymbols:
     """Extract the :class:`ModuleSymbols` facts for one parsed module."""
     tree = module.tree
-    imports = _import_map(module)
-
     toplevel_fns: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
     classes: list[str] = []
     methods: list[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]] = []
@@ -771,9 +552,6 @@ def build_module_symbols(module: SourceModule) -> ModuleSymbols:
             for sub in node.body:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     methods.append((f"{node.name}.{sub.name}", sub))
-
-    local_defs = {name: f"{module.name}.{name}" for name in toplevel_fns}
-    local_defs.update({name: f"{module.name}.{name}" for name in classes})
 
     functions = [_function_symbol(module, fn) for fn in toplevel_fns.values()]
     functions += [
@@ -807,7 +585,7 @@ def build_module_symbols(module: SourceModule) -> ModuleSymbols:
             module_level.append(node)
     for stmt in module_level:
         call_sites.extend(
-            _call_sites_in_stmt(module, stmt, MODULE_CONTEXT, None, None, imports, local_defs)
+            _call_sites_in_stmt(module, stmt, MODULE_CONTEXT, None, None)
         )
     # Function and method bodies: full dataflow-backed extraction.
     for caller, fn in list(toplevel_fns.items()) + methods:
@@ -815,7 +593,7 @@ def build_module_symbols(module: SourceModule) -> ModuleSymbols:
         caller_symbol = symbol_by_caller.get(caller)
         for stmt in _statements_of(fn, flow):
             call_sites.extend(
-                _call_sites_in_stmt(module, stmt, caller, flow, caller_symbol, imports, local_defs)
+                _call_sites_in_stmt(module, stmt, caller, flow, caller_symbol)
             )
 
     name_refs, attr_refs = _collect_refs(module, dict(toplevel_fns))
@@ -824,15 +602,6 @@ def build_module_symbols(module: SourceModule) -> ModuleSymbols:
     if module.name.endswith("metrics.catalog"):
         metric_names = _extract_metric_names(module)
 
-    # Lazy imports: concurrency.py / numerics.py import helpers from
-    # this module's siblings, so the dependency must point one way at
-    # import time.
-    from .concurrency import build_module_concurrency
-    from .numerics import build_module_numerics
-
-    concurrency = build_module_concurrency(module, imports, local_defs)
-    numerics = build_module_numerics(module, imports, local_defs)
-
     return ModuleSymbols(
         name=module.name,
         relpath=module.relpath,
@@ -840,12 +609,12 @@ def build_module_symbols(module: SourceModule) -> ModuleSymbols:
         functions=functions,
         classes=classes,
         all_names=all_names,
-        imports=imports,
+        imports=module.imports,
         name_refs=name_refs,
         attr_refs=attr_refs,
         call_sites=call_sites,
         pragmas={k: set(v) for k, v in module.pragmas.items()},
         metric_names=metric_names,
-        concurrency=concurrency,
-        numerics=numerics,
+        concurrency=build_module_concurrency(module),
+        numerics=build_module_numerics(module),
     )

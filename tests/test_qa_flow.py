@@ -10,17 +10,23 @@ and ``unused-result`` rules stand on.
 from __future__ import annotations
 
 import ast
+import json
 import textwrap
+from pathlib import Path
 
 from repro.qa.callgraph import ROOT, CallGraph, ProjectIndex
 from repro.qa.cfg import build_cfg
+from repro.qa.codec import decode, encode
 from repro.qa.dataflow import UNBOUND, FunctionDataflow
+from repro.qa.engine import collect_files
 from repro.qa.source import SourceModule
 from repro.qa.symbols import (
     ModuleSymbols,
     build_module_symbols,
     parse_shape_contracts,
 )
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _fn(source: str) -> ast.FunctionDef:
@@ -373,7 +379,9 @@ def test_symbols_extracts_metric_vocabulary_from_catalog_source():
 
 
 def test_symbols_roundtrip_through_dict():
-    (facts,) = _facts(
+    # Every module of the repository, concurrency and numeric facts
+    # included, must survive the cache's JSON encoding unchanged.
+    (fixture,) = _facts(
         {
             "repro.core.mod": """\
                 from repro.metrics.series import SnapshotSeries
@@ -391,8 +399,13 @@ def test_symbols_roundtrip_through_dict():
             """
         }
     )
-    restored = ModuleSymbols.from_dict(facts.to_dict())
-    assert restored == facts
+    files = collect_files(REPO / tree for tree in ("src", "tests", "benchmarks", "examples"))
+    facts = [fixture] + [build_module_symbols(SourceModule.parse(path)) for path in files]
+    assert any(f.concurrency is not None for f in facts)
+    assert any(f.numerics is not None for f in facts)
+    for record in facts:
+        restored = decode(ModuleSymbols, json.loads(json.dumps(encode(record))))
+        assert restored == record, record.relpath
 
 
 # ----------------------------------------------------------------------

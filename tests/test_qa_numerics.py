@@ -255,10 +255,11 @@ class TestExtraction:
                 return acc
             '''
         )
+        from repro.qa.codec import decode, encode
         from repro.qa.numerics import ModuleNumerics
 
-        restored = ModuleNumerics.from_dict(json.loads(json.dumps(num.to_dict())))
-        assert restored.to_dict() == num.to_dict()
+        restored = decode(ModuleNumerics, json.loads(json.dumps(encode(num))))
+        assert restored == num
 
     def test_chunked_range_loop_is_not_scalar(self):
         fn = function_facts(

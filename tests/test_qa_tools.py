@@ -357,6 +357,31 @@ def test_engine_revision_invalidates_rules_signature(monkeypatch):
     assert rules_signature(list(all_rules())) != before
 
 
+def test_revision_4_cache_starts_cold(tree, tmp_path, monkeypatch):
+    # Revision 4 stored facts and findings as keyed dicts; the codec
+    # reads positional lists, so such a cache must never be decoded.
+    import repro.qa.cache as cache_mod
+
+    cache_path = tmp_path / "cache.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_mod, "ENGINE_REVISION", 4)
+        old = _run(tree, ResultCache(cache_path, rules_signature(list(all_rules()))))
+    assert old.parsed_files == old.num_files > 0
+    data = json.loads(cache_path.read_text())
+    for entry in data["files"].values():
+        entry["facts"] = {"name": entry["facts"][0], "relpath": entry["facts"][1]}
+        entry["findings"] = [{"rule": f[0], "severity": f[1]} for f in entry["findings"]]
+    cache_path.write_text(json.dumps(data))
+    assert cache_mod.ENGINE_REVISION == 5
+    sig = rules_signature(list(all_rules()))
+    assert data["signature"] != sig
+    fresh = _run(tree, ResultCache(cache_path, sig))
+    assert fresh.cached_files == 0
+    assert fresh.parsed_files == fresh.num_files
+    assert fresh.findings == old.findings
+    assert json.loads(cache_path.read_text())["signature"] == sig
+
+
 def test_baseline_workflow_covers_concurrency_rules(tree, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     conc = tree / "repro" / "core" / "conc.py"
