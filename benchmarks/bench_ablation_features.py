@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis.reports import format_table
 from repro.core.feature_selection import select_features
-from repro.core.preprocessing import MetricSelector
+from repro.core.config import ClassifierConfig
 from repro.experiments.ablation import holdout_accuracy
 from repro.metrics.catalog import ALL_METRIC_NAMES, EXPERT_METRIC_NAMES
 from repro.metrics.series import merge_feature_matrices
@@ -36,18 +36,18 @@ def auto_selector(training_outcome):
     )
     x = merge_feature_matrices(series, ALL_METRIC_NAMES)
     result = select_features(x, labels, list(ALL_METRIC_NAMES), max_features=8)
-    return MetricSelector(names=result.selected), result
+    return ClassifierConfig(metric_names=result.selected), result
 
 
 @pytest.fixture(scope="module")
 def regimes(training_outcome, auto_selector):
-    selector_auto, _ = auto_selector
+    config_auto, _ = auto_selector
     return {
-        "expert-8 (Table 1)": holdout_accuracy(training_outcome, selector=MetricSelector()),
+        "expert-8 (Table 1)": holdout_accuracy(training_outcome, ClassifierConfig()),
         "all-33": holdout_accuracy(
-            training_outcome, selector=MetricSelector(names=ALL_METRIC_NAMES)
+            training_outcome, ClassifierConfig(metric_names=ALL_METRIC_NAMES)
         ),
-        "auto-8 (FCBF-style)": holdout_accuracy(training_outcome, selector=selector_auto),
+        "auto-8 (FCBF-style)": holdout_accuracy(training_outcome, config_auto),
     }
 
 

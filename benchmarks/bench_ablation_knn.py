@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.reports import format_table
+from repro.core.config import ClassifierConfig
 from repro.experiments.ablation import holdout_accuracy
 
 from conftest import emit
@@ -20,7 +21,7 @@ def sweep(training_outcome):
 
 
 def holdoutacc(training_outcome, k):
-    return holdout_accuracy(training_outcome, n_components=2, k=k)
+    return holdout_accuracy(training_outcome, ClassifierConfig(n_components=2, k=k))
 
 
 def test_ablation_knn_regenerate(benchmark, training_outcome, sweep, out_dir):
@@ -49,7 +50,6 @@ def test_ablation_all_k_reasonable(sweep):
 
 def test_weighted_voting_variant(training_outcome, out_dir):
     """Distance-weighted voting (extension) vs the paper's plain majority."""
-    from repro.core.preprocessing import MetricSelector
     from repro.core.pipeline import ApplicationClassifier
     from repro.experiments.ablation import split_series
     import numpy as np
@@ -61,10 +61,10 @@ def test_weighted_voting_variant(training_outcome, out_dir):
         train, test = split_series(run.series)
         train_data.append((train, label))
         test_sets.append((test, label))
-    plain = ApplicationClassifier(k=3)
+    plain = ApplicationClassifier(ClassifierConfig(k=3))
     plain.knn.weighted = False
     plain.train(train_data)
-    weighted = ApplicationClassifier(k=3)
+    weighted = ApplicationClassifier(ClassifierConfig(k=3))
     weighted.knn.weighted = True
     weighted.train(train_data)
 

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.config import ClassifierConfig
 from repro.experiments.ablation import holdout_accuracy
 from repro.analysis.reports import format_table
 
@@ -23,14 +24,14 @@ def sweep(training_outcome):
     points = []
     for q in range(1, 9):
         t = time.perf_counter()
-        point = holdout_accuracy(training_outcome, n_components=q)
+        point = holdout_accuracy(training_outcome, ClassifierConfig(n_components=q))
         points.append((point, time.perf_counter() - t))
     return points
 
 
 def test_ablation_pca_regenerate(benchmark, training_outcome, sweep, out_dir):
     benchmark.pedantic(
-        holdout_accuracy, args=(training_outcome,), kwargs={"n_components": 2},
+        holdout_accuracy, args=(training_outcome, ClassifierConfig(n_components=2)),
         rounds=1, iterations=1,
     )
     rows = [

@@ -4,7 +4,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="7.0.0",
+    version="8.0.0",
     description=(
         "Reproduction of 'Application Classification through Monitoring and "
         "Learning of Resource Consumption Patterns' (Zhang & Figueiredo, IPDPS 2006)"

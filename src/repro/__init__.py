@@ -39,7 +39,7 @@ Subpackages
   (``except ReproError`` catches every caller-facing error).
 """
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 from . import (
     analysis,

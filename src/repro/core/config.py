@@ -1,9 +1,9 @@
 """Classifier configuration — one frozen, hashable object for all knobs.
 
 The classifier's tuning surface (metric subset, PCA component selection,
-``k``, clock) used to travel as scattered kwargs through
-``ApplicationClassifier``, ``build_trained_classifier``, and
-``ResourceManager``.  :class:`ClassifierConfig` packages it:
+``k``, compute dtype, clock) is stated only here: ``ApplicationClassifier``,
+``build_trained_classifier``, ``holdout_accuracy`` and ``ResourceManager``
+all take a :class:`ClassifierConfig`.  It is:
 
 * **frozen + hashable** — it doubles as the model-cache key in
   :mod:`repro.serve`, so two callers asking for the same configuration
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from ..metrics.catalog import EXPERT_METRIC_NAMES, validate_metric_names
+from .pca import check_component_rule
 from .preprocessing import MetricSelector
 
 #: A clock is any zero-argument callable returning seconds as a float
@@ -71,16 +72,7 @@ class ClassifierConfig:
         validate_metric_names(self.metric_names)
         if not self.metric_names:
             raise ValueError("config needs at least one metric name")
-        if (self.n_components is None) == (self.min_variance_fraction is None):
-            raise ValueError(
-                "specify exactly one of n_components / min_variance_fraction"
-            )
-        if self.n_components is not None and self.n_components < 1:
-            raise ValueError("n_components must be >= 1")
-        if self.min_variance_fraction is not None and not (
-            0.0 < self.min_variance_fraction <= 1.0
-        ):
-            raise ValueError("min_variance_fraction must be in (0, 1]")
+        check_component_rule(self.n_components, self.min_variance_fraction)
         if self.k < 1 or self.k % 2 == 0:
             raise ValueError("k must be a positive odd number (majority vote)")
         if self.compute_dtype not in ("float64", "float32"):

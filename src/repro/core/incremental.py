@@ -16,8 +16,8 @@ batches, which the test suite verifies.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
+from .pca import check_component_rule, extract_components
 from .preprocessing import _check_matrix
 
 
@@ -37,12 +37,7 @@ class IncrementalPCA:
         n_components: int | None = None,
         min_variance_fraction: float | None = None,
     ) -> None:
-        if (n_components is None) == (min_variance_fraction is None):
-            raise ValueError("specify exactly one of n_components / min_variance_fraction")
-        if n_components is not None and n_components < 1:
-            raise ValueError("n_components must be >= 1")
-        if min_variance_fraction is not None and not 0.0 < min_variance_fraction <= 1.0:
-            raise ValueError("min_variance_fraction must be in (0, 1]")
+        check_component_rule(n_components, min_variance_fraction)
         self.n_components = n_components
         self.min_variance_fraction = min_variance_fraction
         self.count_: int = 0
@@ -85,49 +80,28 @@ class IncrementalPCA:
     # ------------------------------------------------------------------
     # extraction
     # ------------------------------------------------------------------
-    def _eigendecompose(self) -> tuple[np.ndarray, np.ndarray]:
+    def _extract(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`~repro.core.pca.extract_components` of the current covariance."""
         if self._scatter is None or self.count_ < 2:
             raise RuntimeError("IncrementalPCA needs at least 2 samples before extraction")
         cov = self._scatter / (self.count_ - 1)
-        eigenvalues, eigenvectors = scipy.linalg.eigh(cov)
-        order = np.argsort(eigenvalues)[::-1]
-        return np.clip(eigenvalues[order], 0.0, None), eigenvectors[:, order]
-
-    def _select_count(self, eigenvalues: np.ndarray) -> int:
-        if self.n_components is not None:
-            if self.n_components > eigenvalues.shape[0]:
-                raise ValueError("n_components exceeds feature dimension")
-            return self.n_components
-        assert self.min_variance_fraction is not None
-        total = eigenvalues.sum()
-        if total <= 0:
-            return 1
-        cumulative = np.cumsum(eigenvalues) / total
-        return int(np.searchsorted(cumulative, self.min_variance_fraction - 1e-12) + 1)
+        return extract_components(cov, self.n_components, self.min_variance_fraction)
 
     @property
     def components_(self) -> np.ndarray:
         """Current ``(q, p)`` principal directions (recomputed on access)."""
-        eigenvalues, eigenvectors = self._eigendecompose()
-        q = self._select_count(eigenvalues)
-        components = eigenvectors[:, :q].T
-        signs = np.sign(components[np.arange(q), np.argmax(np.abs(components), axis=1)])
-        signs[signs == 0] = 1.0
-        return components * signs[:, None]
+        return self._extract()[1]
 
     @property
     def explained_variance_(self) -> np.ndarray:
         """Eigenvalues of the currently kept components, shape ``(q,)``."""
-        eigenvalues, _ = self._eigendecompose()
-        return eigenvalues[: self._select_count(eigenvalues)]
+        eigenvalues, components, _ = self._extract()
+        return eigenvalues[: components.shape[0]]
 
     @property
     def explained_variance_ratio_(self) -> np.ndarray:
         """Kept eigenvalues over total variance, shape ``(q,)``."""
-        eigenvalues, _ = self._eigendecompose()
-        total = eigenvalues.sum()
-        q = self._select_count(eigenvalues)
-        return eigenvalues[:q] / total if total > 0 else np.zeros(q)
+        return self._extract()[2]
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         """Project ``(m, p)`` samples×features data onto the ``(m, q)`` space."""

@@ -28,6 +28,58 @@ import scipy.linalg
 from .preprocessing import _check_matrix
 
 
+def check_component_rule(n_components: int | None, min_variance_fraction: float | None) -> None:
+    """Validate a component-selection rule (shared with ``IncrementalPCA`` and ``ClassifierConfig``).
+
+    Raises ``ValueError`` unless exactly one of the two is given, the
+    count is at least 1, and the fraction lies in (0, 1].
+    """
+    if (n_components is None) == (min_variance_fraction is None):
+        raise ValueError("specify exactly one of n_components / min_variance_fraction")
+    if n_components is not None and n_components < 1:
+        raise ValueError("n_components must be >= 1")
+    if min_variance_fraction is not None and not 0.0 < min_variance_fraction <= 1.0:
+        raise ValueError("min_variance_fraction must be in (0, 1]")
+
+
+def extract_components(
+    cov: np.ndarray, n_components: int | None, min_variance_fraction: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Principal directions of a ``p×p`` covariance under a selection rule.
+
+    dtype: float64
+
+    Returns every eigenvalue (descending, clipped at 0), the kept
+    ``(q, p)`` orthonormal directions, and the kept eigenvalues over
+    the total variance.  *q* is *n_components*, or else the fewest
+    components whose cumulative variance ratio reaches
+    *min_variance_fraction* (the paper's rule).  Raises ``ValueError``
+    if *n_components* exceeds ``p``.
+    """
+    p = cov.shape[0]
+    if n_components is not None and n_components > p:
+        raise ValueError(f"cannot keep {n_components} components of {p} features")
+    eigenvalues, eigenvectors = scipy.linalg.eigh(cov)
+    # eigh returns ascending order; we want descending.
+    order = np.argsort(eigenvalues)[::-1]
+    eigenvalues = np.clip(eigenvalues[order], 0.0, None)
+    eigenvectors = eigenvectors[:, order]
+    total = eigenvalues.sum()
+    if n_components is not None:
+        q = n_components
+    elif total <= 0:
+        q = 1
+    else:
+        cumulative = np.cumsum(eigenvalues) / total
+        q = int(np.searchsorted(cumulative, min_variance_fraction - 1e-12) + 1)
+    components = eigenvectors[:, :q].T
+    # Deterministic sign: largest-magnitude loading of each component
+    # is positive.
+    signs = np.sign(components[np.arange(q), np.argmax(np.abs(components), axis=1)])
+    signs[signs == 0] = 1.0
+    ratio = eigenvalues[:q] / total if total > 0 else np.zeros(q)
+    return eigenvalues, components * signs[:, None], ratio
+
 class PCA:
     """Principal component analysis via scatter-matrix eigendecomposition.
 
@@ -59,12 +111,7 @@ class PCA:
         n_components: int | None = None,
         min_variance_fraction: float | None = None,
     ) -> None:
-        if (n_components is None) == (min_variance_fraction is None):
-            raise ValueError("specify exactly one of n_components / min_variance_fraction")
-        if n_components is not None and n_components < 1:
-            raise ValueError("n_components must be >= 1")
-        if min_variance_fraction is not None and not 0.0 < min_variance_fraction <= 1.0:
-            raise ValueError("min_variance_fraction must be in (0, 1]")
+        check_component_rule(n_components, min_variance_fraction)
         self.n_components = n_components
         self.min_variance_fraction = min_variance_fraction
         self.components_: np.ndarray | None = None
@@ -98,48 +145,24 @@ class PCA:
         x = _check_matrix(x, dtype=None)
         out_dtype = x.dtype
         x = x.astype(np.float64, copy=False)
-        m, p = x.shape
+        m = x.shape[0]
         if m < 2:
             raise ValueError("PCA needs at least 2 samples")
-        if self.n_components is not None and self.n_components > p:
-            raise ValueError(f"cannot keep {self.n_components} components of {p} features")
         mean = x.mean(axis=0)
         centered = x - mean
         # Scatter matrix normalized in place to the (m-1) covariance
         # estimator (identical values, one fewer p×p temporary).
         cov = centered.T @ centered
         cov /= m - 1
-        eigenvalues, eigenvectors = scipy.linalg.eigh(cov)
-        # eigh returns ascending order; we want descending.
-        order = np.argsort(eigenvalues)[::-1]
-        eigenvalues = np.clip(eigenvalues[order], 0.0, None)
-        eigenvectors = eigenvectors[:, order]
-        self._all_eigenvalues = eigenvalues
-
-        q = self._select_count(eigenvalues)
-        components = eigenvectors[:, :q].T
-        # Deterministic sign: largest-magnitude loading of each component
-        # is positive.
-        signs = np.sign(components[np.arange(q), np.argmax(np.abs(components), axis=1)])
-        signs[signs == 0] = 1.0
-        self.mean_ = mean.astype(out_dtype, copy=False)
-        self.components_ = (components * signs[:, None]).astype(out_dtype, copy=False)
-        self.explained_variance_ = eigenvalues[:q]
-        total = eigenvalues.sum()
-        self.explained_variance_ratio_ = (
-            eigenvalues[:q] / total if total > 0 else np.zeros(q)
+        eigenvalues, components, ratio = extract_components(
+            cov, self.n_components, self.min_variance_fraction
         )
+        self._all_eigenvalues = eigenvalues
+        self.mean_ = mean.astype(out_dtype, copy=False)
+        self.components_ = components.astype(out_dtype, copy=False)
+        self.explained_variance_ = eigenvalues[: components.shape[0]]
+        self.explained_variance_ratio_ = ratio
         return self
-
-    def _select_count(self, eigenvalues: np.ndarray) -> int:
-        if self.n_components is not None:
-            return self.n_components
-        assert self.min_variance_fraction is not None
-        total = eigenvalues.sum()
-        if total <= 0:
-            return 1
-        cumulative = np.cumsum(eigenvalues) / total
-        return int(np.searchsorted(cumulative, self.min_variance_fraction - 1e-12) + 1)
 
     # ------------------------------------------------------------------
     # application

@@ -38,7 +38,7 @@ from .labels import (
     SnapshotClass,
 )
 from .pca import PCA
-from .preprocessing import MetricSelector, Normalizer, Preprocessor
+from .preprocessing import Normalizer, Preprocessor
 
 
 #: A clock is any zero-argument callable returning seconds as a float.
@@ -320,54 +320,33 @@ class ApplicationClassifier:
 
     Parameters
     ----------
-    selector:
-        Metric subset to use (default: the paper's 8 expert metrics).
-    n_components:
-        PCA components ``q``; the paper's threshold extracts exactly 2.
-        Mutually exclusive with *min_variance_fraction*.
-    min_variance_fraction:
-        Variance-based component selection, if preferred.
-    k:
-        Neighbors in the vote (default 3, odd required).
-    compute_dtype:
-        ``"float64"`` (default) — the reference mode: the staged
-        normalize → center → project pipeline at float64 — or
-        ``"float32"`` — the documented tolerance mode: every fitted
+    config:
+        The tuning configuration — metric subset, PCA component
+        selection, ``k``, compute dtype and clock — stored as given
+        (default: :class:`ClassifierConfig`'s paper configuration).  A
+        ``compute_dtype`` of ``"float64"`` is the reference mode: the
+        staged normalize → center → project pipeline at float64;
+        ``"float32"`` is the documented tolerance mode: every fitted
         parameter, intermediate buffer, and distance runs at float32,
         and the per-snapshot normalize→center→project stages collapse
-        into one affine projection (+bias) folded at train time.
-    clock:
-        Injected clock for the §5.3 stage-timing accounting (defaults to
-        :data:`DEFAULT_CLOCK`); pass a fake for deterministic timings.
-
-    All tuning parameters are keyword-only.
+        into one affine projection (+bias) folded at train time.  The
+        live :attr:`clock` is the config's, or :data:`DEFAULT_CLOCK`.
     """
 
-    def __init__(
-        self,
-        *,
-        selector: MetricSelector | None = None,
-        n_components: int | None = 2,
-        min_variance_fraction: float | None = None,
-        k: int = 3,
-        compute_dtype: str = "float64",
-        clock: Clock | None = None,
-    ) -> None:
-        if compute_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"compute_dtype must be 'float64' or 'float32', got {compute_dtype!r}"
-            )
-        self.compute_dtype = compute_dtype
-        self._dtype = np.dtype(compute_dtype)
-        self.clock: Clock = clock if clock is not None else DEFAULT_CLOCK
+    def __init__(self, config: ClassifierConfig | None = None) -> None:
+        self.config = config if config is not None else ClassifierConfig()
+        self.compute_dtype = self.config.compute_dtype
+        self._dtype = np.dtype(self.compute_dtype)
+        self.clock: Clock = self.config.clock if self.config.clock is not None else DEFAULT_CLOCK
         self.preprocessor = Preprocessor(
-            selector=selector or MetricSelector(),
+            selector=self.config.selector(),
             normalizer=Normalizer(dtype=self._dtype),
         )
-        if min_variance_fraction is not None:
-            n_components = None
-        self.pca = PCA(n_components=n_components, min_variance_fraction=min_variance_fraction)
-        self.knn = KNeighborsClassifier(k=k)
+        self.pca = PCA(
+            n_components=self.config.n_components,
+            min_variance_fraction=self.config.min_variance_fraction,
+        )
+        self.knn = KNeighborsClassifier(k=self.config.k)
         self.training_scores_: np.ndarray | None = None
         self.training_labels_: np.ndarray | None = None
         # Folded normalize→center→project operands, built at train time:
@@ -381,40 +360,25 @@ class ApplicationClassifier:
 
     @classmethod
     def from_config(cls, config: ClassifierConfig) -> "ApplicationClassifier":
-        """Construct a classifier from a :class:`ClassifierConfig`.
+        """Construct a classifier from a :class:`ClassifierConfig` (same as ``cls(config)``)."""
+        return cls(config)
 
-        The config is the sanctioned way to carry tuning parameters
-        through the serving layer (it doubles as the model-cache key).
-        Both numeric modes construct here: ``compute_dtype="float64"``
-        is the bit-identical reference pipeline and
-        ``compute_dtype="float32"`` the tolerance mode (see
-        ``docs/API.md`` § Numeric modes).
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled classifier.
+
+        A classifier pickled before 8.0 has no ``config`` in its state;
+        it gets the config rebuilt from its fitted components.
         """
-        return cls(
-            selector=config.selector(),
-            n_components=config.n_components,
-            min_variance_fraction=config.min_variance_fraction,
-            k=config.k,
-            compute_dtype=config.compute_dtype,
-            clock=config.clock,
-        )
-
-    @property
-    def config(self) -> ClassifierConfig:
-        """The :class:`ClassifierConfig` equivalent to this classifier.
-
-        Reconstructed from the live components, so it is accurate for
-        classifiers built with scattered kwargs too; the clock is
-        excluded from config equality, making this usable as a cache key.
-        """
-        return ClassifierConfig(
-            metric_names=self.preprocessor.selector.names,
-            n_components=self.pca.n_components,
-            min_variance_fraction=self.pca.min_variance_fraction,
-            k=self.knn.k,
-            compute_dtype=self.compute_dtype,
-            clock=self.clock,
-        )
+        self.__dict__.update(state)
+        if "config" not in state:
+            self.config = ClassifierConfig(
+                metric_names=self.preprocessor.selector.names,
+                n_components=self.pca.n_components,
+                min_variance_fraction=self.pca.min_variance_fraction,
+                k=self.knn.k,
+                compute_dtype=self.compute_dtype,
+                clock=None if self.clock is DEFAULT_CLOCK else self.clock,
+            )
 
     # ------------------------------------------------------------------
     # training

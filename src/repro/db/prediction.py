@@ -98,6 +98,20 @@ class KnnRuntimePredictor:
             if r.environment.get(self.environment_key) == environment_value
         ]
 
+    def _estimate(self, runs: list[RunRecord], composition: ClassComposition) -> tuple[float, int]:
+        """Inverse-distance-weighted mean runtime of the runs nearest *composition*.
+
+        Returns the estimate and the number of neighbors averaged,
+        ``min(k, len(runs))``; ties in distance keep history order.
+        """
+        points = np.array([r.composition.fractions for r in runs])
+        times = np.array([r.execution_time for r in runs])
+        d = np.linalg.norm(points - np.asarray(composition.fractions), axis=1)
+        k = min(self.k, len(runs))
+        nearest = np.argsort(d, kind="stable")[:k]
+        weights = 1.0 / (d[nearest] + 1e-9)
+        return float(np.average(times[nearest], weights=weights)), k
+
     def predict(
         self,
         application: str,
@@ -124,14 +138,7 @@ class KnnRuntimePredictor:
                     else ""
                 )
             )
-        query = np.asarray(composition.fractions)
-        points = np.array([r.composition.fractions for r in candidates])
-        times = np.array([r.execution_time for r in candidates])
-        d = np.linalg.norm(points - query, axis=1)
-        k = min(self.k, len(candidates))
-        nearest = np.argsort(d, kind="stable")[:k]
-        weights = 1.0 / (d[nearest] + 1e-9)
-        predicted = float(np.average(times[nearest], weights=weights))
+        predicted, k = self._estimate(candidates, composition)
         return RuntimePrediction(
             application=application,
             predicted_seconds=predicted,
@@ -151,14 +158,6 @@ class KnnRuntimePredictor:
             raise ValueError("need at least 2 runs for leave-one-out evaluation")
         errors = []
         for i, held_out in enumerate(candidates):
-            rest = candidates[:i] + candidates[i + 1 :]
-            query = np.asarray(held_out.composition.fractions)
-            points = np.array([r.composition.fractions for r in rest])
-            times = np.array([r.execution_time for r in rest])
-            d = np.linalg.norm(points - query, axis=1)
-            k = min(self.k, len(rest))
-            nearest = np.argsort(d, kind="stable")[:k]
-            weights = 1.0 / (d[nearest] + 1e-9)
-            predicted = float(np.average(times[nearest], weights=weights))
+            predicted, _ = self._estimate(candidates[:i] + candidates[i + 1 :], held_out.composition)
             errors.append(abs(predicted - held_out.execution_time) / held_out.execution_time)
         return float(np.mean(errors))

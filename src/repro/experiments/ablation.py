@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.config import ClassifierConfig
 from ..core.labels import SnapshotClass
 from ..core.pipeline import ApplicationClassifier
-from ..core.preprocessing import MetricSelector
 from ..metrics.series import SnapshotSeries
 from .training import TrainingOutcome
 
@@ -54,15 +54,11 @@ class AblationPoint:
     n_metrics: int
 
 
-def holdout_accuracy(
-    outcome: TrainingOutcome,
-    n_components: int = 2,
-    k: int = 3,
-    selector: MetricSelector | None = None,
-) -> AblationPoint:
+def holdout_accuracy(outcome: TrainingOutcome, config: ClassifierConfig | None = None) -> AblationPoint:
     """Train a classifier variant on half the snapshots, test on the rest.
 
-    Returns the snapshot-level accuracy over all five training classes.
+    The variant is built from *config* (default: the paper's).  Returns
+    the snapshot-level accuracy over all five training classes.
     """
     train_data: list[tuple[SnapshotSeries, SnapshotClass]] = []
     test_sets: list[tuple[SnapshotSeries, SnapshotClass]] = []
@@ -72,7 +68,7 @@ def holdout_accuracy(
         train_data.append((train, label))
         test_sets.append((test, label))
 
-    clf = ApplicationClassifier(selector=selector, n_components=n_components, k=k)
+    clf = ApplicationClassifier(config)
     clf.train(train_data)
 
     correct = 0
@@ -81,10 +77,5 @@ def holdout_accuracy(
         result = clf.classify_series(series)
         correct += int(np.sum(result.class_vector == int(label)))
         total += result.num_samples
-    return AblationPoint(
-        description=f"q={n_components}, k={k}, p={clf.preprocessor.selector.dimension}",
-        accuracy=correct / total,
-        n_components=n_components,
-        k=k,
-        n_metrics=clf.preprocessor.selector.dimension,
-    )
+    q, k, p = clf.pca.n_components_, clf.knn.k, clf.preprocessor.selector.dimension
+    return AblationPoint(f"q={q}, k={k}, p={p}", correct / total, n_components=q, k=k, n_metrics=p)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from ..core.config import ClassifierConfig
 from ..core.labels import SnapshotClass
 from ..core.pipeline import ApplicationClassifier
-from ..core.preprocessing import MetricSelector
 from ..sim.execution import RunResult, profiled_run
 from ..workloads.catalog import CatalogEntry, training_entries
 
@@ -35,32 +34,13 @@ def profile_training_entry(entry: CatalogEntry, seed: int = 0) -> RunResult:
     return profiled_run(entry.build(), vm_mem_mb=entry.vm_mem_mb, seed=seed)
 
 
-def build_trained_classifier(
-    seed: int = 0,
-    *,
-    n_components: int | None = 2,
-    min_variance_fraction: float | None = None,
-    k: int = 3,
-    selector: MetricSelector | None = None,
-    config: ClassifierConfig | None = None,
-) -> TrainingOutcome:
+def build_trained_classifier(seed: int = 0, *, config: ClassifierConfig | None = None) -> TrainingOutcome:
     """Run all five training profiles and train the classifier.
 
-    Tuning parameters are keyword-only and mirror
-    :class:`~repro.core.pipeline.ApplicationClassifier`; the defaults
-    reproduce the paper's configuration (8 expert metrics, q = 2
-    components, 3-NN).  A *config* supersedes the scattered kwargs — it
-    is the one-object form the serving layer caches on.
+    *config* defaults to the paper's configuration (8 expert metrics,
+    q = 2 components, 3-NN).
     """
-    if config is not None:
-        classifier = ApplicationClassifier.from_config(config)
-    else:
-        classifier = ApplicationClassifier(
-            selector=selector,
-            n_components=n_components,
-            min_variance_fraction=min_variance_fraction,
-            k=k,
-        )
+    classifier = ApplicationClassifier(config)
     outcome = TrainingOutcome(classifier=classifier)
     training_data = []
     for i, entry in enumerate(training_entries()):

@@ -39,7 +39,9 @@ from .symbols import ModuleSymbols
 #: wait records the lock it releases — older facts lack both.
 #: Revision 5: facts and findings are stored in the positional layout of
 #: :mod:`repro.qa.codec` — older entries are keyed dicts.
-ENGINE_REVISION = 5
+#: Revision 6: augmented assigns on Python int/float scalars are no
+#: longer recorded as in-place array ops in numeric kernel facts.
+ENGINE_REVISION = 6
 
 #: Default cache file name, looked up in the working directory.
 DEFAULT_CACHE = ".repro-qa-cache.json"

@@ -411,9 +411,9 @@ class _FunctionExtractor:
         if isinstance(stmt, ast.Return) and stmt.value is not None:
             self._return_dtypes.append(self.dtyper.infer(stmt.value, env))
         # In-place writes the table credits: augmented assigns on arrays
-        # and stores into array slices.
+        # (not on Python int/float scalars) and stores into array slices.
         if isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
-            if env.get(stmt.target.id, UNKNOWN) is not UNKNOWN:
+            if env.get(stmt.target.id, UNKNOWN) not in (UNKNOWN, WEAK_INT, WEAK_FLOAT):
                 op_sym = type(stmt.op).__name__
                 self._record(
                     stmt, "inplace", f"{op_sym}=", env.get(stmt.target.id),

@@ -5,8 +5,13 @@ import time
 import pytest
 
 from repro.core.config import ClassifierConfig
+from repro.core.incremental import IncrementalPCA
+from repro.core.pca import PCA
 from repro.core.pipeline import ApplicationClassifier
 from repro.metrics.catalog import EXPERT_METRIC_NAMES
+
+#: Every class that validates a PCA component-selection rule.
+COMPONENT_RULE_OWNERS = (ClassifierConfig, PCA, IncrementalPCA)
 
 
 class TestDefaults:
@@ -32,19 +37,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             ClassifierConfig(metric_names=())
 
+    # The component-selection rule is one check shared by the config and
+    # both PCAs, so each owner rejects the same arguments with the same
+    # message.
     def test_component_selection_exclusivity(self):
-        with pytest.raises(ValueError):
-            ClassifierConfig(n_components=2, min_variance_fraction=0.9)
-        with pytest.raises(ValueError):
-            ClassifierConfig(n_components=None, min_variance_fraction=None)
+        for owner in COMPONENT_RULE_OWNERS:
+            for n_components, fraction in ((2, 0.9), (None, None)):
+                with pytest.raises(ValueError, match="^specify exactly one of n_components / min_variance_fraction$"):
+                    owner(n_components=n_components, min_variance_fraction=fraction)
 
     def test_bad_n_components(self):
-        with pytest.raises(ValueError):
-            ClassifierConfig(n_components=0)
+        for owner in COMPONENT_RULE_OWNERS:
+            for n_components in (0, -1):
+                with pytest.raises(ValueError, match="^n_components must be >= 1$"):
+                    owner(n_components=n_components, min_variance_fraction=None)
 
     def test_bad_variance_fraction(self):
-        with pytest.raises(ValueError):
-            ClassifierConfig(n_components=None, min_variance_fraction=1.5)
+        for owner in COMPONENT_RULE_OWNERS:
+            for fraction in (0.0, -0.5, 1.5):
+                with pytest.raises(ValueError, match=r"^min_variance_fraction must be in \(0, 1\]$"):
+                    owner(n_components=None, min_variance_fraction=fraction)
 
     def test_even_or_nonpositive_k(self):
         with pytest.raises(ValueError):
@@ -86,7 +98,7 @@ class TestClassifierRoundTrip:
     def test_config_property_round_trips(self):
         config = ClassifierConfig(k=5)
         clf = ApplicationClassifier.from_config(config)
-        assert clf.config == config
+        assert clf.config is config
 
     def test_default_classifier_reports_default_config(self):
         assert ApplicationClassifier().config == ClassifierConfig()

@@ -3,15 +3,16 @@
 import copy
 import dataclasses
 import pickle
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.errors import NonFiniteInputError
+from repro.core.config import ClassifierConfig
 from repro.core.labels import SnapshotClass
 from repro.core.pipeline import ApplicationClassifier, StageTimings
-from repro.core.preprocessing import MetricSelector
 from repro.metrics.catalog import NUM_METRICS, metric_index
 from repro.metrics.series import SnapshotSeries
 from repro.serve.batch import BatchClassifier
@@ -86,7 +87,7 @@ class TestTraining:
         assert trained.knn.k == 3
 
     def test_variance_fraction_mode(self):
-        clf = ApplicationClassifier(min_variance_fraction=0.99)
+        clf = ApplicationClassifier(ClassifierConfig(n_components=None, min_variance_fraction=0.99))
         clf.train(synthetic_training())
         assert clf.pca.n_components_ >= 2
 
@@ -160,7 +161,7 @@ class TestClassification:
 
     def test_custom_selector(self):
         clf = ApplicationClassifier(
-            selector=MetricSelector(names=("cpu_user", "io_bi", "bytes_out", "swap_in"))
+            ClassifierConfig(metric_names=("cpu_user", "io_bi", "bytes_out", "swap_in"))
         )
         clf.train(synthetic_training())
         result = clf.classify_series(synthetic_series("cpu", seed=21))
@@ -206,7 +207,7 @@ class TestCopying:
 
     @pytest.fixture(params=["float64", "float32"])
     def clf(self, request):
-        clf = ApplicationClassifier(compute_dtype=request.param, clock=_zero_clock)
+        clf = ApplicationClassifier(ClassifierConfig(compute_dtype=request.param, clock=_zero_clock))
         return clf.train(synthetic_training())
 
     @pytest.mark.parametrize("how", sorted(COPIES))
@@ -228,12 +229,84 @@ class TestCopying:
         assert_same_results(batch_copy.classify_batch(series), want_batch)
 
 
+FITTED_ARRAYS = (
+    "training_scores_",
+    "training_labels_",
+    "fused_weights_",
+    "fused_bias_",
+    "pca.components_",
+    "pca.mean_",
+    "pca.explained_variance_",
+    "pca.explained_variance_ratio_",
+    "preprocessor.normalizer.mean_",
+    "preprocessor.normalizer.scale_",
+    "knn.training_points",
+)
+
+
+class TestOneWayIn:
+    """Every way to build a classifier from a config fits the same model."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_constructors_fit_identical_models(self, dtype):
+        builders = [
+            lambda: ApplicationClassifier(ClassifierConfig(compute_dtype=dtype)),
+            lambda: ApplicationClassifier.from_config(ClassifierConfig(compute_dtype=dtype)),
+        ]
+        if dtype == "float64":
+            builders.append(ApplicationClassifier)
+        models = [build().train(synthetic_training()) for build in builders]
+        for clf in models:
+            assert clf.config == ClassifierConfig(compute_dtype=dtype)
+            assert clf.compute_dtype == dtype
+        want = models[0]
+        for clf in models[1:]:
+            for path in FITTED_ARRAYS:
+                got, ref = attrgetter(path)(clf), attrgetter(path)(want)
+                assert got.dtype == ref.dtype and got.shape == ref.shape, path
+                assert got.tobytes() == ref.tobytes(), path
+
+
+class TestPickledBefore8:
+    """A classifier pickled by 7.x (no ``config`` in its state) still loads."""
+
+    CONFIGS = {
+        "default": ClassifierConfig(),
+        "tuned": ClassifierConfig(
+            metric_names=("cpu_user", "cpu_system", "io_bi", "io_bo", "bytes_out", "swap_in"),
+            n_components=None,
+            min_variance_fraction=0.99,
+            k=5,
+            compute_dtype="float32",
+            clock=_zero_clock,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_state_without_a_config_unpickles_with_one(self, name):
+        config = self.CONFIGS[name]
+        clf = ApplicationClassifier(config).train(synthetic_training())
+        # The 7.x state: every attribute the classifier had then, no ``config``.
+        old = ApplicationClassifier.__new__(ApplicationClassifier)
+        old.__dict__.update({key: value for key, value in vars(clf).items() if key != "config"})
+        restored = pickle.loads(pickle.dumps(old))
+        assert restored.config == config
+        assert restored.config.clock is config.clock
+        assert restored.clock is clf.clock
+        for kind in ("cpu", "io", "mem"):
+            series = synthetic_series(kind, seed=50)
+            got, want = restored.classify_series(series), clf.classify_series(series)
+            assert got.scores.tobytes() == want.scores.tobytes()
+            assert np.array_equal(got.class_vector, want.class_vector)
+            assert got.application_class is want.application_class
+
+
 class TestNonFiniteInput:
     """A NaN or inf in the input raises NonFiniteInputError, still a ValueError."""
 
     @pytest.fixture(params=["float64", "float32"])
     def clf(self, request):
-        return ApplicationClassifier(compute_dtype=request.param).train(synthetic_training())
+        return ApplicationClassifier(ClassifierConfig(compute_dtype=request.param)).train(synthetic_training())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_every_classify_call_raises_it(self, clf, bad):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.preprocessing import MetricSelector
+from repro.core.config import ClassifierConfig
 from repro.experiments.ablation import holdout_accuracy, split_series
 from repro.metrics.catalog import NUM_METRICS
 from repro.metrics.series import SnapshotSeries
@@ -44,7 +44,7 @@ class TestSplitSeries:
 
 class TestHoldoutAccuracy:
     def test_paper_configuration_accuracy(self, training_outcome):
-        point = holdout_accuracy(training_outcome, n_components=2, k=3)
+        point = holdout_accuracy(training_outcome, ClassifierConfig(n_components=2, k=3))
         assert point.accuracy > 0.9
         assert point.n_components == 2
         assert point.k == 3
@@ -53,13 +53,12 @@ class TestHoldoutAccuracy:
     def test_custom_selector_dimension_reported(self, training_outcome):
         point = holdout_accuracy(
             training_outcome,
-            n_components=2,
-            selector=MetricSelector(names=("cpu_user", "io_bi", "bytes_out", "swap_in")),
+            ClassifierConfig(metric_names=("cpu_user", "io_bi", "bytes_out", "swap_in")),
         )
         assert point.n_metrics == 4
         assert point.accuracy > 0.7
 
     def test_description_mentions_configuration(self, training_outcome):
-        point = holdout_accuracy(training_outcome, n_components=3, k=5)
+        point = holdout_accuracy(training_outcome, ClassifierConfig(n_components=3, k=5))
         assert "q=3" in point.description
         assert "k=5" in point.description

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.labels import ALL_CLASSES, ClassComposition, SnapshotClass, application_category
 from repro.core import pipeline
+from repro.core.config import ClassifierConfig
 from repro.core.pipeline import ApplicationClassifier, BatchResult, _gather_rows, _pack_compositions
 from repro.metrics.series import SnapshotSeries
 from repro.serve.batch import BatchClassifier
@@ -38,7 +39,7 @@ def models(training_outcome):
     data = [(run.series, training_outcome.labels[key]) for key, run in training_outcome.runs.items()]
     built = {}
     for dtype in DTYPES:
-        clf = ApplicationClassifier(compute_dtype=dtype).train(data)
+        clf = ApplicationClassifier(ClassifierConfig(compute_dtype=dtype)).train(data)
         clf.knn.chunk_size = CHUNK
         built[dtype] = clf
     return built

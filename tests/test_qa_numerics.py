@@ -183,6 +183,30 @@ class TestDtypeInference:
         )
         assert fn.return_dtype == FLOAT64
 
+    def test_augmented_assign_on_python_scalars_is_not_an_array_op(self):
+        fn = function_facts(
+            '''
+            import numpy as np
+
+            def f(x):
+                """Kernel.
+
+                dtype: float64
+                """
+                count = 0
+                total = 0.0
+                acc = np.zeros(3)
+                for row in x:
+                    count += 1
+                    total += 0.5
+                acc += 1.0
+                return acc
+            ''',
+            "f",
+        )
+        inplace = [op for op in fn.array_ops if op.kind == "inplace"]
+        assert [(op.op, op.dtype) for op in inplace] == [("Add=", FLOAT64)]
+
 
 # ----------------------------------------------------------------------
 # fact extraction

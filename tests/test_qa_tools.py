@@ -372,7 +372,7 @@ def test_revision_4_cache_starts_cold(tree, tmp_path, monkeypatch):
         entry["facts"] = {"name": entry["facts"][0], "relpath": entry["facts"][1]}
         entry["findings"] = [{"rule": f[0], "severity": f[1]} for f in entry["findings"]]
     cache_path.write_text(json.dumps(data))
-    assert cache_mod.ENGINE_REVISION == 5
+    assert cache_mod.ENGINE_REVISION == 6
     sig = rules_signature(list(all_rules()))
     assert data["signature"] != sig
     fresh = _run(tree, ResultCache(cache_path, sig))

@@ -51,7 +51,7 @@ def test_readme_ingest_snippet():
 def test_package_version_importable():
     import repro
 
-    assert repro.__version__ == "7.0.0"
+    assert repro.__version__ == "8.0.0"
     # Every advertised subpackage is importable from the root.
     for name in repro.__all__:
         if name != "__version__":
